@@ -2,9 +2,12 @@
 """Benchmark the search kernels: numba-jitted against the pure-python path.
 
 The parent process runs each workload twice in fresh subprocesses, once with
-the default (jitted) kernels and once with TRD_PURE_PYTHON=1, and prints a
-comparison table. JIT compilation happens on a warmup call, so the timed
-section measures steady-state search speed only.
+the default kernels and once with TRD_PURE_PYTHON=1, and prints a comparison
+table. Each row names the kernel path every run took and the containers it
+ran on (numpy arrays when jitted, Python lists otherwise). Where numba is not
+installed both runs take the pure path, and the table says so in place of a
+speedup. JIT compilation happens on a warmup call, so the timed section
+measures steady-state search speed only.
 
 Usage:
     python benchmarks/bench_kernels.py            # quick set
@@ -55,7 +58,8 @@ def _run_child(full: bool) -> None:
             value = gamma_tr_exact(g, budget=600).value
         elapsed = time.perf_counter() - start
         results.append({"label": label, "value": value, "seconds": elapsed})
-    print(json.dumps({"jitted": _kernels.USE_NUMBA, "results": results}))
+    print(json.dumps({"jitted": _kernels.USE_NUMBA, "containers": _kernels.CONTAINERS,
+                      "results": results}))
 
 
 def main() -> int:
@@ -68,20 +72,31 @@ def main() -> int:
         return 0
 
     runs = {}
-    for mode, env_extra in (("numba", {}), ("pure", {"TRD_PURE_PYTHON": "1"})):
+    for mode, env_extra in (("numba", {"TRD_PURE_PYTHON": "0"}),
+                            ("pure", {"TRD_PURE_PYTHON": "1"})):
         env = dict(os.environ, **env_extra)
         cmd = [sys.executable, os.path.abspath(__file__), "--child"]
         if args.full:
             cmd.append("--full")
         out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
         runs[mode] = json.loads(out.stdout.strip().splitlines()[-1])
-        print(f"{mode}: jitted={runs[mode]['jitted']}")
+        print(f"{mode}: jitted={runs[mode]['jitted']} containers={runs[mode]['containers']}")
 
-    print(f"\n{'workload':<30} {'numba s':>10} {'pure s':>10} {'speedup':>9}")
+    def path(run):
+        return f"{'numba' if run['jitted'] else 'pure'}, {run['containers']}"
+
+    print(f"\n{'workload':<28} {'default run':>32} {'TRD_PURE_PYTHON=1 run':>32}  speedup")
     for jr, pr in zip(runs["numba"]["results"], runs["pure"]["results"]):
         assert jr["value"] == pr["value"], "paths disagree on the optimum"
-        speed = pr["seconds"] / jr["seconds"] if jr["seconds"] > 0 else float("inf")
-        print(f"{jr['label']:<30} {jr['seconds']:>10.3f} {pr['seconds']:>10.3f} {speed:>8.1f}x")
+        if not runs["numba"]["jitted"]:
+            speed = "numba not installed"
+        elif jr["seconds"] > 0:
+            speed = f"{pr['seconds'] / jr['seconds']:.1f}x"
+        else:
+            speed = "inf"
+        default = f"{jr['seconds']:.3f} s ({path(runs['numba'])})"
+        pure = f"{pr['seconds']:.3f} s ({path(runs['pure'])})"
+        print(f"{jr['label']:<28} {default:>32} {pure:>32}  {speed}")
     return 0
 
 

@@ -3,17 +3,20 @@
 Three resumable loops live here: a base-3 odometer that scans every labeling,
 and two explicit-stack branch-and-bound searches (minimum weight, and maximum
 number of 2-labels at a fixed weight). By default they are compiled with
-numba's @njit; setting the environment variable TRD_PURE_PYTHON to a truthy
-value before import skips compilation and runs the identical source as plain
-Python over numpy scalars. The pure path is slow and exists as a fallback and
-as the baseline for benchmarks/bench_kernels.py.
+numba's @njit over numpy arrays and uint64 masks. When numba is missing, or
+the environment variable TRD_PURE_PYTHON is set to a truthy value before
+import, the identical source runs as plain Python over Python lists and ints:
+indexing a list and masking Python ints costs far less than boxing numpy
+scalars at every step. Callers build every container with kernel_array, so
+each path gets the containers it runs fastest on.
 
-All kernels operate on graphs of at most 64 vertices (one uint64 mask per
+All kernels operate on graphs of at most 64 vertices (one 64-bit mask per
 row); callers enforce the limit. Scalar search state is packed into an int64
-array so a search can be paused on a node budget and resumed, which is how
-wall-clock budgets are enforced without calling the clock from compiled code.
+container so a search can be paused on a node budget and resumed, which is
+how wall-clock budgets are enforced without calling the clock from compiled
+code.
 
-State array slots:
+State slots:
     0 depth      1 weight      2 count of 2-labels   3 incumbent objective
     4 nodes done 5 status      6 branch count k      7 witness flag
     8 weight cap (max-2s kernel only)                9 early-exit flag
@@ -23,14 +26,9 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 RUNNING = 0
 DONE = 1
 FOUND = 2
-
-U64_0 = np.uint64(0)
-U64_1 = np.uint64(1)
 
 
 def _env_flag(name: str) -> bool:
@@ -47,11 +45,29 @@ if USE_NUMBA:
         USE_NUMBA = False
 
 if USE_NUMBA:
+    import numpy as np
+
+    CONTAINERS = "numpy arrays"
+    U64_0 = np.uint64(0)
+    U64_1 = np.uint64(1)
+
     def _maybe_jit(fn):
         return _njit(cache=True)(fn)
+
+    def kernel_array(values, dtype: str):
+        """The values as a numpy array of the named dtype (int8, int32, int64, uint64)."""
+        return np.array(list(values), dtype=dtype)
 else:
+    CONTAINERS = "Python lists"
+    U64_0 = 0
+    U64_1 = 1
+
     def _maybe_jit(fn):
         return fn
+
+    def kernel_array(values, dtype: str):
+        """The values as a list of Python ints; the dtype only matters under numba."""
+        return list(values)
 
 
 def _popcount(x):
@@ -116,7 +132,7 @@ def _cover_bound(labels, cnt2, cntpos, adj_mask, bit):
     need future positives the same way; twos may double as those, hence
     2*a + max(0, b - a).
     """
-    n = labels.shape[0]
+    n = len(labels)
     umask = U64_0
     pmask = U64_0
     for v in range(n):
@@ -167,7 +183,7 @@ def _bnb_min_weight(nbr_ptr, nbr_idx, adj_mask, bit, labels, order, trial,
     improvement ends the search, which turns the kernel into a feasibility
     test against a weight cap.
     """
-    n = labels.shape[0]
+    n = len(labels)
     depth = st[0]
     weight = st[1]
     v2 = st[2]
@@ -253,7 +269,7 @@ def _bnb_max_twos(nbr_ptr, nbr_idx, adj_mask, bit, labels, order, trial,
     at the first labeling whose 2-count beats it, which makes it the
     feasibility test used by the lexicographic witness reconstruction.
     """
-    n = labels.shape[0]
+    n = len(labels)
     depth = st[0]
     weight = st[1]
     v2 = st[2]
@@ -349,7 +365,7 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
 
     State slots here: 0 best weight, 1 witness flag, 2 labelings done, 3 status.
     """
-    n = digits.shape[0]
+    n = len(digits)
     best = st[0]
     steps = 0
     status = RUNNING
@@ -400,8 +416,9 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
 
 # Rebind helpers first so the kernels' global lookups resolve to compiled
 # versions under numba; the *_py aliases keep the uncompiled entry points
-# reachable for parity tests.
-_popcount = _maybe_jit(_popcount)
+# reachable for parity tests. Without numba the masks are Python ints, whose
+# own bit_count replaces the loop.
+_popcount = _maybe_jit(_popcount) if USE_NUMBA else int.bit_count
 _assign = _maybe_jit(_assign)
 _unassign = _maybe_jit(_unassign)
 _local_dead = _maybe_jit(_local_dead)

@@ -10,7 +10,6 @@ the case analysis.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import classify, construct
@@ -468,6 +467,10 @@ def verify_theorems(catalog: list[Graph], budget: float | None = 60.0,
             tasks.append((pg, ph, budget, oracle_limit))
     report = VerificationReport()
     if jobs > 1:
+        # Imported only here: the pool machinery adds 1-2 MB of memory to
+        # every process that imports this module, and most never run a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_verify_pair, tasks))
     else:

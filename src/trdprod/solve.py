@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from . import _kernels
 from .errors import ConsistencyError, SizeLimitError, SolverTimeout
 from .graph import (Graph, connected_components, induced_subgraph, mask_of,
@@ -26,7 +24,12 @@ SUBSET_LIMIT = 20     # subset enumeration for gamma_t / rho / rho_o
 KERNEL_LIMIT = 64     # one uint64 adjacency word per vertex
 BUDGET_ENV = "TRD_BUDGET_SECS"
 
-_CHUNK = 1 << 20
+# A search reads the clock after its first _FIRST_CHUNK nodes, then about
+# every _SLICE_S seconds; a budget is therefore kept within a slice or so.
+_FIRST_CHUNK = 1 << 10
+_SLICE_S = 0.02
+# The oracle scan runs without a budget; it returns to Python once per chunk.
+_SCAN_CHUNK = 1 << 20
 
 
 def default_budget() -> float:
@@ -68,77 +71,86 @@ class ParetoPoint:
 
 
 class _SearchArrays:
-    """numpy views of one graph plus mutable search state for the kernels."""
+    """One graph plus mutable search state, in the containers the kernels run on."""
 
     def __init__(self, g: Graph, fixed: dict[int, int]):
         n = g.n
-        deg = [g.degree(v) for v in range(n)]
-        ptr = np.zeros(n + 1, dtype=np.int64)
+        nbrs = [g.neighbors(v) for v in range(n)]
+        ptr = [0]
         for v in range(n):
-            ptr[v + 1] = ptr[v] + deg[v]
-        idx = np.zeros(int(ptr[n]), dtype=np.int64)
-        pos = 0
-        for v in range(n):
-            for u in g.neighbors(v):
-                idx[pos] = u
-                pos += 1
-        self.nbr_ptr = ptr
-        self.nbr_idx = idx
-        self.adj_mask = np.array([np.uint64(m) for m in g.adj], dtype=np.uint64)
-        self.bit = np.array([np.uint64(1 << v) for v in range(n)], dtype=np.uint64)
-        self.labels = np.full(n, -1, dtype=np.int8)
+            ptr.append(ptr[v] + len(nbrs[v]))
+        labels = [-1] * n
         for v, lab in fixed.items():
-            self.labels[v] = lab
-        self.cnt2 = np.zeros(n, dtype=np.int32)
-        self.cntpos = np.zeros(n, dtype=np.int32)
-        self.cntun = np.zeros(n, dtype=np.int32)
+            labels[v] = lab
+        cnt2 = [0] * n
+        cntpos = [0] * n
+        cntun = [0] * n
         for v in range(n):
-            for u in g.neighbors(v):
-                lu = self.labels[u]
+            for u in nbrs[v]:
+                lu = labels[u]
                 if lu < 0:
-                    self.cntun[v] += 1
+                    cntun[v] += 1
                 else:
                     if lu == 2:
-                        self.cnt2[v] += 1
+                        cnt2[v] += 1
                     if lu >= 1:
-                        self.cntpos[v] += 1
+                        cntpos[v] += 1
         free = [v for v in range(n) if v not in fixed]
-        free.sort(key=lambda v: (-deg[v], v))
-        self.order = np.array(free, dtype=np.int64)
-        self.trial = np.zeros(len(free) + 1, dtype=np.int8)
-        self.best_labels = np.full(n, -1, dtype=np.int8)
+        free.sort(key=lambda v: (-len(nbrs[v]), v))
+        arr = _kernels.kernel_array
+        self.nbr_ptr = arr(ptr, "int64")
+        self.nbr_idx = arr((u for row in nbrs for u in row), "int64")
+        self.adj_mask = arr(g.adj, "uint64")
+        self.bit = arr((1 << v for v in range(n)), "uint64")
+        self.labels = arr(labels, "int8")
+        self.cnt2 = arr(cnt2, "int32")
+        self.cntpos = arr(cntpos, "int32")
+        self.cntun = arr(cntun, "int32")
+        self.order = arr(free, "int64")
+        self.trial = arr([0] * (len(free) + 1), "int8")
+        self.best_labels = arr([-1] * n, "int8")
         self.init_weight = sum(fixed.values())
         self.init_v2 = sum(1 for lab in fixed.values() if lab == 2)
         self.init_dead = False
         for v, lab in fixed.items():
-            if self.cntun[v] == 0:
-                if lab == 0 and self.cnt2[v] == 0:
+            if cntun[v] == 0:
+                if lab == 0 and cnt2[v] == 0:
                     self.init_dead = True
-                if lab >= 1 and self.cntpos[v] == 0:
+                if lab >= 1 and cntpos[v] == 0:
                     self.init_dead = True
 
-    def state(self, best: int, cap: int = 0, early: bool = False) -> np.ndarray:
-        st = np.zeros(12, dtype=np.int64)
-        st[0] = 0
+    def state(self, best: int, cap: int = 0, early: bool = False):
+        st = [0] * 12
         st[1] = self.init_weight
         st[2] = self.init_v2
         st[3] = best
         st[6] = len(self.order)
         st[8] = cap
         st[9] = 1 if early else 0
-        return st
+        return _kernels.kernel_array(st, "int64")
 
-    def run(self, kernel, st: np.ndarray, deadline: float | None) -> int:
+    def run(self, kernel, st, deadline: float | None) -> int:
+        """Run kernel to completion, reading the clock between chunks of nodes.
+
+        Each chunk is sized from the rate of the one before so that it takes
+        about _SLICE_S; the kernel resumes exactly, so chunking never changes
+        the nodes visited.
+        """
+        chunk = _FIRST_CHUNK
         while True:
+            t0 = time.monotonic()
             status = int(kernel(self.nbr_ptr, self.nbr_idx, self.adj_mask, self.bit,
                                 self.labels, self.order, self.trial, self.cnt2,
-                                self.cntpos, self.cntun, self.best_labels, st, _CHUNK))
+                                self.cntpos, self.cntun, self.best_labels, st, chunk))
             if status != _kernels.RUNNING:
                 return status
-            if deadline is not None and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
                 raise SolverTimeout(
                     f"search budget exhausted after {int(st[4])} nodes",
                     nodes=int(st[4]))
+            fit = int(chunk * _SLICE_S / max(now - t0, 1e-6))
+            chunk = max(_FIRST_CHUNK, min(4 * chunk, fit))
 
 
 def _deadline(budget: float | None) -> float | None:
@@ -185,7 +197,12 @@ def _min_weight_search(g: Graph, fixed: dict[int, int], init_best: int,
     if arrs.init_dead:
         return False, init_best, None, 0
     st = arrs.state(best=init_best, early=early)
-    arrs.run(_kernels.bnb_min_weight, st, deadline)
+    try:
+        arrs.run(_kernels.bnb_min_weight, st, deadline)
+    except SolverTimeout as exc:
+        # The incumbent only ever drops to the weight of a valid labeling found.
+        exc.upper_bound = int(st[3])
+        raise
     found = bool(st[7])
     labels = tuple(int(x) for x in arrs.best_labels) if found else None
     return found, int(st[3]), labels, int(st[4])
@@ -236,13 +253,13 @@ def _brute_scan(g: Graph, limit: int):
     if g.n > limit:
         raise SizeLimitError(f"brute force oracle limited to {limit} vertices, got {g.n}")
     arrs = _SearchArrays(g, {})
-    digits = np.zeros(g.n, dtype=np.int8)
-    table = np.full(2 * g.n + 1, -1, dtype=np.int64)
-    st = np.zeros(6, dtype=np.int64)
-    st[0] = 2 * g.n + 1
+    arr = _kernels.kernel_array
+    digits = arr([0] * g.n, "int8")
+    table = arr([-1] * (2 * g.n + 1), "int64")
+    st = arr([2 * g.n + 1, 0, 0, 0, 0, 0], "int64")
     while True:
         status = int(_kernels.brute_force_scan(arrs.adj_mask, arrs.bit, digits,
-                                               arrs.best_labels, table, st, _CHUNK))
+                                               arrs.best_labels, table, st, _SCAN_CHUNK))
         if status == _kernels.DONE:
             break
     best = int(st[0])
@@ -272,7 +289,6 @@ def _gamma_tr_value(g: Graph, deadline: float | None,
     try:
         found, value, labels, _ = _min_weight_search(g, {}, ub, False, deadline)
     except SolverTimeout as exc:
-        exc.upper_bound = ub
         exc.lower_bound = trivial_lower_bound(g)
         raise
     if found:
@@ -312,10 +328,13 @@ def _per_component(g: Graph, solver):
         try:
             value, v2, labels = solver(sub)
         except SolverTimeout as exc:
-            pending = sum(trivial_lower_bound(induced_subgraph(g, c))
-                          for c in comps[idx + 1:])
-            exc.lower_bound = total + (exc.lower_bound or 0) + pending
-            exc.upper_bound = None
+            # Solved components count exactly; a pending one is at least its
+            # trivial floor and at most twice a greedy total dominating set.
+            rest = [induced_subgraph(g, c) for c in comps[idx + 1:]]
+            exc.lower_bound = (total + exc.lower_bound
+                               + sum(trivial_lower_bound(r) for r in rest))
+            exc.upper_bound = (total + exc.upper_bound
+                               + sum(2 * greedy_total_dominating_set(r).size for r in rest))
             raise
         total += value
         twos += v2
@@ -355,15 +374,21 @@ def _max_v2_connected(g: Graph, deadline: float | None,
                       upper_bound_hint: int | None):
     _check_kernel_size(g, "gamma_tR branch-and-bound")
     value, _ = _gamma_tr_value(g, deadline, upper_bound_hint)
-    found, v2max, seed = _max_twos_search(g, {}, value, -1, False, deadline)
-    if not found:
-        raise ConsistencyError("no labeling found at the proven optimal weight")
 
     def feasible(fixed):
         ok, _, labels = _max_twos_search(g, fixed, value, v2max - 1, True, deadline)
         return ok, labels
 
-    return value, v2max, _lex_smallest(g, feasible, seed)
+    try:
+        found, v2max, seed = _max_twos_search(g, {}, value, -1, False, deadline)
+        if not found:
+            raise ConsistencyError("no labeling found at the proven optimal weight")
+        labels = _lex_smallest(g, feasible, seed)
+    except SolverTimeout as exc:
+        exc.upper_bound = value
+        exc.lower_bound = value  # value itself is proven; only the 2-count was pending
+        raise
+    return value, v2max, labels
 
 
 def gamma_tr_max_v2(g: Graph, budget: float | None = None,

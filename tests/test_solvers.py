@@ -1,7 +1,8 @@
-import numpy as np
+import time
+
 import pytest
 
-from trdprod import _kernels
+from trdprod import _kernels, solve
 from trdprod.catalog import enumerate_catalog
 from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, path, prism,
@@ -175,6 +176,63 @@ def test_timeout_carries_bounds():
     assert err.value.nodes > 0
 
 
+def test_timeout_is_prompt_and_carries_the_search_incumbent():
+    # C5 x C5 has gamma_tR = 15 and takes about 8.3M B&B nodes to prove; the
+    # greedy seed gives 18, and the search finds lighter labelings at once
+    start = time.monotonic()
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=0.2)
+    assert time.monotonic() - start <= 0.2 + 0.25
+    assert 15 <= err.value.upper_bound < 18
+    assert err.value.lower_bound <= 15
+
+
+def test_timeout_on_a_disconnected_product_bounds_every_component():
+    # C8 x C10 is two 40-vertex components, far beyond the budget
+    g = direct_product(cycle(8), cycle(10)).base
+    start = time.monotonic()
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_exact(g, budget=0.05)
+    assert time.monotonic() - start <= 0.05 + 0.25
+    assert err.value.lower_bound is not None and err.value.upper_bound is not None
+    assert err.value.lower_bound <= err.value.upper_bound
+
+
+def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
+    def out_of_time(*args):
+        raise SolverTimeout("search budget exhausted")
+
+    monkeypatch.setattr(solve, "_max_twos_search", out_of_time)
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_max_v2(direct_product(complete(3), complete(3)).base, budget=60)
+    assert err.value.lower_bound == err.value.upper_bound == 6
+    # disconnected: the proven component plus floor and greedy bounds on the other
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_max_v2(direct_product(cycle(4), cycle(4)).base, budget=60)
+    assert err.value.lower_bound <= 8 <= err.value.upper_bound
+
+
+@pytest.mark.parametrize("g,nodes", [
+    (direct_product(cycle(4), prism(cycle(3))).base, 3597),
+    (direct_product(complete(3), wheel(6)).base, 16700),
+], ids=["C4xprismC3", "K3xW6"])
+def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, nodes):
+    # node totals are independent of the container type and of how the
+    # search is cut into chunks between clock reads
+    seen = []
+    kernel = _kernels.bnb_min_weight
+
+    def counting(*args):
+        before = int(args[11][4])
+        status = kernel(*args)
+        seen.append(int(args[11][4]) - before)
+        return status
+
+    monkeypatch.setattr(_kernels, "bnb_min_weight", counting)
+    gamma_tr_exact(g, budget=60)
+    assert sum(seen) == nodes
+
+
 def test_eod_product_certificate_case():
     # the 2K2 product of two single edges: optimum is all-1, never uses a 2
     best, labels, table = _brute_scan(TWO_K2, 12)
@@ -189,10 +247,9 @@ def _run_pair(kernel_min, kernel_brute, g):
                arrs.order, arrs.trial, arrs.cnt2, arrs.cntpos, arrs.cntun,
                arrs.best_labels, st, 10 ** 9)
     brute_arrs = _SearchArrays(g, {})
-    digits = np.zeros(g.n, dtype=np.int8)
-    table = np.full(2 * g.n + 1, -1, dtype=np.int64)
-    bst = np.zeros(6, dtype=np.int64)
-    bst[0] = 2 * g.n + 1
+    digits = _kernels.kernel_array([0] * g.n, "int8")
+    table = _kernels.kernel_array([-1] * (2 * g.n + 1), "int64")
+    bst = _kernels.kernel_array([2 * g.n + 1, 0, 0, 0, 0, 0], "int64")
     kernel_brute(brute_arrs.adj_mask, brute_arrs.bit, digits,
                  brute_arrs.best_labels, table, bst, 10 ** 9)
     return int(st[3]), int(bst[0]), [int(x) for x in table]
