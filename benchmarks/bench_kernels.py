@@ -6,7 +6,9 @@ the default kernels and once with TRD_PURE_PYTHON=1, and prints a comparison
 table. Each row names the kernel path every run took and the containers it
 ran on (numpy arrays when jitted, Python lists otherwise). Where numba is not
 installed both runs take the pure path, and the table says so in place of a
-speedup. JIT compilation happens on a warmup call, so the timed section
+speedup. Each search row also gives B&B nodes per second: every node the
+min-weight kernel visits in the solve, lex probes included, over the solve's
+time. JIT compilation happens on a warmup call, so the timed section
 measures steady-state search speed only.
 
 Usage:
@@ -31,6 +33,7 @@ def _workloads(full: bool):
     loads = [
         ("scan 3^10 (K2 x C5)", "brute", direct_product(complete(2), cycle(5)).base),
         ("search 16v (C4 x C4)", "bnb", direct_product(cycle(4), cycle(4)).base),
+        ("search 20v (C5 x C4)", "bnb", direct_product(cycle(5), cycle(4)).base),
     ]
     if full:
         loads += [
@@ -49,15 +52,27 @@ def _run_child(full: bool) -> None:
 
     gamma_tr_bruteforce(path(4))  # warmup triggers compilation on the jitted path
     gamma_tr_exact(path(4), budget=60)
+    nodes = [0]
+    kernel = _kernels.bnb_min_weight
+
+    def counting(*args):
+        before = int(args[11][4])  # slot 4 of the state counts the nodes done
+        status = kernel(*args)
+        nodes[0] += int(args[11][4]) - before
+        return status
+
+    _kernels.bnb_min_weight = counting
     results = []
     for label, kind, g in _workloads(full):
+        nodes[0] = 0
         start = time.perf_counter()
         if kind == "brute":
             value = gamma_tr_bruteforce(g).value
         else:
             value = gamma_tr_exact(g, budget=600).value
         elapsed = time.perf_counter() - start
-        results.append({"label": label, "value": value, "seconds": elapsed})
+        results.append({"label": label, "value": value, "seconds": elapsed,
+                        "nodes": nodes[0]})
     print(json.dumps({"jitted": _kernels.USE_NUMBA, "containers": _kernels.CONTAINERS,
                       "results": results}))
 
@@ -97,6 +112,9 @@ def main() -> int:
         default = f"{jr['seconds']:.3f} s ({path(runs['numba'])})"
         pure = f"{pr['seconds']:.3f} s ({path(runs['pure'])})"
         print(f"{jr['label']:<28} {default:>32} {pure:>32}  {speed}")
+        if pr["nodes"]:
+            print(f"{'':<28} {jr['nodes'] / jr['seconds']:>24,.0f} nodes/s"
+                  f" {pr['nodes'] / pr['seconds']:>24,.0f} nodes/s")
     return 0
 
 

@@ -16,6 +16,18 @@ container so a search can be paused on a node budget and resumed, which is
 how wall-clock budgets are enforced without calling the clock from compiled
 code.
 
+The searches keep their vertex state in four mask stacks. Slot d of each
+holds the state once order[0..d-1] (and any fixed labels) are decided:
+twos (decided 2-labels), pos (decided positive labels), un0 (decided 0s with
+no decided 2-neighbour) and unp (decided positives with no decided positive
+neighbour). reach[d], fixed per search, is the union of the neighbourhoods of
+order[d:], the vertices still undecided at depth d. _child derives slot d+1
+from slot d in a few mask operations, so backtracking only resets a label. A
+child is dead when an unsatisfied vertex lies outside reach[d+1]; since no
+live node holds such a vertex, that one test covers every vertex the new
+label touched. Otherwise _child returns the cover bound, a loop over the
+undecided suffix order[d+1:] only.
+
 State slots:
     0 depth      1 weight      2 count of 2-labels   3 incumbent objective
     4 nodes done 5 status      6 branch count k      7 witness flag
@@ -78,104 +90,67 @@ def _popcount(x):
     return c
 
 
-def _assign(v, lab, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx):
-    labels[v] = lab
-    for e in range(nbr_ptr[v], nbr_ptr[v + 1]):
-        w = nbr_idx[e]
-        cntun[w] -= 1
-        if lab == 2:
-            cnt2[w] += 1
-        if lab >= 1:
-            cntpos[w] += 1
+def _child(d, lab, adj_mask, bit, order, twos, pos, un0, unp, reach):
+    """Write stack slot d+1 for order[d] labelled lab; return the cover bound.
 
-
-def _unassign(v, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx):
-    lab = labels[v]
-    for e in range(nbr_ptr[v], nbr_ptr[v + 1]):
-        w = nbr_idx[e]
-        cntun[w] += 1
-        if lab == 2:
-            cnt2[w] -= 1
-        if lab >= 1:
-            cntpos[w] -= 1
-    labels[v] = -1
-    return lab
-
-
-def _local_dead(v, lab, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx):
-    # A vertex dies the moment its last neighbor is decided without satisfying
-    # it: 0-labels need a 2-neighbor, positive labels need a positive neighbor.
-    if lab == 0:
-        if cnt2[v] == 0 and cntun[v] == 0:
-            return True
-    else:
-        if cntpos[v] == 0 and cntun[v] == 0:
-            return True
-    for e in range(nbr_ptr[v], nbr_ptr[v + 1]):
-        w = nbr_idx[e]
-        lw = labels[w]
-        if lw == 0:
-            if cnt2[w] == 0 and cntun[w] == 0:
-                return True
-        elif lw >= 1:
-            if cntpos[w] == 0 and cntun[w] == 0:
-                return True
-    return False
-
-
-def _cover_bound(labels, cnt2, cntpos, adj_mask, bit):
-    """Admissible extra-weight bound, or -1 when the node is infeasible.
-
+    The bound is an admissible count of weight still to come, or -1 when a
+    decided vertex is unsatisfied and none of its neighbours is undecided.
     Unsatisfied 0-vertices each need a future 2 among their undecided
-    neighbors; one future 2 helps at most cmaxu of them, so at least
+    neighbours; one future 2 helps at most cmaxu of them, so at least
     ceil(|U|/cmaxu) twos are still to come. Unsatisfied positive vertices
     need future positives the same way; twos may double as those, hence
     2*a + max(0, b - a).
     """
-    n = len(labels)
-    umask = U64_0
-    pmask = U64_0
-    for v in range(n):
-        l = labels[v]
-        if l == 0:
-            if cnt2[v] == 0:
-                umask |= bit[v]
-        elif l > 0:
-            if cntpos[v] == 0:
-                pmask |= bit[v]
-    if umask == U64_0 and pmask == U64_0:
+    v = order[d]
+    nv = adj_mask[v]
+    tw = twos[d]
+    po = pos[d]
+    u0 = un0[d]
+    up = unp[d]
+    if lab == 0:
+        if (nv & tw) == U64_0:
+            u0 |= bit[v]
+    else:
+        if (nv & po) == U64_0:
+            up |= bit[v]
+        up &= ~nv
+        po |= bit[v]
+        if lab == 2:
+            u0 &= ~nv
+            tw |= bit[v]
+    e = d + 1
+    twos[e] = tw
+    pos[e] = po
+    un0[e] = u0
+    unp[e] = up
+    if ((u0 | up) & ~reach[e]) != U64_0:
+        return -1
+    if u0 == U64_0 and up == U64_0:
         return 0
     cmaxu = 0
     cmaxp = 0
-    for v in range(n):
-        if labels[v] < 0:
-            m = adj_mask[v]
-            cu = _popcount(m & umask)
-            if cu > cmaxu:
-                cmaxu = cu
-            cp = _popcount(m & pmask)
-            if cp > cmaxp:
-                cmaxp = cp
-    nu = _popcount(umask)
-    npos = _popcount(pmask)
-    if nu > 0 and cmaxu == 0:
-        return -1
-    if npos > 0 and cmaxp == 0:
-        return -1
+    for i in range(e, len(order)):
+        m = adj_mask[order[i]]
+        cu = _popcount(m & u0)
+        if cu > cmaxu:
+            cmaxu = cu
+        cp = _popcount(m & up)
+        if cp > cmaxp:
+            cmaxp = cp
     a = 0
-    if nu > 0:
-        a = (nu + cmaxu - 1) // cmaxu
+    if u0 != U64_0:
+        a = (_popcount(u0) + cmaxu - 1) // cmaxu
     b = 0
-    if npos > 0:
-        b = (npos + cmaxp - 1) // cmaxp
+    if up != U64_0:
+        b = (_popcount(up) + cmaxp - 1) // cmaxp
     extra = 2 * a
     if b > a:
         extra += b - a
     return extra
 
 
-def _bnb_min_weight(nbr_ptr, nbr_idx, adj_mask, bit, labels, order, trial,
-                    cnt2, cntpos, cntun, best_labels, st, node_budget):
+def _bnb_min_weight(adj_mask, bit, labels, order, trial, twos, pos, un0, unp,
+                    reach, best_labels, st, node_budget):
     """Depth-first search for a labeling of weight strictly below st[3].
 
     Branch vertices come in the caller-chosen order (descending degree);
@@ -198,59 +173,43 @@ def _bnb_min_weight(nbr_ptr, nbr_idx, adj_mask, bit, labels, order, trial,
         if depth < 0:
             status = DONE
             break
-        if depth == k:
-            if weight < best:
-                best = weight
-                for i in range(n):
-                    best_labels[i] = labels[i]
-                st[7] = 1
-                if early == 1:
-                    status = FOUND
-                    break
+        if depth == k or trial[depth] == 3:
+            if depth == k:
+                if weight < best:
+                    best = weight
+                    for i in range(n):
+                        best_labels[i] = labels[i]
+                    st[7] = 1
+                    if early == 1:
+                        status = FOUND
+                        break
+            else:
+                trial[depth] = 0
             depth -= 1
             if depth >= 0:
-                lab = _unassign(order[depth], labels, cnt2, cntpos, cntun,
-                                nbr_ptr, nbr_idx)
+                lab = labels[order[depth]]
+                labels[order[depth]] = -1
                 weight -= lab
                 if lab == 2:
                     v2 -= 1
             continue
         t = trial[depth]
-        if t == 3:
-            trial[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                lab = _unassign(order[depth], labels, cnt2, cntpos, cntun,
-                                nbr_ptr, nbr_idx)
-                weight -= lab
-                if lab == 2:
-                    v2 -= 1
-            continue
         trial[depth] = t + 1
         lab = 0
         if t == 1:
             lab = 2
         elif t == 2:
             lab = 1
-        v = order[depth]
         nodes += 1
         if weight + lab >= best:
             continue
-        _assign(v, lab, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx)
+        extra = _child(depth, lab, adj_mask, bit, order, twos, pos, un0, unp, reach)
+        if extra < 0 or weight + lab + extra >= best:
+            continue
+        labels[order[depth]] = lab
         weight += lab
         if lab == 2:
             v2 += 1
-        dead = _local_dead(v, lab, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx)
-        if not dead:
-            extra = _cover_bound(labels, cnt2, cntpos, adj_mask, bit)
-            if extra < 0 or weight + extra >= best:
-                dead = True
-        if dead:
-            lab = _unassign(v, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx)
-            weight -= lab
-            if lab == 2:
-                v2 -= 1
-            continue
         depth += 1
     st[0] = depth
     st[1] = weight
@@ -261,8 +220,8 @@ def _bnb_min_weight(nbr_ptr, nbr_idx, adj_mask, bit, labels, order, trial,
     return status
 
 
-def _bnb_max_twos(nbr_ptr, nbr_idx, adj_mask, bit, labels, order, trial,
-                  cnt2, cntpos, cntun, best_labels, st, node_budget):
+def _bnb_max_twos(adj_mask, bit, labels, order, trial, twos, pos, un0, unp,
+                  reach, best_labels, st, node_budget):
     """Among valid labelings of weight exactly st[8], maximize the 2-count.
 
     Incumbent objective is st[3]; with the early-exit flag the kernel stops
@@ -285,67 +244,52 @@ def _bnb_max_twos(nbr_ptr, nbr_idx, adj_mask, bit, labels, order, trial,
         if depth < 0:
             status = DONE
             break
-        if depth == k:
-            if weight == cap and v2 > best:
-                best = v2
-                for i in range(n):
-                    best_labels[i] = labels[i]
-                st[7] = 1
-                if early == 1:
-                    status = FOUND
-                    break
+        if depth == k or trial[depth] == 3:
+            if depth == k:
+                if weight == cap and v2 > best:
+                    best = v2
+                    for i in range(n):
+                        best_labels[i] = labels[i]
+                    st[7] = 1
+                    if early == 1:
+                        status = FOUND
+                        break
+            else:
+                trial[depth] = 0
             depth -= 1
             if depth >= 0:
-                lab = _unassign(order[depth], labels, cnt2, cntpos, cntun,
-                                nbr_ptr, nbr_idx)
+                lab = labels[order[depth]]
+                labels[order[depth]] = -1
                 weight -= lab
                 if lab == 2:
                     v2 -= 1
             continue
         t = trial[depth]
-        if t == 3:
-            trial[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                lab = _unassign(order[depth], labels, cnt2, cntpos, cntun,
-                                nbr_ptr, nbr_idx)
-                weight -= lab
-                if lab == 2:
-                    v2 -= 1
-            continue
         trial[depth] = t + 1
         lab = 0
         if t == 1:
             lab = 2
         elif t == 2:
             lab = 1
-        v = order[depth]
         nodes += 1
-        if weight + lab > cap:
+        w = weight + lab
+        if w > cap:
             continue
-        if weight + lab + 2 * (k - depth - 1) < cap:
+        rem = k - depth - 1
+        if w + 2 * rem < cap:
             continue
-        _assign(v, lab, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx)
-        weight += lab
+        room = (cap - w) // 2
+        c2 = v2
         if lab == 2:
-            v2 += 1
-        dead = _local_dead(v, lab, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx)
-        if not dead:
-            extra = _cover_bound(labels, cnt2, cntpos, adj_mask, bit)
-            if extra < 0 or weight + extra > cap:
-                dead = True
-        if not dead:
-            rem = k - depth - 1
-            room = (cap - weight) // 2
-            pot = v2 + (rem if rem < room else room)
-            if pot <= best:
-                dead = True
-        if dead:
-            lab = _unassign(v, labels, cnt2, cntpos, cntun, nbr_ptr, nbr_idx)
-            weight -= lab
-            if lab == 2:
-                v2 -= 1
+            c2 += 1
+        if c2 + (rem if rem < room else room) <= best:
             continue
+        extra = _child(depth, lab, adj_mask, bit, order, twos, pos, un0, unp, reach)
+        if extra < 0 or w + extra > cap:
+            continue
+        labels[order[depth]] = lab
+        weight = w
+        v2 = c2
         depth += 1
     st[0] = depth
     st[1] = weight
@@ -419,10 +363,7 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
 # reachable for parity tests. Without numba the masks are Python ints, whose
 # own bit_count replaces the loop.
 _popcount = _maybe_jit(_popcount) if USE_NUMBA else int.bit_count
-_assign = _maybe_jit(_assign)
-_unassign = _maybe_jit(_unassign)
-_local_dead = _maybe_jit(_local_dead)
-_cover_bound = _maybe_jit(_cover_bound)
+_child = _maybe_jit(_child)
 
 bnb_min_weight_py = _bnb_min_weight
 bnb_max_twos_py = _bnb_max_twos

@@ -448,7 +448,7 @@ def _verify_pair(args) -> dict:
         tc_both = pg.triangle_witness is not None and ph.triangle_witness is not None
         weight_six = exact == 6
         support3 = len(best2.witness.v1) + len(best2.witness.v2) == 3
-        rec["triangel"] = {"tc_both": tc_both, "weight_six": weight_six,
+        rec["triangle"] = {"tc_both": tc_both, "weight_six": weight_six,
                            "support3": support3}
         if not (tc_both == weight_six == support3):
             bad(f"{name}: triangle-centered equivalence broken: tc={tc_both},"

@@ -75,49 +75,37 @@ class _SearchArrays:
 
     def __init__(self, g: Graph, fixed: dict[int, int]):
         n = g.n
-        nbrs = [g.neighbors(v) for v in range(n)]
-        ptr = [0]
-        for v in range(n):
-            ptr.append(ptr[v] + len(nbrs[v]))
+        free = [v for v in range(n) if v not in fixed]
+        free.sort(key=lambda v: (-g.degree(v), v))
+        k = len(free)
         labels = [-1] * n
         for v, lab in fixed.items():
             labels[v] = lab
-        cnt2 = [0] * n
-        cntpos = [0] * n
-        cntun = [0] * n
-        for v in range(n):
-            for u in nbrs[v]:
-                lu = labels[u]
-                if lu < 0:
-                    cntun[v] += 1
-                else:
-                    if lu == 2:
-                        cnt2[v] += 1
-                    if lu >= 1:
-                        cntpos[v] += 1
-        free = [v for v in range(n) if v not in fixed]
-        free.sort(key=lambda v: (-len(nbrs[v]), v))
+        # Slot 0 of each mask stack holds the fixed labels; the kernels fill
+        # slot d+1 when they decide order[d].
+        twos = mask_of(v for v, lab in fixed.items() if lab == 2)
+        pos = mask_of(v for v, lab in fixed.items() if lab >= 1)
+        un0 = mask_of(v for v, lab in fixed.items() if lab == 0 and not g.adj[v] & twos)
+        unp = mask_of(v for v, lab in fixed.items() if lab >= 1 and not g.adj[v] & pos)
+        reach = [0] * (k + 1)
+        for d in range(k - 1, -1, -1):
+            reach[d] = reach[d + 1] | g.adj[free[d]]
         arr = _kernels.kernel_array
-        self.nbr_ptr = arr(ptr, "int64")
-        self.nbr_idx = arr((u for row in nbrs for u in row), "int64")
         self.adj_mask = arr(g.adj, "uint64")
         self.bit = arr((1 << v for v in range(n)), "uint64")
         self.labels = arr(labels, "int8")
-        self.cnt2 = arr(cnt2, "int32")
-        self.cntpos = arr(cntpos, "int32")
-        self.cntun = arr(cntun, "int32")
         self.order = arr(free, "int64")
-        self.trial = arr([0] * (len(free) + 1), "int8")
+        self.trial = arr([0] * (k + 1), "int8")
+        self.twos = arr([twos] + [0] * k, "uint64")
+        self.pos = arr([pos] + [0] * k, "uint64")
+        self.un0 = arr([un0] + [0] * k, "uint64")
+        self.unp = arr([unp] + [0] * k, "uint64")
+        self.reach = arr(reach, "uint64")
         self.best_labels = arr([-1] * n, "int8")
         self.init_weight = sum(fixed.values())
         self.init_v2 = sum(1 for lab in fixed.values() if lab == 2)
-        self.init_dead = False
-        for v, lab in fixed.items():
-            if cntun[v] == 0:
-                if lab == 0 and cnt2[v] == 0:
-                    self.init_dead = True
-                if lab >= 1 and cntpos[v] == 0:
-                    self.init_dead = True
+        # A fixed vertex unsatisfied with no undecided neighbour stays unsatisfied.
+        self.init_dead = bool((un0 | unp) & ~reach[0])
 
     def state(self, best: int, cap: int = 0, early: bool = False):
         st = [0] * 12
@@ -139,9 +127,9 @@ class _SearchArrays:
         chunk = _FIRST_CHUNK
         while True:
             t0 = time.monotonic()
-            status = int(kernel(self.nbr_ptr, self.nbr_idx, self.adj_mask, self.bit,
-                                self.labels, self.order, self.trial, self.cnt2,
-                                self.cntpos, self.cntun, self.best_labels, st, chunk))
+            status = int(kernel(self.adj_mask, self.bit, self.labels, self.order,
+                                self.trial, self.twos, self.pos, self.un0, self.unp,
+                                self.reach, self.best_labels, st, chunk))
             if status != _kernels.RUNNING:
                 return status
             now = time.monotonic()
@@ -167,8 +155,13 @@ def _check_kernel_size(g: Graph, what: str) -> None:
 
 
 def trivial_lower_bound(g: Graph) -> int:
-    """Cheap certified floor: gamma_tR >= gamma_t >= ceil(n/Delta), and >= 3 once n >= 3."""
-    lb = -(-g.n // max(1, g.max_degree()))
+    """Cheap certified floor: gamma_tR >= gamma_R >= ceil(2n/(Delta+1)), and >= 3 once n >= 3.
+
+    The Roman bound is Cockayne et al. (2004); every total Roman dominating
+    function is a Roman one. It is never below ceil(n/Delta), the total
+    domination floor, once Delta >= 1.
+    """
+    lb = -(-2 * g.n // (g.max_degree() + 1))
     return max(lb, 3 if g.n >= 3 else 2)
 
 

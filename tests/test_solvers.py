@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -15,7 +16,8 @@ from trdprod.solve import (_SearchArrays, _brute_scan, gamma_t_exact,
                            greedy_total_dominating_set, maximum_open_packings,
                            rho_exact, rho_o_exact,
                            rho_o_set_inducing_perfect_matching,
-                           trdf_pareto_frontier, trdf_with_weight_max_v2)
+                           trdf_pareto_frontier, trdf_with_weight_max_v2,
+                           trivial_lower_bound)
 
 TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
 
@@ -184,7 +186,12 @@ def test_timeout_is_prompt_and_carries_the_search_incumbent():
         gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=0.2)
     assert time.monotonic() - start <= 0.2 + 0.25
     assert 15 <= err.value.upper_bound < 18
-    assert err.value.lower_bound <= 15
+    assert err.value.lower_bound == 10  # ceil(2n/(Delta+1)) = ceil(50/5)
+
+
+def test_trivial_lower_bound_is_below_the_oracle_on_the_catalog():
+    for g in enumerate_catalog(5).graphs:
+        assert trivial_lower_bound(g) <= gamma_tr_bruteforce(g).value, g.name
 
 
 def test_timeout_on_a_disconnected_product_bounds_every_component():
@@ -212,25 +219,49 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     assert err.value.lower_bound <= 8 <= err.value.upper_bound
 
 
-@pytest.mark.parametrize("g,nodes", [
-    (direct_product(cycle(4), prism(cycle(3))).base, 3597),
-    (direct_product(complete(3), wheel(6)).base, 16700),
+@pytest.mark.parametrize("g,min_nodes,twos_nodes", [
+    (direct_product(cycle(4), prism(cycle(3))).base, 3597, 72),
+    (direct_product(complete(3), wheel(6)).base, 16700, 12905),
 ], ids=["C4xprismC3", "K3xW6"])
-def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, nodes):
+def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of the container type and of how the
     # search is cut into chunks between clock reads
-    seen = []
-    kernel = _kernels.bnb_min_weight
+    seen = {"bnb_min_weight": 0, "bnb_max_twos": 0}
+    for name in seen:
+        def counting(*args, kernel=getattr(_kernels, name), name=name):
+            before = int(args[11][4])
+            status = kernel(*args)
+            seen[name] += int(args[11][4]) - before
+            return status
 
-    def counting(*args):
-        before = int(args[11][4])
-        status = kernel(*args)
-        seen.append(int(args[11][4]) - before)
-        return status
-
-    monkeypatch.setattr(_kernels, "bnb_min_weight", counting)
+        monkeypatch.setattr(_kernels, name, counting)
     gamma_tr_exact(g, budget=60)
-    assert sum(seen) == nodes
+    assert seen["bnb_min_weight"] == min_nodes
+    gamma_tr_max_v2(g, budget=60)
+    assert seen["bnb_max_twos"] == twos_nodes
+
+
+def _random_isolate_free_graphs(count, seed):
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(4, 9)
+        p = rng.uniform(0.25, 0.7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, edges, f"R{len(graphs)}")
+        if all(g.adj):
+            graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize("g", _random_isolate_free_graphs(40, seed=2020),
+                         ids=lambda g: g.name)
+def test_search_agrees_with_the_scan_on_random_graphs(g):
+    # guards the kernels and the lexicographic probes, which start from fixed labels
+    best, labels, table = _brute_scan(g, 12)
+    exact = gamma_tr_exact(g, budget=60)
+    assert exact.value == best and exact.witness.labels == labels
+    assert gamma_tr_max_v2(g, budget=60).max_v2 == table[best]
 
 
 def test_eod_product_certificate_case():
@@ -243,8 +274,8 @@ def test_eod_product_certificate_case():
 def _run_pair(kernel_min, kernel_brute, g):
     arrs = _SearchArrays(g, {})
     st = arrs.state(best=2 * g.n + 1)
-    kernel_min(arrs.nbr_ptr, arrs.nbr_idx, arrs.adj_mask, arrs.bit, arrs.labels,
-               arrs.order, arrs.trial, arrs.cnt2, arrs.cntpos, arrs.cntun,
+    kernel_min(arrs.adj_mask, arrs.bit, arrs.labels, arrs.order, arrs.trial,
+               arrs.twos, arrs.pos, arrs.un0, arrs.unp, arrs.reach,
                arrs.best_labels, st, 10 ** 9)
     brute_arrs = _SearchArrays(g, {})
     digits = _kernels.kernel_array([0] * g.n, "int8")
