@@ -1,10 +1,11 @@
 """Search kernels behind the exact solvers.
 
-Three resumable loops live here: a base-3 odometer that scans every labeling,
-and two explicit-stack branch-and-bound searches (minimum weight, and maximum
-number of 2-labels at a fixed weight). By default they are compiled with
-numba's @njit over numpy arrays and uint64 masks. When numba is missing, or
-the environment variable TRD_PURE_PYTHON is set to a truthy value before
+Two resumable loops live here: a base-3 odometer that scans every labeling,
+and one explicit-stack branch-and-bound search with two objectives, chosen by
+state slot 10: MIN_WEIGHT (a labeling lighter than the incumbent) and
+MAX_TWOS (the most 2-labels at a fixed weight). By default they are compiled
+with numba's @njit over numpy arrays and uint64 masks. When numba is missing,
+or the environment variable TRD_PURE_PYTHON is set to a truthy value before
 import, the identical source runs as plain Python over Python lists and ints:
 indexing a list and masking Python ints costs far less than boxing numpy
 scalars at every step. Callers build every container with kernel_array, so
@@ -16,22 +17,27 @@ container so a search can be paused on a node budget and resumed, which is
 how wall-clock budgets are enforced without calling the clock from compiled
 code.
 
-The searches keep their vertex state in four mask stacks. Slot d of each
+The search keeps its vertex state in four mask stacks. Slot d of each
 holds the state once order[0..d-1] (and any fixed labels) are decided:
 twos (decided 2-labels), pos (decided positive labels), un0 (decided 0s with
 no decided 2-neighbour) and unp (decided positives with no decided positive
 neighbour). reach[d], fixed per search, is the union of the neighbourhoods of
-order[d:], the vertices still undecided at depth d. _child derives slot d+1
-from slot d in a few mask operations, so backtracking only resets a label. A
-child is dead when an unsatisfied vertex lies outside reach[d+1]; since no
-live node holds such a vertex, that one test covers every vertex the new
-label touched. Otherwise _child returns the cover bound, a loop over the
-undecided suffix order[d+1:] only.
+order[d:], the vertices still undecided at depth d. A child's masks come
+from slot d in a few mask operations and are written to slot d+1 only when
+the child survives, so backtracking only resets a label. A child is dead
+when an unsatisfied vertex lies outside reach[d+1]; since no live node holds
+such a vertex, that one test covers every vertex the new label touched.
+Otherwise the cover bound decides, evaluated lazily: its values at the
+trivial limits of the per-vertex cover count settle most children, and only
+the rest loop over the undecided suffix order[d+1:], stopping once the
+bound fits. Every child gets the same verdict as from the fully evaluated
+bound, so the nodes visited and the witnesses found do not depend on it.
 
 State slots:
     0 depth      1 weight      2 count of 2-labels   3 incumbent objective
     4 nodes done 5 status      6 branch count k      7 witness flag
-    8 weight cap (max-2s kernel only)                9 early-exit flag
+    8 weight cap (MAX_TWOS only)                     9 early-exit flag
+    10 objective (MIN_WEIGHT or MAX_TWOS)
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ import os
 RUNNING = 0
 DONE = 1
 FOUND = 2
+
+# search objectives, selected by state slot 10
+MIN_WEIGHT = 0
+MAX_TWOS = 1
 
 
 def _env_flag(name: str) -> bool:
@@ -90,152 +100,36 @@ def _popcount(x):
     return c
 
 
-def _child(d, lab, adj_mask, bit, order, twos, pos, un0, unp, reach):
-    """Write stack slot d+1 for order[d] labelled lab; return the cover bound.
+def _bnb(adj_mask, bit, labels, order, trial, twos, pos, un0, unp, reach,
+         best_labels, st, node_budget):
+    """Depth-first search over the labelings of order[0..k-1], in the mode of st[10].
 
-    The bound is an admissible count of weight still to come, or -1 when a
-    decided vertex is unsatisfied and none of its neighbours is undecided.
-    Unsatisfied 0-vertices each need a future 2 among their undecided
-    neighbours; one future 2 helps at most cmaxu of them, so at least
-    ceil(|U|/cmaxu) twos are still to come. Unsatisfied positive vertices
-    need future positives the same way; twos may double as those, hence
-    2*a + max(0, b - a).
-    """
-    v = order[d]
-    nv = adj_mask[v]
-    tw = twos[d]
-    po = pos[d]
-    u0 = un0[d]
-    up = unp[d]
-    if lab == 0:
-        if (nv & tw) == U64_0:
-            u0 |= bit[v]
-    else:
-        if (nv & po) == U64_0:
-            up |= bit[v]
-        up &= ~nv
-        po |= bit[v]
-        if lab == 2:
-            u0 &= ~nv
-            tw |= bit[v]
-    e = d + 1
-    twos[e] = tw
-    pos[e] = po
-    un0[e] = u0
-    unp[e] = up
-    if ((u0 | up) & ~reach[e]) != U64_0:
-        return -1
-    if u0 == U64_0 and up == U64_0:
-        return 0
-    cmaxu = 0
-    cmaxp = 0
-    for i in range(e, len(order)):
-        m = adj_mask[order[i]]
-        cu = _popcount(m & u0)
-        if cu > cmaxu:
-            cmaxu = cu
-        cp = _popcount(m & up)
-        if cp > cmaxp:
-            cmaxp = cp
-    a = 0
-    if u0 != U64_0:
-        a = (_popcount(u0) + cmaxu - 1) // cmaxu
-    b = 0
-    if up != U64_0:
-        b = (_popcount(up) + cmaxp - 1) // cmaxp
-    extra = 2 * a
-    if b > a:
-        extra += b - a
-    return extra
-
-
-def _bnb_min_weight(adj_mask, bit, labels, order, trial, twos, pos, un0, unp,
-                    reach, best_labels, st, node_budget):
-    """Depth-first search for a labeling of weight strictly below st[3].
-
+    MIN_WEIGHT looks for a labeling of weight strictly below st[3]; MAX_TWOS
+    maximizes the 2-count st[3] among labelings of weight exactly st[8].
     Branch vertices come in the caller-chosen order (descending degree);
     labels are tried as 0, 2, 1. With the early-exit flag the first strict
-    improvement ends the search, which turns the kernel into a feasibility
-    test against a weight cap.
+    improvement ends the search, which turns the kernel into the feasibility
+    test of the lexicographic witness reconstruction.
+
+    room is the weight a child may still add. The cover bound on that weight
+    counts unsatisfied vertices: each 0 in un0 needs a future 2 among its
+    undecided neighbours and each positive in unp a future positive. One
+    undecided vertex serves at most cmax0 of un0 and cmaxp of unp, so at
+    least a = ceil(|un0|/cmax0) twos and b = ceil(|unp|/cmaxp) positives are
+    still to come; twos may double as positives, hence 2a + max(0, b - a).
+    The bound only grows as a cmax falls, and 1 <= cmax <= |un0| (or |unp|),
+    so it is first tried at those limits. The suffix is scanned only when
+    the two disagree, and only until the running maxima make the bound fit.
     """
     n = len(labels)
+    k = st[6]
     depth = st[0]
     weight = st[1]
     v2 = st[2]
     best = st[3]
-    k = st[6]
-    early = st[9]
-    nodes = 0
-    status = RUNNING
-    while True:
-        if nodes >= node_budget:
-            break
-        if depth < 0:
-            status = DONE
-            break
-        if depth == k or trial[depth] == 3:
-            if depth == k:
-                if weight < best:
-                    best = weight
-                    for i in range(n):
-                        best_labels[i] = labels[i]
-                    st[7] = 1
-                    if early == 1:
-                        status = FOUND
-                        break
-            else:
-                trial[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                lab = labels[order[depth]]
-                labels[order[depth]] = -1
-                weight -= lab
-                if lab == 2:
-                    v2 -= 1
-            continue
-        t = trial[depth]
-        trial[depth] = t + 1
-        lab = 0
-        if t == 1:
-            lab = 2
-        elif t == 2:
-            lab = 1
-        nodes += 1
-        if weight + lab >= best:
-            continue
-        extra = _child(depth, lab, adj_mask, bit, order, twos, pos, un0, unp, reach)
-        if extra < 0 or weight + lab + extra >= best:
-            continue
-        labels[order[depth]] = lab
-        weight += lab
-        if lab == 2:
-            v2 += 1
-        depth += 1
-    st[0] = depth
-    st[1] = weight
-    st[2] = v2
-    st[3] = best
-    st[4] += nodes
-    st[5] = status
-    return status
-
-
-def _bnb_max_twos(adj_mask, bit, labels, order, trial, twos, pos, un0, unp,
-                  reach, best_labels, st, node_budget):
-    """Among valid labelings of weight exactly st[8], maximize the 2-count.
-
-    Incumbent objective is st[3]; with the early-exit flag the kernel stops
-    at the first labeling whose 2-count beats it, which makes it the
-    feasibility test used by the lexicographic witness reconstruction.
-    """
-    n = len(labels)
-    depth = st[0]
-    weight = st[1]
-    v2 = st[2]
-    best = st[3]
-    k = st[6]
     cap = st[8]
     early = st[9]
+    mode = st[10]
     nodes = 0
     status = RUNNING
     while True:
@@ -246,8 +140,15 @@ def _bnb_max_twos(adj_mask, bit, labels, order, trial, twos, pos, un0, unp,
             break
         if depth == k or trial[depth] == 3:
             if depth == k:
-                if weight == cap and v2 > best:
-                    best = v2
+                if mode == MIN_WEIGHT:
+                    improved = weight < best
+                    if improved:
+                        best = weight
+                else:
+                    improved = weight == cap and v2 > best
+                    if improved:
+                        best = v2
+                if improved:
                     for i in range(n):
                         best_labels[i] = labels[i]
                     st[7] = 1
@@ -273,24 +174,78 @@ def _bnb_max_twos(adj_mask, bit, labels, order, trial, twos, pos, un0, unp,
             lab = 1
         nodes += 1
         w = weight + lab
-        if w > cap:
-            continue
-        rem = k - depth - 1
-        if w + 2 * rem < cap:
-            continue
-        room = (cap - w) // 2
         c2 = v2
         if lab == 2:
             c2 += 1
-        if c2 + (rem if rem < room else room) <= best:
+        if mode == MIN_WEIGHT:
+            if w >= best:
+                continue
+            room = best - 1 - w
+        else:
+            if w > cap:
+                continue
+            rem = k - depth - 1
+            if w + 2 * rem < cap:
+                continue
+            twos_room = (cap - w) // 2
+            if c2 + (rem if rem < twos_room else twos_room) <= best:
+                continue
+            room = cap - w
+        # Masks of the child, slot depth+1 (see the module docstring).
+        v = order[depth]
+        nv = adj_mask[v]
+        tw = twos[depth]
+        po = pos[depth]
+        u0 = un0[depth]
+        up = unp[depth]
+        if lab == 0:
+            if (nv & tw) == U64_0:
+                u0 |= bit[v]
+        else:
+            if (nv & po) == U64_0:
+                up |= bit[v]
+            up &= ~nv
+            po |= bit[v]
+            if lab == 2:
+                u0 &= ~nv
+                tw |= bit[v]
+        e = depth + 1
+        if ((u0 | up) & ~reach[e]) != U64_0:
             continue
-        extra = _child(depth, lab, adj_mask, bit, order, twos, pos, un0, unp, reach)
-        if extra < 0 or w + extra > cap:
+        nu = _popcount(u0)
+        np_ = _popcount(up)
+        a = 1 if nu > 0 else 0
+        b = 1 if np_ > 0 else 0
+        if 2 * a + (b - a if b > a else 0) > room:
             continue
-        labels[order[depth]] = lab
+        if 2 * nu + (np_ - nu if np_ > nu else 0) > room:
+            fits = False
+            cmax0 = 1
+            cmaxp = 1
+            for i in range(e, k):
+                m = adj_mask[order[i]]
+                c0 = _popcount(m & u0)
+                cp = _popcount(m & up)
+                if c0 > cmax0 or cp > cmaxp:
+                    if c0 > cmax0:
+                        cmax0 = c0
+                    if cp > cmaxp:
+                        cmaxp = cp
+                    a = (nu + cmax0 - 1) // cmax0
+                    b = (np_ + cmaxp - 1) // cmaxp
+                    if 2 * a + (b - a if b > a else 0) <= room:
+                        fits = True
+                        break
+            if not fits:
+                continue
+        twos[e] = tw
+        pos[e] = po
+        un0[e] = u0
+        unp[e] = up
+        labels[v] = lab
         weight = w
         v2 = c2
-        depth += 1
+        depth = e
     st[0] = depth
     st[1] = weight
     st[2] = v2
@@ -358,17 +313,16 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
     return status
 
 
-# Rebind helpers first so the kernels' global lookups resolve to compiled
-# versions under numba; the *_py aliases keep the uncompiled entry points
-# reachable for parity tests. Without numba the masks are Python ints, whose
-# own bit_count replaces the loop.
+# Rebind the helper first so the kernels' global lookups resolve to the
+# compiled version under numba; the *_py aliases keep the uncompiled entry
+# points reachable for parity tests. Without numba the masks are Python ints,
+# whose own bit_count replaces the loop. Both search names bind the one B&B
+# kernel, which the objective in state slot 10 steers; callers and tracers
+# keep telling the two searches apart by name.
 _popcount = _maybe_jit(_popcount) if USE_NUMBA else int.bit_count
-_child = _maybe_jit(_child)
 
-bnb_min_weight_py = _bnb_min_weight
-bnb_max_twos_py = _bnb_max_twos
+bnb_min_weight_py = bnb_max_twos_py = _bnb
 brute_force_scan_py = _brute_force_scan
 
-bnb_min_weight = _maybe_jit(_bnb_min_weight)
-bnb_max_twos = _maybe_jit(_bnb_max_twos)
+bnb_min_weight = bnb_max_twos = _maybe_jit(_bnb)
 brute_force_scan = _maybe_jit(_brute_force_scan)

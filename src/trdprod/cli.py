@@ -140,7 +140,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_family(args) -> int:
     kind = args.kind
-    builders = families._FAMILY_BUILDERS
+    builders = families.FAMILY_BUILDERS
     if kind not in builders:
         raise TrdError(f"unknown family kind {kind!r}; valid: "
                        + ", ".join(sorted(builders)))

@@ -102,7 +102,8 @@ class FamilySpec:
     operands: tuple[Graph, ...] = field(default=())
 
 
-_FAMILY_BUILDERS = {
+# family kind -> (builder, number of size parameters, number of operand graphs)
+FAMILY_BUILDERS = {
     "path": (path, 1, 0),
     "cycle": (cycle, 1, 0),
     "complete": (complete, 1, 0),
@@ -118,10 +119,10 @@ _FAMILY_BUILDERS = {
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph a FamilySpec describes; parameter checks live in the builders."""
-    if spec.kind not in _FAMILY_BUILDERS:
+    if spec.kind not in FAMILY_BUILDERS:
         raise GraphInputError(f"unknown family kind {spec.kind!r}; valid: "
-                              + ", ".join(sorted(_FAMILY_BUILDERS)))
-    fn, nsizes, nops = _FAMILY_BUILDERS[spec.kind]
+                              + ", ".join(sorted(FAMILY_BUILDERS)))
+    fn, nsizes, nops = FAMILY_BUILDERS[spec.kind]
     if len(spec.sizes) != nsizes or len(spec.operands) != nops:
         raise GraphInputError(f"family {spec.kind!r} takes {nsizes} size parameter(s) "
                               f"and {nops} operand graph(s)")

@@ -107,7 +107,8 @@ class _SearchArrays:
         # A fixed vertex unsatisfied with no undecided neighbour stays unsatisfied.
         self.init_dead = bool((un0 | unp) & ~reach[0])
 
-    def state(self, best: int, cap: int = 0, early: bool = False):
+    def state(self, best: int, cap: int = 0, early: bool = False,
+              mode: int = _kernels.MIN_WEIGHT):
         st = [0] * 12
         st[1] = self.init_weight
         st[2] = self.init_v2
@@ -115,6 +116,7 @@ class _SearchArrays:
         st[6] = len(self.order)
         st[8] = cap
         st[9] = 1 if early else 0
+        st[10] = mode
         return _kernels.kernel_array(st, "int64")
 
     def run(self, kernel, st, deadline: float | None) -> int:
@@ -207,7 +209,7 @@ def _max_twos_search(g: Graph, fixed: dict[int, int], cap: int, init_best: int,
     arrs = _SearchArrays(g, fixed)
     if arrs.init_dead:
         return False, init_best, None
-    st = arrs.state(best=init_best, cap=cap, early=early)
+    st = arrs.state(best=init_best, cap=cap, early=early, mode=_kernels.MAX_TWOS)
     arrs.run(_kernels.bnb_max_twos, st, deadline)
     found = bool(st[7])
     labels = tuple(int(x) for x in arrs.best_labels) if found else None
