@@ -19,19 +19,23 @@ code.
 
 The search keeps its vertex state in four mask stacks. Slot d of each
 holds the state once order[0..d-1] (and any fixed labels) are decided:
-twos (decided 2-labels), pos (decided positive labels), un0 (decided 0s with
-no decided 2-neighbour) and unp (decided positives with no decided positive
-neighbour). reach[d], fixed per search, is the union of the neighbourhoods of
-order[d:], the vertices still undecided at depth d. A child's masks come
-from slot d in a few mask operations and are written to slot d+1 only when
-the child survives, so backtracking only resets a label. A child is dead
-when an unsatisfied vertex lies outside reach[d+1]; since no live node holds
+cov (the union of the neighbourhoods of decided 2-labels), pos (decided
+positive labels), un0 (decided 0s with no decided 2-neighbour, i.e. outside
+cov) and unp (decided positives with no decided positive neighbour). Two
+suffix arrays are fixed per search: und[d] is the set order[d:] of vertices
+still undecided at depth d (so und[d] ^ und[d+1] is the bit of order[d]),
+and reach[d] the union of their neighbourhoods. A child's masks come from
+slot d in a few mask operations and are written to slot d+1 only when the
+child survives, so backtracking only resets a label. A child is dead when
+an unsatisfied vertex lies outside reach[d+1]; since no live node holds
 such a vertex, that one test covers every vertex the new label touched.
-Otherwise the cover bound decides, evaluated lazily: its values at the
-trivial limits of the per-vertex cover count settle most children, and only
-the rest loop over the undecided suffix order[d+1:], stopping once the
-bound fits. Every child gets the same verdict as from the fully evaluated
-bound, so the nodes visited and the witnesses found do not depend on it.
+Otherwise two lower bounds on the weight still to come decide, each
+evaluated lazily: the cover bound on the unsatisfied decided vertices, and
+the Roman cover bound on every vertex not yet positive or dominated by a 2
+(see _bnb). Each is first tried where it needs no loop, and only then
+scans the undecided suffix order[d+1:], stopping once the bound fits. Every
+child gets the same verdict as from the fully evaluated bounds, so the
+nodes visited and the witnesses found do not depend on where a scan stops.
 
 State slots:
     0 depth      1 weight      2 count of 2-labels   3 incumbent objective
@@ -100,7 +104,7 @@ def _popcount(x):
     return c
 
 
-def _bnb(adj_mask, bit, labels, order, trial, twos, pos, un0, unp, reach,
+def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
          best_labels, st, node_budget):
     """Depth-first search over the labelings of order[0..k-1], in the mode of st[10].
 
@@ -111,15 +115,30 @@ def _bnb(adj_mask, bit, labels, order, trial, twos, pos, un0, unp, reach,
     improvement ends the search, which turns the kernel into the feasibility
     test of the lexicographic witness reconstruction.
 
-    room is the weight a child may still add. The cover bound on that weight
-    counts unsatisfied vertices: each 0 in un0 needs a future 2 among its
-    undecided neighbours and each positive in unp a future positive. One
-    undecided vertex serves at most cmax0 of un0 and cmaxp of unp, so at
-    least a = ceil(|un0|/cmax0) twos and b = ceil(|unp|/cmaxp) positives are
-    still to come; twos may double as positives, hence 2a + max(0, b - a).
-    The bound only grows as a cmax falls, and 1 <= cmax <= |un0| (or |unp|),
-    so it is first tried at those limits. The suffix is scanned only when
-    the two disagree, and only until the running maxima make the bound fit.
+    room is the weight a child may still add; a child is pruned when either
+    lower bound on that weight exceeds it.
+
+    The cover bound counts unsatisfied decided vertices: each 0 in un0 needs
+    a future 2 among its undecided neighbours and each positive in unp a
+    future positive. One undecided vertex serves at most cmax0 of un0 and
+    cmaxp of unp, so at least a = ceil(|un0|/cmax0) twos and
+    b = ceil(|unp|/cmaxp) positives are still to come; twos may double as
+    positives, hence 2a + max(0, b - a). The bound only grows as a cmax
+    falls, and 1 <= cmax <= |un0| (or |unp|), so it is first tried at those
+    limits. The suffix is scanned only when the two disagree, and only until
+    the running maxima make the bound fit.
+
+    The Roman cover bound counts S, the vertices neither positive nor in
+    cov: un0 plus Q, the undecided vertices outside cov. In any completion
+    each vertex of S is positive itself (only possible in Q) or gets a
+    future 2-neighbour. A future 1 serves at most one vertex of S, itself. A
+    future 2 at u serves at most c(u) = |N(u) & S| + [u in Q], less one when
+    no neighbour of u outside S can be positive (no decided positive and no
+    undecided vertex in cov): u's own positive partner then lies in S and
+    serves itself. With cmax the largest c(u) over the undecided vertices,
+    the weight still to come is at least |S| when cmax <= 2 and
+    ceil(2|S|/cmax) otherwise. The bound never exceeds |S|, so it is skipped
+    while |S| fits, and the suffix scan stops once the running cmax fits.
     """
     n = len(labels)
     k = st[6]
@@ -192,24 +211,25 @@ def _bnb(adj_mask, bit, labels, order, trial, twos, pos, un0, unp, reach,
                 continue
             room = cap - w
         # Masks of the child, slot depth+1 (see the module docstring).
+        e = depth + 1
         v = order[depth]
         nv = adj_mask[v]
-        tw = twos[depth]
+        vb = und[depth] ^ und[e]
+        cv = cov[depth]
         po = pos[depth]
         u0 = un0[depth]
         up = unp[depth]
         if lab == 0:
-            if (nv & tw) == U64_0:
-                u0 |= bit[v]
+            if (cv & vb) == U64_0:
+                u0 |= vb
         else:
             if (nv & po) == U64_0:
-                up |= bit[v]
+                up |= vb
             up &= ~nv
-            po |= bit[v]
+            po |= vb
             if lab == 2:
                 u0 &= ~nv
-                tw |= bit[v]
-        e = depth + 1
+                cv |= nv
         if ((u0 | up) & ~reach[e]) != U64_0:
             continue
         nu = _popcount(u0)
@@ -238,7 +258,30 @@ def _bnb(adj_mask, bit, labels, order, trial, twos, pos, un0, unp, reach,
                         break
             if not fits:
                 continue
-        twos[e] = tw
+        ud = und[e]
+        q = ud & ~cv
+        s = q | u0
+        ns = _popcount(s)
+        if ns > room:
+            fits = False
+            cmax = 2
+            # the neighbours that can be a 2's positive partner outside S
+            outside = po | (ud & cv)
+            for i in range(e, k):
+                m = adj_mask[order[i]]
+                c = _popcount(m & s)
+                if (q & (und[i] ^ und[i + 1])) != U64_0:
+                    c += 1
+                if (m & outside) == U64_0:
+                    c -= 1
+                if c > cmax:
+                    cmax = c
+                    if (2 * ns + cmax - 1) // cmax <= room:
+                        fits = True
+                        break
+            if not fits:
+                continue
+        cov[e] = cv
         pos[e] = po
         un0[e] = u0
         unp[e] = up

@@ -83,24 +83,29 @@ class _SearchArrays:
             labels[v] = lab
         # Slot 0 of each mask stack holds the fixed labels; the kernels fill
         # slot d+1 when they decide order[d].
-        twos = mask_of(v for v, lab in fixed.items() if lab == 2)
+        cov = 0
+        for v, lab in fixed.items():
+            if lab == 2:
+                cov |= g.adj[v]
         pos = mask_of(v for v, lab in fixed.items() if lab >= 1)
-        un0 = mask_of(v for v, lab in fixed.items() if lab == 0 and not g.adj[v] & twos)
+        un0 = mask_of(v for v, lab in fixed.items() if lab == 0 and not cov >> v & 1)
         unp = mask_of(v for v, lab in fixed.items() if lab >= 1 and not g.adj[v] & pos)
+        und = [0] * (k + 1)
         reach = [0] * (k + 1)
         for d in range(k - 1, -1, -1):
+            und[d] = und[d + 1] | 1 << free[d]
             reach[d] = reach[d + 1] | g.adj[free[d]]
         arr = _kernels.kernel_array
         self.adj_mask = arr(g.adj, "uint64")
-        self.bit = arr((1 << v for v in range(n)), "uint64")
         self.labels = arr(labels, "int8")
         self.order = arr(free, "int64")
         self.trial = arr([0] * (k + 1), "int8")
-        self.twos = arr([twos] + [0] * k, "uint64")
+        self.cov = arr([cov] + [0] * k, "uint64")
         self.pos = arr([pos] + [0] * k, "uint64")
         self.un0 = arr([un0] + [0] * k, "uint64")
         self.unp = arr([unp] + [0] * k, "uint64")
         self.reach = arr(reach, "uint64")
+        self.und = arr(und, "uint64")
         self.best_labels = arr([-1] * n, "int8")
         self.init_weight = sum(fixed.values())
         self.init_v2 = sum(1 for lab in fixed.values() if lab == 2)
@@ -129,9 +134,9 @@ class _SearchArrays:
         chunk = _FIRST_CHUNK
         while True:
             t0 = time.monotonic()
-            status = int(kernel(self.adj_mask, self.bit, self.labels, self.order,
-                                self.trial, self.twos, self.pos, self.un0, self.unp,
-                                self.reach, self.best_labels, st, chunk))
+            status = int(kernel(self.adj_mask, self.labels, self.order, self.trial,
+                                self.cov, self.pos, self.un0, self.unp, self.reach,
+                                self.und, self.best_labels, st, chunk))
             if status != _kernels.RUNNING:
                 return status
             now = time.monotonic()
@@ -157,13 +162,16 @@ def _check_kernel_size(g: Graph, what: str) -> None:
 
 
 def trivial_lower_bound(g: Graph) -> int:
-    """Cheap certified floor: gamma_tR >= gamma_R >= ceil(2n/(Delta+1)), and >= 3 once n >= 3.
+    """Cheap certified floor: ceil(2n/Delta) once Delta >= 2, n below that, and >= 3 once n >= 3.
 
-    The Roman bound is Cockayne et al. (2004); every total Roman dominating
-    function is a Roman one. It is never below ceil(n/Delta), the total
-    domination floor, once Delta >= 1.
+    It is the kernels' Roman cover bound at the root. Every vertex is
+    positive or has a 2-neighbour. A 1 serves only itself. A 2 serves its
+    closed neighbourhood, but one neighbour must be positive and so serves
+    itself, which leaves at most Delta vertices served per 2. The floor is
+    never below ceil(2n/(Delta+1)), the Roman domination floor.
     """
-    lb = -(-2 * g.n // (g.max_degree() + 1))
+    delta = g.max_degree()
+    lb = -(-2 * g.n // delta) if delta >= 2 else g.n
     return max(lb, 3 if g.n >= 3 else 2)
 
 
@@ -247,18 +255,20 @@ def _brute_scan(g: Graph, limit: int):
     require_no_isolated(g, "gamma_tR")
     if g.n > limit:
         raise SizeLimitError(f"brute force oracle limited to {limit} vertices, got {g.n}")
-    arrs = _SearchArrays(g, {})
     arr = _kernels.kernel_array
+    adj_mask = arr(g.adj, "uint64")
+    bit = arr((1 << v for v in range(g.n)), "uint64")
     digits = arr([0] * g.n, "int8")
+    best_labels = arr([-1] * g.n, "int8")
     table = arr([-1] * (2 * g.n + 1), "int64")
     st = arr([2 * g.n + 1, 0, 0, 0, 0, 0], "int64")
     while True:
-        status = int(_kernels.brute_force_scan(arrs.adj_mask, arrs.bit, digits,
-                                               arrs.best_labels, table, st, _SCAN_CHUNK))
+        status = int(_kernels.brute_force_scan(adj_mask, bit, digits, best_labels,
+                                               table, st, _SCAN_CHUNK))
         if status == _kernels.DONE:
             break
     best = int(st[0])
-    labels = tuple(int(x) for x in arrs.best_labels)
+    labels = tuple(int(x) for x in best_labels)
     return best, labels, [int(x) for x in table]
 
 

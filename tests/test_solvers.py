@@ -1,5 +1,9 @@
+import importlib.util
+import itertools
 import random
+import sys
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -10,9 +14,10 @@ from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, path, prism,
                               star, wheel)
 from trdprod.graph import direct_product, from_edge_list
-from trdprod.labeling import (is_open_packing, is_packing,
+from trdprod.labeling import (LabelFunction, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchArrays, _brute_scan, gamma_t_exact,
+from trdprod.solve import (_SearchArrays, _brute_scan, _max_twos_search,
+                           _min_weight_search, gamma_t_exact,
                            gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                            greedy_total_dominating_set, maximum_open_packings,
                            rho_exact, rho_o_exact,
@@ -180,14 +185,14 @@ def test_timeout_carries_bounds():
 
 
 def test_timeout_is_prompt_and_carries_the_search_incumbent():
-    # C5 x C5 has gamma_tR = 15 and takes about 8.3M B&B nodes to prove; the
+    # C5 x C5 has gamma_tR = 15 and takes about 0.9M B&B nodes to prove; the
     # greedy seed gives 18, and the search finds lighter labelings at once
     start = time.monotonic()
     with pytest.raises(SolverTimeout) as err:
         gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=0.2)
     assert time.monotonic() - start <= 0.2 + 0.25
     assert 15 <= err.value.upper_bound < 18
-    assert err.value.lower_bound == 10  # ceil(2n/(Delta+1)) = ceil(50/5)
+    assert err.value.lower_bound == 13  # ceil(2n/Delta) = ceil(50/4)
 
 
 def test_trivial_lower_bound_is_below_the_oracle_on_the_catalog():
@@ -221,10 +226,10 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
 
 
 @pytest.mark.parametrize("g,min_nodes,twos_nodes", [
-    (direct_product(cycle(4), prism(cycle(3))).base, 3597, 72),
-    (direct_product(complete(3), wheel(6)).base, 16700, 12905),
-    # the only pinned product whose cover bound scans long undecided suffixes
-    (direct_product(cycle(5), cycle(4)).base, 476824, 60),
+    (direct_product(cycle(4), prism(cycle(3))).base, 30, 72),
+    (direct_product(complete(3), wheel(6)).base, 1508, 1421),
+    # the only pinned product whose cover bounds scan long undecided suffixes
+    (direct_product(cycle(5), cycle(4)).base, 38362, 60),
 ], ids=["C4xprismC3", "K3xW6", "C5xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of the container type and of how the
@@ -290,6 +295,99 @@ def test_search_agrees_with_the_scan_on_drawn_graphs(g):
     _assert_search_agrees_with_the_scan(g)
 
 
+def _fixed_prefix_cases(count, seed):
+    rng = random.Random(seed)
+    cases = []
+    for g in _random_isolate_free_graphs(count, seed):
+        fixed_vertices = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+        cases.append((g, {v: rng.choice((0, 1, 2)) for v in fixed_vertices}))
+    return cases
+
+
+@pytest.mark.parametrize("g,fixed", _fixed_prefix_cases(40, seed=2021),
+                         ids=lambda x: getattr(x, "name", None))
+def test_search_from_fixed_labels_agrees_with_a_scan_of_completions(g, fixed):
+    # the lexicographic probes start both searches from fixed labels, whose
+    # 2s seed the kernels' slot-0 masks; no full solve reaches that state
+    free = [v for v in range(g.n) if v not in fixed]
+    valid = []
+    for labs in itertools.product((0, 1, 2), repeat=len(free)):
+        labels = [fixed.get(v, 0) for v in range(g.n)]
+        for v, lab in zip(free, labs):
+            labels[v] = lab
+        f = LabelFunction(g, tuple(labels))
+        if is_total_roman_dominating(f):
+            valid.append((f.weight, labels.count(2)))
+
+    def completes(labels):
+        f = LabelFunction(g, labels)
+        return is_total_roman_dominating(f) and all(labels[v] == fixed[v] for v in fixed)
+
+    found, best, labels, _ = _min_weight_search(g, fixed, 2 * g.n + 1, False, None)
+    assert found == bool(valid)
+    if not valid:
+        return
+    low = min(w for w, _ in valid)
+    assert best == low and completes(labels) and sum(labels) == low
+    for init_best in (low, low + 1):
+        found, _, labels, _ = _min_weight_search(g, fixed, init_best, True, None)
+        assert found == (low < init_best)
+        if found:
+            assert completes(labels) and sum(labels) < init_best
+    for cap in sorted({w for w, _ in valid} | {low - 1}):
+        twos = max((t for w, t in valid if w == cap), default=None)
+        found, best, labels = _max_twos_search(g, fixed, cap, -1, False, None)
+        assert found == (twos is not None)
+        if not found:
+            continue
+        assert best == twos and completes(labels)
+        assert sum(labels) == cap and labels.count(2) == twos
+        assert _max_twos_search(g, fixed, cap, twos - 1, True, None)[0]
+        assert not _max_twos_search(g, fixed, cap, twos, True, None)[0]
+
+
+def _kernels_on_numpy_arrays(monkeypatch):
+    """A fresh _kernels module on its numba branch, with njit as the identity."""
+    pytest.importorskip("numpy")
+    stand_in = types.ModuleType("numba")
+    stand_in.njit = lambda *args, **kwargs: (lambda fn: fn)
+    monkeypatch.setitem(sys.modules, "numba", stand_in)
+    monkeypatch.delenv("TRD_PURE_PYTHON", raising=False)
+    spec = importlib.util.spec_from_file_location("_kernels_on_numpy", _kernels.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.USE_NUMBA and module.CONTAINERS == "numpy arrays"
+    return module
+
+
+@pytest.mark.parametrize("g,value", [
+    (direct_product(cycle(4), cycle(4)).base, 8),
+    (direct_product(complete(3), wheel(6)).base, 7),
+    (direct_product(cycle(4), prism(cycle(3))).base, 8),
+], ids=["C4xC4", "K3xW6", "C4xprismC3"])
+def test_search_on_numpy_arrays_matches_the_list_path(monkeypatch, g, value):
+    # numba itself is not required: the uncompiled numba branch mixes numpy
+    # uint64 masks with int counts exactly where the compiled one does
+    numpy_kernels = _kernels_on_numpy_arrays(monkeypatch)
+    runs = []
+    for kernels in (_kernels, numpy_kernels):
+        monkeypatch.setattr(solve, "_kernels", kernels)
+        for fixed in ({}, {0: 2}):
+            for mode, best, cap in ((kernels.MIN_WEIGHT, 2 * g.n + 1, 0),
+                                    (kernels.MAX_TWOS, -1, value)):
+                arrs = _SearchArrays(g, fixed)
+                st = arrs.state(best=best, cap=cap, mode=mode)
+                kernels.bnb_min_weight(arrs.adj_mask, arrs.labels, arrs.order, arrs.trial,
+                                       arrs.cov, arrs.pos, arrs.un0, arrs.unp, arrs.reach,
+                                       arrs.und, arrs.best_labels, st, 10 ** 9)
+                runs.append(([int(x) for x in st], [int(x) for x in arrs.best_labels],
+                             type(arrs.cov).__module__))
+    half = len(runs) // 2
+    assert [r[:2] for r in runs[:half]] == [r[:2] for r in runs[half:]]
+    assert {r[2] for r in runs[half:]} == {"numpy"}
+    assert all(st[5] == _kernels.DONE and st[7] == 1 for st, _, _ in runs)
+
+
 def test_eod_product_certificate_case():
     # the 2K2 product of two single edges: optimum is all-1, never uses a 2
     best, labels, table = _brute_scan(TWO_K2, 12)
@@ -300,14 +398,15 @@ def test_eod_product_certificate_case():
 def _run_pair(kernel_min, kernel_brute, g):
     arrs = _SearchArrays(g, {})
     st = arrs.state(best=2 * g.n + 1)
-    kernel_min(arrs.adj_mask, arrs.bit, arrs.labels, arrs.order, arrs.trial,
-               arrs.twos, arrs.pos, arrs.un0, arrs.unp, arrs.reach,
+    kernel_min(arrs.adj_mask, arrs.labels, arrs.order, arrs.trial, arrs.cov,
+               arrs.pos, arrs.un0, arrs.unp, arrs.reach, arrs.und,
                arrs.best_labels, st, 10 ** 9)
     brute_arrs = _SearchArrays(g, {})
+    bit = _kernels.kernel_array((1 << v for v in range(g.n)), "uint64")
     digits = _kernels.kernel_array([0] * g.n, "int8")
     table = _kernels.kernel_array([-1] * (2 * g.n + 1), "int64")
     bst = _kernels.kernel_array([2 * g.n + 1, 0, 0, 0, 0, 0], "int64")
-    kernel_brute(brute_arrs.adj_mask, brute_arrs.bit, digits,
+    kernel_brute(brute_arrs.adj_mask, bit, digits,
                  brute_arrs.best_labels, table, bst, 10 ** 9)
     return int(st[3]), int(bst[0]), [int(x) for x in table]
 
