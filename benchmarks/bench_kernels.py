@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Benchmark the search kernels: numba-jitted against the pure-python path.
 
-The parent process runs each workload twice in fresh subprocesses, once with
-the default kernels and once with TRD_PURE_PYTHON=1, and prints a comparison
-table. Each row names the kernel path every run took and the containers it
-ran on (numpy arrays when jitted, Python lists otherwise). Where numba is not
-installed both runs take the pure path, and the table says so in place of a
-speedup. Each search row also gives the B&B node total and nodes per
-second: every node the min-weight kernel visits in the solve, lex probes
-included, and that total over the solve's time. JIT compilation happens on
-a warmup call, so the timed section measures steady-state search speed only.
+The parent process runs every workload in fresh subprocesses, with the
+default kernels and with TRD_PURE_PYTHON=1, for three rounds; the two
+children swap order from round to round, and the table gives each row's
+median time. Each row names the kernel path every run took and the
+containers it ran on (numpy arrays when jitted, Python lists otherwise).
+Where numba is not installed both runs take the pure path, and the table
+says so in place of a speedup. Each search row also gives the B&B node
+total and nodes per second: every node the min-weight kernel visits in the
+solve, lex probes included, and that total over the solve's time. JIT
+compilation happens on a warmup call, so the timed section measures
+steady-state search speed only.
 
 Usage:
     python benchmarks/bench_kernels.py            # quick set
-    python benchmarks/bench_kernels.py --full     # adds the larger searches, up to C5 x C5
+    python benchmarks/bench_kernels.py --full     # adds the larger searches, up to C5 x C6
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
+
+ROUNDS = 3
 
 
 def _workloads(full: bool):
@@ -42,6 +47,8 @@ def _workloads(full: bool):
             ("search 24v (C4 x prism C3)", "bnb",
              direct_product(cycle(4), prism(cycle(3))).base),
             ("search 25v (C5 x C5)", "bnb", direct_product(cycle(5), cycle(5)).base),
+            ("search 28v (K4 x C7)", "bnb", direct_product(complete(4), cycle(7)).base),
+            ("search 30v (C5 x C6)", "bnb", direct_product(cycle(5), cycle(6)).base),
         ]
     return loads
 
@@ -93,21 +100,32 @@ def main() -> int:
         _run_child(args.full)
         return 0
 
+    # The children alternate in order from round to round, so that a drift
+    # in host speed over the session does not favour the one run first.
+    rounds = {"numba": [], "pure": []}
+    for i in range(ROUNDS):
+        modes = ("numba", "pure") if i % 2 == 0 else ("pure", "numba")
+        for mode in modes:
+            env = dict(os.environ, TRD_PURE_PYTHON="0" if mode == "numba" else "1")
+            cmd = [sys.executable, os.path.abspath(__file__), "--child"]
+            if args.full:
+                cmd.append("--full")
+            out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            rounds[mode].append(json.loads(out.stdout.strip().splitlines()[-1]))
     runs = {}
-    for mode, env_extra in (("numba", {"TRD_PURE_PYTHON": "0"}),
-                            ("pure", {"TRD_PURE_PYTHON": "1"})):
-        env = dict(os.environ, **env_extra)
-        cmd = [sys.executable, os.path.abspath(__file__), "--child"]
-        if args.full:
-            cmd.append("--full")
-        out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-        runs[mode] = json.loads(out.stdout.strip().splitlines()[-1])
-        print(f"{mode}: jitted={runs[mode]['jitted']} containers={runs[mode]['containers']}")
+    for mode, taken in rounds.items():
+        run = runs[mode] = taken[0]
+        print(f"{mode}: jitted={run['jitted']} containers={run['containers']}")
+        for j, row in enumerate(run["results"]):
+            same = [r["results"][j] for r in taken]
+            assert len({(r["value"], r["nodes"]) for r in same}) == 1, "rounds disagree"
+            row["seconds"] = statistics.median(r["seconds"] for r in same)
 
     def path(run):
         return f"{'numba' if run['jitted'] else 'pure'}, {run['containers']}"
 
-    print(f"\n{'workload':<28} {'default run':>32} {'TRD_PURE_PYTHON=1 run':>32}  speedup")
+    print(f"\nmedian of {ROUNDS} rounds, children alternating in order")
+    print(f"{'workload':<28} {'default run':>32} {'TRD_PURE_PYTHON=1 run':>32}  speedup")
     for jr, pr in zip(runs["numba"]["results"], runs["pure"]["results"]):
         assert jr["value"] == pr["value"], "paths disagree on the optimum"
         if not runs["numba"]["jitted"]:

@@ -17,31 +17,45 @@ container so a search can be paused on a node budget and resumed, which is
 how wall-clock budgets are enforced without calling the clock from compiled
 code.
 
-The search keeps its vertex state in four mask stacks. Slot d of each
-holds the state once order[0..d-1] (and any fixed labels) are decided:
-cov (the union of the neighbourhoods of decided 2-labels), pos (decided
-positive labels), un0 (decided 0s with no decided 2-neighbour, i.e. outside
-cov) and unp (decided positives with no decided positive neighbour). Two
-suffix arrays are fixed per search: und[d] is the set order[d:] of vertices
-still undecided at depth d (so und[d] ^ und[d+1] is the bit of order[d]),
-and reach[d] the union of their neighbourhoods. A child's masks come from
-slot d in a few mask operations and are written to slot d+1 only when the
-child survives, so backtracking only resets a label. A child is dead when
-an unsatisfied vertex lies outside reach[d+1]; since no live node holds
-such a vertex, that one test covers every vertex the new label touched.
-Otherwise two lower bounds on the weight still to come decide, each
-evaluated lazily: the cover bound on the unsatisfied decided vertices, and
-the Roman cover bound on every vertex not yet positive or dominated by a 2
-(see _bnb). Each is first tried where it needs no loop, and only then
-scans the undecided suffix order[d+1:], stopping once the bound fits. Every
-child gets the same verdict as from the fully evaluated bounds, so the
-nodes visited and the witnesses found do not depend on where a scan stops.
+The search keeps its vertex state in per-depth stacks; slot d of each holds
+the state once order[0..d-1] (and any fixed labels) are decided. Four are
+mask stacks: cov (the union of the neighbourhoods of decided 2-labels), pos
+(decided positive labels), un0 (decided 0s with no decided 2-neighbour,
+i.e. outside cov) and unp (decided positives with no decided positive
+neighbour). The kernel also writes the branching order as it goes: order[d]
+is the vertex branched on at depth d, order[d:k] lists the vertices still
+undecided there in some order, and und[d] is the same set as a mask. The
+caller fills slot 0 from the fixed labels, with order listing every free
+vertex and und[0] their mask. A child's masks come from slot d in a few
+mask operations and are written to slot d+1 only when the child survives,
+so backtracking only resets a label.
+
+A child is dead when some unsatisfied vertex (in un0 or unp) has no
+undecided neighbour left. No live node holds such a vertex, so only the
+vertices the new label touched, the branch vertex and its neighbours, need
+the test. Otherwise two lower bounds on the weight still to come decide,
+each evaluated lazily: the cover bound on the unsatisfied decided vertices,
+and the Roman cover bound on every vertex not yet positive or dominated by
+a 2 (see _bnb). Each is first tried where it needs no loop, and only then
+scans the undecided vertices order[d+1:k], stopping once the bound fits.
+Every child gets the same verdict as from the fully evaluated bounds, so
+the nodes visited and the witnesses found do not depend on where a scan
+stops.
+
+On entering depth d, the search picks its branch vertex fail-first. The
+unsatisfied vertex with the fewest undecided neighbours (lowest index on
+ties) is the one closest to a dead end, and the search branches on its
+lowest-index undecided neighbour; with no unsatisfied vertex, on the
+lowest-index undecided vertex. The choice is swapped into order[d], and
+und[d+1] drops its bit. A fixed order by degree is plain index order on a
+regular graph, and can leave an unsatisfied vertex with one undecided
+neighbour while the search branches elsewhere.
 
 State slots:
     0 depth      1 weight      2 count of 2-labels   3 incumbent objective
     4 nodes done 5 status      6 branch count k      7 witness flag
     8 weight cap (MAX_TWOS only)                     9 early-exit flag
-    10 objective (MIN_WEIGHT or MAX_TWOS)
+    10 objective (MIN_WEIGHT or MAX_TWOS)            11 largest degree
 """
 
 from __future__ import annotations
@@ -104,16 +118,22 @@ def _popcount(x):
     return c
 
 
-def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
+def _lowbit(x):
+    """Index of the lowest set bit of a nonzero mask."""
+    return _popcount((x & (~x + U64_1)) - U64_1)
+
+
+def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
          best_labels, st, node_budget):
     """Depth-first search over the labelings of order[0..k-1], in the mode of st[10].
 
     MIN_WEIGHT looks for a labeling of weight strictly below st[3]; MAX_TWOS
     maximizes the 2-count st[3] among labelings of weight exactly st[8].
-    Branch vertices come in the caller-chosen order (descending degree);
-    labels are tried as 0, 2, 1. With the early-exit flag the first strict
-    improvement ends the search, which turns the kernel into the feasibility
-    test of the lexicographic witness reconstruction.
+    Branch vertices are chosen fail-first as the search descends (see the
+    module docstring); labels are tried as 0, 2, 1. With the early-exit
+    flag the first strict improvement ends the search, which turns the
+    kernel into the feasibility test of the lexicographic witness
+    reconstruction.
 
     room is the weight a child may still add; a child is pruned when either
     lower bound on that weight exceeds it.
@@ -125,8 +145,8 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
     b = ceil(|unp|/cmaxp) positives are still to come; twos may double as
     positives, hence 2a + max(0, b - a). The bound only grows as a cmax
     falls, and 1 <= cmax <= |un0| (or |unp|), so it is first tried at those
-    limits. The suffix is scanned only when the two disagree, and only until
-    the running maxima make the bound fit.
+    limits. The undecided vertices are scanned only when the two disagree,
+    and only until the running maxima make the bound fit.
 
     The Roman cover bound counts S, the vertices neither positive nor in
     cov: un0 plus Q, the undecided vertices outside cov. In any completion
@@ -138,7 +158,10 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
     serves itself. With cmax the largest c(u) over the undecided vertices,
     the weight still to come is at least |S| when cmax <= 2 and
     ceil(2|S|/cmax) otherwise. The bound never exceeds |S|, so it is skipped
-    while |S| fits, and the suffix scan stops once the running cmax fits.
+    while |S| fits. Otherwise it fits once some c(u) reaches
+    need = ceil(2|S|/room). Since c(u) <= min(|S|, deg u), a child with
+    need above |S| (room < 2) or above the largest degree st[11] is pruned
+    without a scan, and the scan stops at the first c(u) >= need.
     """
     n = len(labels)
     k = st[6]
@@ -149,6 +172,7 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
     cap = st[8]
     early = st[9]
     mode = st[10]
+    maxdeg = st[11]
     nodes = 0
     status = RUNNING
     while True:
@@ -185,6 +209,30 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
                     v2 -= 1
             continue
         t = trial[depth]
+        if t == 0:
+            # Entering this depth: choose order[depth] fail-first. Every
+            # unsatisfied vertex has an undecided neighbour here, so a count
+            # of 1 is the least.
+            ud = und[depth]
+            tight = -1
+            fewest = n + 1
+            r = un0[depth] | unp[depth]
+            while r != U64_0:
+                x = _lowbit(r)
+                r ^= bit[x]
+                c = _popcount(adj_mask[x] & ud)
+                if c < fewest:
+                    fewest = c
+                    tight = x
+                    if c == 1:
+                        break
+            nxt = _lowbit(ud if tight < 0 else adj_mask[tight] & ud)
+            i = depth
+            while order[i] != nxt:
+                i += 1
+            order[i] = order[depth]
+            order[depth] = nxt
+            und[depth + 1] = ud ^ bit[nxt]
         trial[depth] = t + 1
         lab = 0
         if t == 1:
@@ -230,7 +278,18 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
             if lab == 2:
                 u0 &= ~nv
                 cv |= nv
-        if ((u0 | up) & ~reach[e]) != U64_0:
+        # Dead test: only a vertex the new label touched can have lost its
+        # last undecided neighbour.
+        ud = und[e]
+        dead = False
+        r = (u0 | up) & (nv | vb)
+        while r != U64_0:
+            x = _lowbit(r)
+            r ^= bit[x]
+            if (adj_mask[x] & ud) == U64_0:
+                dead = True
+                break
+        if dead:
             continue
         nu = _popcount(u0)
         np_ = _popcount(up)
@@ -258,25 +317,28 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, reach, und,
                         break
             if not fits:
                 continue
-        ud = und[e]
         q = ud & ~cv
         s = q | u0
         ns = _popcount(s)
         if ns > room:
+            if room < 2:
+                continue
+            need = (2 * ns + room - 1) // room
+            if need > maxdeg:
+                continue
             fits = False
-            cmax = 2
             # the neighbours that can be a 2's positive partner outside S
             outside = po | (ud & cv)
             for i in range(e, k):
-                m = adj_mask[order[i]]
+                u = order[i]
+                m = adj_mask[u]
                 c = _popcount(m & s)
-                if (q & (und[i] ^ und[i + 1])) != U64_0:
-                    c += 1
-                if (m & outside) == U64_0:
-                    c -= 1
-                if c > cmax:
-                    cmax = c
-                    if (2 * ns + cmax - 1) // cmax <= room:
+                if c + 1 >= need:
+                    if (q & bit[u]) != U64_0:
+                        c += 1
+                    if (m & outside) == U64_0:
+                        c -= 1
+                    if c >= need:
                         fits = True
                         break
             if not fits:
@@ -356,13 +418,20 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
     return status
 
 
-# Rebind the helper first so the kernels' global lookups resolve to the
-# compiled version under numba; the *_py aliases keep the uncompiled entry
+# Rebind the helpers first so the kernels' global lookups resolve to the
+# compiled versions under numba; the *_py aliases keep the uncompiled entry
 # points reachable for parity tests. Without numba the masks are Python ints,
-# whose own bit_count replaces the loop. Both search names bind the one B&B
+# whose own bit_count and bit_length replace the loops. Both search names bind the one B&B
 # kernel, which the objective in state slot 10 steers; callers and tracers
 # keep telling the two searches apart by name.
-_popcount = _maybe_jit(_popcount) if USE_NUMBA else int.bit_count
+if USE_NUMBA:
+    _popcount = _maybe_jit(_popcount)
+    _lowbit = _maybe_jit(_lowbit)
+else:
+    _popcount = int.bit_count
+
+    def _lowbit(x):
+        return (x & -x).bit_length() - 1
 
 bnb_min_weight_py = bnb_max_twos_py = _bnb
 brute_force_scan_py = _brute_force_scan

@@ -15,8 +15,8 @@ from itertools import combinations
 
 from . import _kernels
 from .errors import ConsistencyError, SizeLimitError, SolverTimeout
-from .graph import (Graph, connected_components, induced_subgraph, mask_of,
-                    require_no_isolated)
+from .graph import (Graph, bits_of, connected_components, induced_subgraph,
+                    mask_of, require_no_isolated)
 from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
@@ -75,28 +75,34 @@ class _SearchArrays:
 
     def __init__(self, g: Graph, fixed: dict[int, int]):
         n = g.n
-        free = [v for v in range(n) if v not in fixed]
-        free.sort(key=lambda v: (-g.degree(v), v))
-        k = len(free)
+        adj = g.adj
         labels = [-1] * n
-        for v, lab in fixed.items():
-            labels[v] = lab
         # Slot 0 of each mask stack holds the fixed labels; the kernels fill
         # slot d+1 when they decide order[d].
-        cov = 0
+        cov = pos = decided = 0
+        weight = twos = 0
         for v, lab in fixed.items():
+            labels[v] = lab
+            decided |= 1 << v
+            weight += lab
+            if lab:
+                pos |= 1 << v
             if lab == 2:
-                cov |= g.adj[v]
-        pos = mask_of(v for v, lab in fixed.items() if lab >= 1)
-        un0 = mask_of(v for v, lab in fixed.items() if lab == 0 and not cov >> v & 1)
-        unp = mask_of(v for v, lab in fixed.items() if lab >= 1 and not g.adj[v] & pos)
-        und = [0] * (k + 1)
-        reach = [0] * (k + 1)
-        for d in range(k - 1, -1, -1):
-            und[d] = und[d + 1] | 1 << free[d]
-            reach[d] = reach[d + 1] | g.adj[free[d]]
+                cov |= adj[v]
+                twos += 1
+        un0 = unp = 0
+        for v, lab in fixed.items():
+            if lab == 0 and not cov >> v & 1:
+                un0 |= 1 << v
+            elif lab and not adj[v] & pos:
+                unp |= 1 << v
+        free = [v for v in range(n) if labels[v] < 0]
+        k = len(free)
+        und0 = ((1 << n) - 1) ^ decided
+        # A fixed vertex unsatisfied with no undecided neighbour stays unsatisfied.
+        self.init_dead = any(not adj[v] & und0 for v in bits_of(un0 | unp))
         arr = _kernels.kernel_array
-        self.adj_mask = arr(g.adj, "uint64")
+        self.adj_mask = arr(adj, "uint64")
         self.labels = arr(labels, "int8")
         self.order = arr(free, "int64")
         self.trial = arr([0] * (k + 1), "int8")
@@ -104,13 +110,14 @@ class _SearchArrays:
         self.pos = arr([pos] + [0] * k, "uint64")
         self.un0 = arr([un0] + [0] * k, "uint64")
         self.unp = arr([unp] + [0] * k, "uint64")
-        self.reach = arr(reach, "uint64")
-        self.und = arr(und, "uint64")
+        self.bit = arr([1 << v for v in range(n)], "uint64")
+        # order and und are stacks the kernel writes as it descends (see
+        # _kernels); slot 0 lists every free vertex.
+        self.und = arr([und0] + [0] * k, "uint64")
         self.best_labels = arr([-1] * n, "int8")
-        self.init_weight = sum(fixed.values())
-        self.init_v2 = sum(1 for lab in fixed.values() if lab == 2)
-        # A fixed vertex unsatisfied with no undecided neighbour stays unsatisfied.
-        self.init_dead = bool((un0 | unp) & ~reach[0])
+        self.init_weight = weight
+        self.init_v2 = twos
+        self.max_degree = max(map(int.bit_count, adj), default=0)
 
     def state(self, best: int, cap: int = 0, early: bool = False,
               mode: int = _kernels.MIN_WEIGHT):
@@ -122,6 +129,7 @@ class _SearchArrays:
         st[8] = cap
         st[9] = 1 if early else 0
         st[10] = mode
+        st[11] = self.max_degree
         return _kernels.kernel_array(st, "int64")
 
     def run(self, kernel, st, deadline: float | None) -> int:
@@ -135,7 +143,7 @@ class _SearchArrays:
         while True:
             t0 = time.monotonic()
             status = int(kernel(self.adj_mask, self.labels, self.order, self.trial,
-                                self.cov, self.pos, self.un0, self.unp, self.reach,
+                                self.cov, self.pos, self.un0, self.unp, self.bit,
                                 self.und, self.best_labels, st, chunk))
             if status != _kernels.RUNNING:
                 return status
