@@ -3,19 +3,16 @@
 Two resumable loops live here: a base-3 odometer that scans every labeling,
 and one explicit-stack branch-and-bound search with two objectives, chosen by
 state slot 10: MIN_WEIGHT (a labeling lighter than the incumbent) and
-MAX_TWOS (the most 2-labels at a fixed weight). By default they are compiled
-with numba's @njit over numpy arrays and uint64 masks. When numba is missing,
-or the environment variable TRD_PURE_PYTHON is set to a truthy value before
-import, the identical source runs as plain Python over Python lists and ints:
-indexing a list and masking Python ints costs far less than boxing numpy
-scalars at every step. Callers build every container with kernel_array, so
-each path gets the containers it runs fastest on.
+MAX_TWOS (the most 2-labels at a fixed weight). Both run over Python lists
+of ints, and every vertex set is a Python-int mask, so a graph may have any
+number of vertices.
 
-All kernels operate on graphs of at most 64 vertices (one 64-bit mask per
-row); callers enforce the limit. Scalar search state is packed into an int64
-container so a search can be paused on a node budget and resumed, which is
-how wall-clock budgets are enforced without calling the clock from compiled
-code.
+A kernel returns after a node budget with its scalar state packed into one
+list, st, and a second call resumes exactly where the first stopped. The
+solver reads the clock between such chunks, which is how wall-clock budgets
+are kept without a clock call per node. Tracers read the node count (slot
+4) and the early-exit flag (slot 9) from the state list, which is argument
+11 of the search and argument 5 of the scan.
 
 The search keeps its vertex state in per-depth stacks; slot d of each holds
 the state once order[0..d-1] (and any fixed labels) are decided. Four are
@@ -60,8 +57,6 @@ State slots:
 
 from __future__ import annotations
 
-import os
-
 RUNNING = 0
 DONE = 1
 FOUND = 2
@@ -70,57 +65,15 @@ FOUND = 2
 MIN_WEIGHT = 0
 MAX_TWOS = 1
 
+# There is no compiled kernel path; the benchmark records this flag.
+USE_NUMBA = False
 
-def _env_flag(name: str) -> bool:
-    val = os.environ.get(name, "").strip().lower()
-    return val not in ("", "0", "false", "no")
-
-
-USE_NUMBA = not _env_flag("TRD_PURE_PYTHON")
-
-if USE_NUMBA:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    import numpy as np
-
-    CONTAINERS = "numpy arrays"
-    U64_0 = np.uint64(0)
-    U64_1 = np.uint64(1)
-
-    def _maybe_jit(fn):
-        return _njit(cache=True)(fn)
-
-    def kernel_array(values, dtype: str):
-        """The values as a numpy array of the named dtype (int8, int32, int64, uint64)."""
-        return np.array(list(values), dtype=dtype)
-else:
-    CONTAINERS = "Python lists"
-    U64_0 = 0
-    U64_1 = 1
-
-    def _maybe_jit(fn):
-        return fn
-
-    def kernel_array(values, dtype: str):
-        """The values as a list of Python ints; the dtype only matters under numba."""
-        return list(values)
-
-
-def _popcount(x):
-    c = 0
-    while x:
-        x &= x - U64_1
-        c += 1
-    return c
+_popcount = int.bit_count
 
 
 def _lowbit(x):
     """Index of the lowest set bit of a nonzero mask."""
-    return _popcount((x & (~x + U64_1)) - U64_1)
+    return (x & -x).bit_length() - 1
 
 
 def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
@@ -217,7 +170,7 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
             tight = -1
             fewest = n + 1
             r = un0[depth] | unp[depth]
-            while r != U64_0:
+            while r:
                 x = _lowbit(r)
                 r ^= bit[x]
                 c = _popcount(adj_mask[x] & ud)
@@ -268,10 +221,10 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
         u0 = un0[depth]
         up = unp[depth]
         if lab == 0:
-            if (cv & vb) == U64_0:
+            if not cv & vb:
                 u0 |= vb
         else:
-            if (nv & po) == U64_0:
+            if not nv & po:
                 up |= vb
             up &= ~nv
             po |= vb
@@ -283,10 +236,10 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
         ud = und[e]
         dead = False
         r = (u0 | up) & (nv | vb)
-        while r != U64_0:
+        while r:
             x = _lowbit(r)
             r ^= bit[x]
-            if (adj_mask[x] & ud) == U64_0:
+            if not adj_mask[x] & ud:
                 dead = True
                 break
         if dead:
@@ -334,9 +287,9 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
                 m = adj_mask[u]
                 c = _popcount(m & s)
                 if c + 1 >= need:
-                    if (q & bit[u]) != U64_0:
+                    if q & bit[u]:
                         c += 1
-                    if (m & outside) == U64_0:
+                    if not m & outside:
                         c -= 1
                     if c >= need:
                         fits = True
@@ -375,8 +328,8 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
     status = RUNNING
     while steps < step_budget:
         w = 0
-        v2mask = U64_0
-        posmask = U64_0
+        v2mask = 0
+        posmask = 0
         for v in range(n):
             d = digits[v]
             w += d
@@ -387,11 +340,11 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
         valid = True
         for v in range(n):
             if digits[v] == 0:
-                if (adj_mask[v] & v2mask) == U64_0:
+                if not adj_mask[v] & v2mask:
                     valid = False
                     break
             else:
-                if (adj_mask[v] & posmask) == U64_0:
+                if not adj_mask[v] & posmask:
                     valid = False
                     break
         if valid:
@@ -418,23 +371,8 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_
     return status
 
 
-# Rebind the helpers first so the kernels' global lookups resolve to the
-# compiled versions under numba; the *_py aliases keep the uncompiled entry
-# points reachable for parity tests. Without numba the masks are Python ints,
-# whose own bit_count and bit_length replace the loops. Both search names bind the one B&B
-# kernel, which the objective in state slot 10 steers; callers and tracers
-# keep telling the two searches apart by name.
-if USE_NUMBA:
-    _popcount = _maybe_jit(_popcount)
-    _lowbit = _maybe_jit(_lowbit)
-else:
-    _popcount = int.bit_count
-
-    def _lowbit(x):
-        return (x & -x).bit_length() - 1
-
-bnb_min_weight_py = bnb_max_twos_py = _bnb
-brute_force_scan_py = _brute_force_scan
-
-bnb_min_weight = bnb_max_twos = _maybe_jit(_bnb)
-brute_force_scan = _maybe_jit(_brute_force_scan)
+# Both search names bind the one B&B kernel, which the objective in state
+# slot 10 steers; callers and tracers keep telling the two searches apart by
+# name.
+bnb_min_weight = bnb_max_twos = _bnb
+brute_force_scan = _brute_force_scan

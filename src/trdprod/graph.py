@@ -1,8 +1,8 @@
 """Immutable simple graphs with per-vertex neighbor bitmasks, and the direct product.
 
 Vertices are dense integers 0..n-1. Adjacency is stored as one Python int
-bitmask per vertex, so graphs of any order work; the exact-search kernels
-additionally require n <= 64 and enforce that at their own entry.
+bitmask per vertex, so graphs of any order work, in the exact-search kernels
+too.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
 SUBSET_LIMIT = 20     # subset enumeration for gamma_t / rho / rho_o
-KERNEL_LIMIT = 64     # one uint64 adjacency word per vertex
 BUDGET_ENV = "TRD_BUDGET_SECS"
 
 # A search reads the clock after its first _FIRST_CHUNK nodes, then about
@@ -71,7 +70,7 @@ class ParetoPoint:
 
 
 class _SearchArrays:
-    """One graph plus mutable search state, in the containers the kernels run on."""
+    """One graph plus the mutable search state the kernels run on."""
 
     def __init__(self, g: Graph, fixed: dict[int, int]):
         n = g.n
@@ -101,20 +100,20 @@ class _SearchArrays:
         und0 = ((1 << n) - 1) ^ decided
         # A fixed vertex unsatisfied with no undecided neighbour stays unsatisfied.
         self.init_dead = any(not adj[v] & und0 for v in bits_of(un0 | unp))
-        arr = _kernels.kernel_array
-        self.adj_mask = arr(adj, "uint64")
-        self.labels = arr(labels, "int8")
-        self.order = arr(free, "int64")
-        self.trial = arr([0] * (k + 1), "int8")
-        self.cov = arr([cov] + [0] * k, "uint64")
-        self.pos = arr([pos] + [0] * k, "uint64")
-        self.un0 = arr([un0] + [0] * k, "uint64")
-        self.unp = arr([unp] + [0] * k, "uint64")
-        self.bit = arr([1 << v for v in range(n)], "uint64")
+        # the kernels only read the adjacency masks, so they share the graph's
+        self.adj_mask = adj
+        self.labels = labels
+        self.order = free
+        self.trial = [0] * (k + 1)
+        self.cov = [cov] + [0] * k
+        self.pos = [pos] + [0] * k
+        self.un0 = [un0] + [0] * k
+        self.unp = [unp] + [0] * k
+        self.bit = [1 << v for v in range(n)]
         # order and und are stacks the kernel writes as it descends (see
         # _kernels); slot 0 lists every free vertex.
-        self.und = arr([und0] + [0] * k, "uint64")
-        self.best_labels = arr([-1] * n, "int8")
+        self.und = [und0] + [0] * k
+        self.best_labels = [-1] * n
         self.init_weight = weight
         self.init_v2 = twos
         self.max_degree = max(map(int.bit_count, adj), default=0)
@@ -130,7 +129,7 @@ class _SearchArrays:
         st[9] = 1 if early else 0
         st[10] = mode
         st[11] = self.max_degree
-        return _kernels.kernel_array(st, "int64")
+        return st
 
     def run(self, kernel, st, deadline: float | None) -> int:
         """Run kernel to completion, reading the clock between chunks of nodes.
@@ -142,16 +141,15 @@ class _SearchArrays:
         chunk = _FIRST_CHUNK
         while True:
             t0 = time.monotonic()
-            status = int(kernel(self.adj_mask, self.labels, self.order, self.trial,
-                                self.cov, self.pos, self.un0, self.unp, self.bit,
-                                self.und, self.best_labels, st, chunk))
+            status = kernel(self.adj_mask, self.labels, self.order, self.trial,
+                            self.cov, self.pos, self.un0, self.unp, self.bit,
+                            self.und, self.best_labels, st, chunk)
             if status != _kernels.RUNNING:
                 return status
             now = time.monotonic()
             if deadline is not None and now >= deadline:
                 raise SolverTimeout(
-                    f"search budget exhausted after {int(st[4])} nodes",
-                    nodes=int(st[4]))
+                    f"search budget exhausted after {st[4]} nodes", nodes=st[4])
             fit = int(chunk * _SLICE_S / max(now - t0, 1e-6))
             chunk = max(_FIRST_CHUNK, min(4 * chunk, fit))
 
@@ -162,11 +160,6 @@ def _deadline(budget: float | None) -> float | None:
     if budget <= 0:
         return None
     return time.monotonic() + budget
-
-
-def _check_kernel_size(g: Graph, what: str) -> None:
-    if g.n > KERNEL_LIMIT:
-        raise SizeLimitError(f"{what} limited to {KERNEL_LIMIT} vertices, got {g.n}")
 
 
 def trivial_lower_bound(g: Graph) -> int:
@@ -212,11 +205,11 @@ def _min_weight_search(g: Graph, fixed: dict[int, int], init_best: int,
         arrs.run(_kernels.bnb_min_weight, st, deadline)
     except SolverTimeout as exc:
         # The incumbent only ever drops to the weight of a valid labeling found.
-        exc.upper_bound = int(st[3])
+        exc.upper_bound = st[3]
         raise
     found = bool(st[7])
-    labels = tuple(int(x) for x in arrs.best_labels) if found else None
-    return found, int(st[3]), labels, int(st[4])
+    labels = tuple(arrs.best_labels) if found else None
+    return found, st[3], labels, st[4]
 
 
 def _max_twos_search(g: Graph, fixed: dict[int, int], cap: int, init_best: int,
@@ -228,8 +221,8 @@ def _max_twos_search(g: Graph, fixed: dict[int, int], cap: int, init_best: int,
     st = arrs.state(best=init_best, cap=cap, early=early, mode=_kernels.MAX_TWOS)
     arrs.run(_kernels.bnb_max_twos, st, deadline)
     found = bool(st[7])
-    labels = tuple(int(x) for x in arrs.best_labels) if found else None
-    return found, int(st[3]), labels
+    labels = tuple(arrs.best_labels) if found else None
+    return found, st[3], labels
 
 
 def _lex_smallest(g: Graph, feasible, seed: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -263,21 +256,15 @@ def _brute_scan(g: Graph, limit: int):
     require_no_isolated(g, "gamma_tR")
     if g.n > limit:
         raise SizeLimitError(f"brute force oracle limited to {limit} vertices, got {g.n}")
-    arr = _kernels.kernel_array
-    adj_mask = arr(g.adj, "uint64")
-    bit = arr((1 << v for v in range(g.n)), "uint64")
-    digits = arr([0] * g.n, "int8")
-    best_labels = arr([-1] * g.n, "int8")
-    table = arr([-1] * (2 * g.n + 1), "int64")
-    st = arr([2 * g.n + 1, 0, 0, 0, 0, 0], "int64")
-    while True:
-        status = int(_kernels.brute_force_scan(adj_mask, bit, digits, best_labels,
-                                               table, st, _SCAN_CHUNK))
-        if status == _kernels.DONE:
-            break
-    best = int(st[0])
-    labels = tuple(int(x) for x in best_labels)
-    return best, labels, [int(x) for x in table]
+    bit = [1 << v for v in range(g.n)]
+    digits = [0] * g.n
+    best_labels = [-1] * g.n
+    table = [-1] * (2 * g.n + 1)
+    st = [2 * g.n + 1, 0, 0, 0, 0, 0]
+    while _kernels.brute_force_scan(g.adj, bit, digits, best_labels,
+                                    table, st, _SCAN_CHUNK) != _kernels.DONE:
+        pass
+    return st[0], tuple(best_labels), table
 
 
 def gamma_tr_bruteforce(g: Graph, limit: int = ORACLE_LIMIT) -> SolveResult:
@@ -312,7 +299,6 @@ def _gamma_tr_value(g: Graph, deadline: float | None,
 def _exact_connected(g: Graph, deadline: float | None,
                      upper_bound_hint: int | None):
     """Optimal weight and lexicographically smallest witness, one component."""
-    _check_kernel_size(g, "gamma_tR branch-and-bound")
     value, seed = _gamma_tr_value(g, deadline, upper_bound_hint)
 
     def feasible(fixed):
@@ -385,7 +371,6 @@ def gamma_tr_exact(g: Graph, budget: float | None = None,
 
 def _max_v2_connected(g: Graph, deadline: float | None,
                       upper_bound_hint: int | None):
-    _check_kernel_size(g, "gamma_tR branch-and-bound")
     value, _ = _gamma_tr_value(g, deadline, upper_bound_hint)
 
     def feasible(fixed):
@@ -507,7 +492,6 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
                             budget: float | None = None) -> LabelFunction | None:
     """Some valid labeling of the exact given weight maximizing the 2-count, or None."""
     require_no_isolated(g, "gamma_tR")
-    _check_kernel_size(g, "weight-constrained search")
     deadline = _deadline(budget)
     found, _, labels = _max_twos_search(g, {}, weight, -1, False, deadline)
     if not found:
@@ -531,7 +515,6 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
         best, _, table = _brute_scan(g, oracle_limit)
         top = min(weight_cap, 2 * g.n)
         return [ParetoPoint(w, table[w]) for w in range(best, top + 1) if table[w] >= 0]
-    _check_kernel_size(g, "weight-constrained search")
     value, _ = _gamma_tr_value(g, deadline, None)
     points = []
     for w in range(value, weight_cap + 1):

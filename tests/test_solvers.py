@@ -1,9 +1,6 @@
-import importlib.util
 import itertools
 import random
-import sys
 import time
-import types
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -239,8 +236,8 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     (direct_product(cycle(5), cycle(4)).base, 15988, 60),
 ], ids=["C4xprismC3", "K3xW6", "C5xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
-    # node totals are independent of the container type and of how the
-    # search is cut into chunks between clock reads
+    # node totals are independent of how the search is cut into chunks
+    # between clock reads
     seen = {"bnb_min_weight": 0, "bnb_max_twos": 0}
     for name in seen:
         def counting(*args, kernel=getattr(_kernels, name), name=name):
@@ -382,48 +379,6 @@ def test_search_from_fixed_labels_agrees_with_a_scan_of_completions(g, fixed):
         assert not _max_twos_search(g, fixed, cap, twos, True, None)[0]
 
 
-def _kernels_on_numpy_arrays(monkeypatch):
-    """A fresh _kernels module on its numba branch, with njit as the identity."""
-    pytest.importorskip("numpy")
-    stand_in = types.ModuleType("numba")
-    stand_in.njit = lambda *args, **kwargs: (lambda fn: fn)
-    monkeypatch.setitem(sys.modules, "numba", stand_in)
-    monkeypatch.delenv("TRD_PURE_PYTHON", raising=False)
-    spec = importlib.util.spec_from_file_location("_kernels_on_numpy", _kernels.__file__)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.USE_NUMBA and module.CONTAINERS == "numpy arrays"
-    return module
-
-
-@pytest.mark.parametrize("g,value", [
-    (direct_product(cycle(4), cycle(4)).base, 8),
-    (direct_product(complete(3), wheel(6)).base, 7),
-    (direct_product(cycle(4), prism(cycle(3))).base, 8),
-], ids=["C4xC4", "K3xW6", "C4xprismC3"])
-def test_search_on_numpy_arrays_matches_the_list_path(monkeypatch, g, value):
-    # numba itself is not required: the uncompiled numba branch mixes numpy
-    # uint64 masks with int counts exactly where the compiled one does
-    numpy_kernels = _kernels_on_numpy_arrays(monkeypatch)
-    runs = []
-    for kernels in (_kernels, numpy_kernels):
-        monkeypatch.setattr(solve, "_kernels", kernels)
-        for fixed in ({}, {0: 2}):
-            for mode, best, cap in ((kernels.MIN_WEIGHT, 2 * g.n + 1, 0),
-                                    (kernels.MAX_TWOS, -1, value)):
-                arrs = _SearchArrays(g, fixed)
-                st = arrs.state(best=best, cap=cap, mode=mode)
-                kernels.bnb_min_weight(arrs.adj_mask, arrs.labels, arrs.order, arrs.trial,
-                                       arrs.cov, arrs.pos, arrs.un0, arrs.unp, arrs.bit,
-                                       arrs.und, arrs.best_labels, st, 10 ** 9)
-                runs.append(([int(x) for x in st], [int(x) for x in arrs.best_labels],
-                             type(arrs.cov).__module__))
-    half = len(runs) // 2
-    assert [r[:2] for r in runs[:half]] == [r[:2] for r in runs[half:]]
-    assert {r[2] for r in runs[half:]} == {"numpy"}
-    assert all(st[5] == _kernels.DONE and st[7] == 1 for st, _, _ in runs)
-
-
 def test_eod_product_certificate_case():
     # the 2K2 product of two single edges: optimum is all-1, never uses a 2
     best, labels, table = _brute_scan(TWO_K2, 12)
@@ -431,28 +386,44 @@ def test_eod_product_certificate_case():
     assert labels == (1, 1, 1, 1)
 
 
-def _run_pair(kernel_min, kernel_brute, g):
+def _run_pair(g):
     arrs = _SearchArrays(g, {})
     st = arrs.state(best=2 * g.n + 1)
-    kernel_min(arrs.adj_mask, arrs.labels, arrs.order, arrs.trial, arrs.cov,
-               arrs.pos, arrs.un0, arrs.unp, arrs.bit, arrs.und,
-               arrs.best_labels, st, 10 ** 9)
-    brute_arrs = _SearchArrays(g, {})
-    bit = _kernels.kernel_array((1 << v for v in range(g.n)), "uint64")
-    digits = _kernels.kernel_array([0] * g.n, "int8")
-    table = _kernels.kernel_array([-1] * (2 * g.n + 1), "int64")
-    bst = _kernels.kernel_array([2 * g.n + 1, 0, 0, 0, 0, 0], "int64")
-    kernel_brute(brute_arrs.adj_mask, bit, digits,
-                 brute_arrs.best_labels, table, bst, 10 ** 9)
-    return int(st[3]), int(bst[0]), [int(x) for x in table]
+    _kernels.bnb_min_weight(arrs.adj_mask, arrs.labels, arrs.order, arrs.trial, arrs.cov,
+                            arrs.pos, arrs.un0, arrs.unp, arrs.bit, arrs.und,
+                            arrs.best_labels, st, 10 ** 9)
+    table = [-1] * (2 * g.n + 1)
+    bst = [2 * g.n + 1, 0, 0, 0, 0, 0]
+    _kernels.brute_force_scan(g.adj, arrs.bit, [0] * g.n, [-1] * g.n, table, bst, 10 ** 9)
+    assert st[5] == bst[3] == _kernels.DONE
+    return st[3], bst[0], table
 
 
 def test_kernel_fallback_parity():
-    # the plain-python kernel source must compute exactly what the jitted one does
+    # the B&B kernel must find the optimum the 3^n scan kernel finds, and the
+    # scan's per-weight table must start at that same weight
     for g in [path(4), cycle(5), star(3), complete(4), TWO_K2]:
-        jit_min, jit_bf, jit_table = _run_pair(
-            _kernels.bnb_min_weight, _kernels.brute_force_scan, g)
-        py_min, py_bf, py_table = _run_pair(
-            _kernels.bnb_min_weight_py, _kernels.brute_force_scan_py, g)
-        assert jit_min == py_min == jit_bf == py_bf
-        assert jit_table == py_table
+        bnb_min, scan_min, table = _run_pair(g)
+        assert bnb_min == scan_min == min(w for w, t in enumerate(table) if t >= 0)
+
+
+@pytest.mark.parametrize("g,value,twos,budget", [
+    # two components of 36 vertices each
+    (direct_product(path(8), path(9)).base, 40, 20, 60),
+    (direct_product(complete(9), complete(8)).base, 6, 3, 60),
+    # far beyond the budget: the timeout must bracket the optimum 38 (from an
+    # ILP) between the floor ceil(2n/Delta) = ceil(132/4) = 33 and its incumbent
+    (direct_product(complete(3), cycle(22)).base, 38, None, 0.2),
+], ids=["P8xP9", "K9xK8", "K3xC22"])
+def test_search_runs_on_products_beyond_64_vertices(g, value, twos, budget):
+    assert g.n > 64
+    if twos is None:
+        with pytest.raises(SolverTimeout) as err:
+            gamma_tr_exact(g, budget=budget)
+        assert 33 <= err.value.lower_bound <= value <= err.value.upper_bound
+        return
+    most_twos = gamma_tr_max_v2(g, budget=budget)
+    for res in (gamma_tr_exact(g, budget=budget), most_twos):
+        assert res.value == value
+        assert is_total_roman_dominating(res.witness) and res.witness.weight == value
+    assert most_twos.max_v2 == twos and most_twos.witness.labels.count(2) == twos
