@@ -26,8 +26,8 @@ from .construct import (product_eod_set, product_trdf_from_factors,
 from .classify import (SmallVerdict, TriangleCenteredWitness,
                        certify_regular_eod, certify_regular_eod_product,
                        classify_small_product, is_eod_graph,
-                       is_total_roman_graph, triangle_centered,
-                       universal_vertices)
+                       is_total_roman_graph, small_case_witnesses,
+                       triangle_centered, universal_vertices)
 from .bounds import (FactorProfile, PairReport, factor_profile, genlower_check,
                      pair_bounds, verify_theorems)
 from .catalog import Catalog, enumerate_catalog

@@ -2,6 +2,11 @@
 total Roman graphs, efficient open domination, the small-value decision
 procedure for products, and regularity-based exactness certificates.
 
+This is the one module that decides a small-value clause and picks its
+witnesses: classify_small_product tries the clauses in order, and
+small_case_witnesses names one clause. construct builds the labeling from
+those witnesses; SMALL_CASES there holds each clause's weight.
+
 The small-value verdicts are certificates in the mathematical sense; the
 verification harness still audits every verdict against the exact solver on
 small catalogs rather than trusting the case analysis.
@@ -11,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .construct import product_eod_set
-from .errors import ConsistencyError, SizeLimitError
-from .graph import Graph, direct_product, is_regular, require_no_isolated
+from .construct import SMALL_CASES, product_eod_set
+from .errors import ConsistencyError, PreconditionError, SizeLimitError
+from .graph import (Graph, direct_product, is_central_triangle, is_k2,
+                    is_regular, mask_of, require_no_isolated,
+                    universal_vertex_list)
 from .labeling import (VertexSet, is_efficient_open_dominating,
                        trdf_from_total_dominating_set)
 from .solve import SUBSET_LIMIT, SolveResult, gamma_t_exact, gamma_tr_exact
@@ -47,15 +54,7 @@ class SmallVerdict:
 
 
 def universal_vertices(g: Graph) -> VertexSet:
-    members = 0
-    for v in range(g.n):
-        if g.degree(v) == g.n - 1:
-            members |= 1 << v
-    return VertexSet(g, members)
-
-
-def is_k2(g: Graph) -> bool:
-    return g.n == 2 and g.num_edges() == 1
+    return VertexSet(g, mask_of(universal_vertex_list(g)))
 
 
 def triangle_centered(g: Graph) -> TriangleCenteredWitness | None:
@@ -66,21 +65,8 @@ def triangle_centered(g: Graph) -> TriangleCenteredWitness | None:
     """
     for x in range(g.n):
         for y in g.neighbors(x):
-            if y <= x:
-                continue
-            common = g.adj[x] & g.adj[y]
-            for z in range(y + 1, g.n):
-                if not common >> z & 1:
-                    continue
-                ok = True
-                for v in range(g.n):
-                    if v in (x, y, z):
-                        continue
-                    hits = (g.adj[x] >> v & 1) + (g.adj[y] >> v & 1) + (g.adj[z] >> v & 1)
-                    if hits < 2:
-                        ok = False
-                        break
-                if ok:
+            for z in g.neighbors(y):
+                if x < y < z and is_central_triangle(g, x, y, z):
                     return TriangleCenteredWitness((x, y, z))
     return None
 
@@ -159,41 +145,78 @@ def weight_seven_hypothesis(g: Graph, h: Graph) -> bool:
     return not (triangle_centered(g) is not None and triangle_centered(h) is not None)
 
 
+_CLAUSE_FAILURE = {
+    "ii": "case ii needs both factors isomorphic to K2",
+    "iii_universal": "case iii_universal needs two universal vertices per factor",
+    "iii_k2": "case iii_k2 needs one K2 factor and one factor of order at least three"
+              " with a universal vertex",
+    "iii_triangle": "case iii_triangle needs both factors triangle centered",
+    "iv": "case iv hypothesis failed: needs a universal vertex in each factor, exactly one"
+          " universal vertex in some factor whose partner is not K2, and at most one"
+          " triangle centered factor",
+}
+
+
+def _clause_witnesses(case: str, g: Graph, h: Graph) -> dict | None:
+    """Lexicographically least witnesses of one SMALL_CASES clause, or None
+    when its hypothesis fails."""
+    if case == "ii":
+        return {} if is_k2(g) and is_k2(h) else None
+    ug, uh = universal_vertex_list(g), universal_vertex_list(h)
+    if case == "iii_universal":
+        if len(ug) >= 2 and len(uh) >= 2 and (g.n >= 3 or h.n >= 3):
+            return {"g_pair": tuple(ug[:2]), "h_pair": tuple(uh[:2])}
+    elif case == "iii_k2":
+        for k2_factor, (a, b, ub) in enumerate(((g, h, uh), (h, g, ug))):
+            if is_k2(a) and b.n >= 3 and ub:
+                return {"k2_factor": k2_factor, "universal": ub[0],
+                        "neighbor": min(b.neighbors(ub[0]))}
+    elif case == "iii_triangle":
+        tcg, tch = triangle_centered(g), triangle_centered(h)
+        if tcg is not None and tch is not None:
+            return {"g_triangle": tcg.triangle, "h_triangle": tch.triangle}
+    elif case == "iv" and weight_seven_hypothesis(g, h):
+        return {"g_universal": ug[0], "g_neighbor": min(g.neighbors(ug[0])),
+                "h_universal": uh[0], "h_neighbor": min(h.neighbors(uh[0]))}
+    return None
+
+
+def small_case_witnesses(case: str, g: Graph, h: Graph) -> dict:
+    """Lexicographically least witnesses of one small-value clause, for
+    construct.small_value_construction; PreconditionError names the clause
+    when its hypothesis fails.
+
+    A factor with an isolated vertex raises HypothesisError, as in
+    classify_small_product: the product then has no total Roman labeling.
+    """
+    if case not in SMALL_CASES:
+        raise PreconditionError(f"unknown construction case {case!r}; valid: {tuple(SMALL_CASES)}")
+    require_no_isolated(g, "small-value construction")
+    require_no_isolated(h, "small-value construction")
+    found = _clause_witnesses(case, g, h)
+    if found is not None:
+        return found
+    if case == "iii_universal" and is_k2(g) and is_k2(h):
+        raise PreconditionError("case iii_universal needs one factor of order at least three")
+    raise PreconditionError(_CLAUSE_FAILURE[case])
+
+
 def classify_small_product(g: Graph, h: Graph) -> SmallVerdict:
     """Decide gamma_tR of the product by case analysis when it is at most 8.
 
-    Clauses are tried in order: both-K2 (4), the three weight-6 cases, the
-    weight-7 case, then the sufficient weight-8 case; anything else is
-    unknown. Clause iv is the literal conjunction documented in
-    weight_seven_hypothesis; the harness audits every verdict empirically.
+    The SMALL_CASES clauses are tried in order: both-K2 (4), the three
+    weight-6 cases, the weight-7 case; then the sufficient weight-8 case;
+    anything else is unknown. Clause iv is the literal conjunction documented
+    in weight_seven_hypothesis; the harness audits every verdict empirically.
     """
     require_no_isolated(g, "small-value classification")
     require_no_isolated(h, "small-value classification")
-    ug = universal_vertices(g).vertices()
-    uh = universal_vertices(h).vertices()
-    tcg = triangle_centered(g)
-    tch = triangle_centered(h)
-
-    if is_k2(g) and is_k2(h):
-        return SmallVerdict(4, "ii")
-    if len(ug) >= 2 and len(uh) >= 2 and (g.n >= 3 or h.n >= 3):
-        return SmallVerdict(6, "iii_universal",
-                            {"g_pair": ug[:2], "h_pair": uh[:2]})
-    for k2_factor, (a, b, ub) in enumerate(((g, h, uh), (h, g, ug))):
-        if is_k2(a) and b.n >= 3 and ub:
-            u = ub[0]
-            return SmallVerdict(6, "iii_k2",
-                                {"k2_factor": k2_factor, "universal": u,
-                                 "neighbor": min(b.neighbors(u))})
-    if tcg is not None and tch is not None:
-        return SmallVerdict(6, "iii_triangle",
-                            {"g_triangle": tcg.triangle, "h_triangle": tch.triangle})
-    if weight_seven_hypothesis(g, h):
-        gu, hu = ug[0], uh[0]
-        return SmallVerdict(7, "iv",
-                            {"g_universal": gu, "g_neighbor": min(g.neighbors(gu)),
-                             "h_universal": hu, "h_neighbor": min(h.neighbors(hu))})
-    if (len(ug) == 0 or len(uh) == 0) and not (tcg is not None and tch is not None):
+    for case, weight in SMALL_CASES.items():
+        found = _clause_witnesses(case, g, h)
+        if found is not None:
+            return SmallVerdict(weight, case, found)
+    # clause iii_triangle failed, so the factors are not both triangle centered
+    if not (universal_vertex_list(g) and universal_vertex_list(h)):
         if g.n <= SUBSET_LIMIT and h.n <= SUBSET_LIMIT:
             dg = gamma_t_exact(g)
             dh = gamma_t_exact(h)

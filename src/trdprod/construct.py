@@ -4,16 +4,23 @@ Every function re-verifies its output before returning it, so a returned
 object is always valid; a verification failure raises ConsistencyError and
 means a bug here, not bad input. Bad input raises PreconditionError naming
 the violated clause.
+
+This module builds from what it is given and decides nothing: the factor
+labelings and sets come from the solvers, and the small-value witnesses
+from classify, which alone decides whether a clause holds and picks its
+witnesses. SMALL_CASES is the one table of the clauses and their weights.
 """
 
 from __future__ import annotations
 
 from .errors import ConsistencyError, PreconditionError
-from .graph import Graph, ProductGraph, direct_product
+from .graph import (Graph, ProductGraph, direct_product, is_central_triangle,
+                    is_k2)
 from .labeling import (LabelFunction, VertexSet, is_efficient_open_dominating,
                        is_total_dominating, is_total_roman_dominating)
 
-SMALL_CASES = ("ii", "iii_universal", "iii_k2", "iii_triangle", "iv")
+# weight of the labeling each small-value clause builds, in clause order
+SMALL_CASES = {"ii": 4, "iii_universal": 6, "iii_k2": 6, "iii_triangle": 6, "iv": 7}
 
 
 def _product_for(g: Graph, h: Graph, product: ProductGraph | None) -> ProductGraph:
@@ -93,110 +100,58 @@ def product_eod_set(s_g: VertexSet, s_h: VertexSet,
     return VertexSet(pg.base, members, "efficient_open_dominating")
 
 
-def _is_k2(g: Graph) -> bool:
-    return g.n == 2 and g.num_edges() == 1
-
-def _universal(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if g.degree(v) == g.n - 1]
-
-
-def _check_central_triangle(g: Graph, tri) -> None:
-    x, y, z = tri
-    if len({x, y, z}) != 3 or not (g.has_edge(x, y) and g.has_edge(y, z) and g.has_edge(x, z)):
-        raise PreconditionError(f"{tri} is not a triangle")
-    for v in range(g.n):
-        hits = (g.adj[x] >> v & 1) + (g.adj[y] >> v & 1) + (g.adj[z] >> v & 1)
-        if v not in (x, y, z) and hits < 2:
-            raise PreconditionError(f"vertex {v} sees fewer than two of the triangle {tri}")
+def _vertex_witness(witnesses: dict, key: str, g: Graph, count: int = 1):
+    """The witness under key: one vertex id of g, or a tuple of count of them."""
+    if key not in witnesses:
+        raise PreconditionError(f"missing witness {key!r}")
+    value = witnesses[key]
+    ids = (value,) if count == 1 else tuple(value) if isinstance(value, (tuple, list)) else ()
+    if len(ids) != count or not all(type(v) is int and 0 <= v < g.n for v in ids):
+        raise PreconditionError(f"witness {key}={value!r} needs {count} vertex id(s)"
+                                f" in range({g.n})")
+    return ids[0] if count == 1 else ids
 
 
-def _auto_witnesses(case: str, g: Graph, h: Graph) -> dict:
-    """Lexicographically least valid witnesses for one construction case."""
-    from . import classify  # local import: classify builds on this module
-
-    if case == "ii":
-        if not (_is_k2(g) and _is_k2(h)):
-            raise PreconditionError("case ii needs both factors isomorphic to K2")
-        return {}
-    if case == "iii_universal":
-        ug, uh = _universal(g), _universal(h)
-        if len(ug) < 2 or len(uh) < 2:
-            raise PreconditionError("case iii_universal needs two universal vertices per factor")
-        if g.n < 3 and h.n < 3:
-            raise PreconditionError("case iii_universal needs one factor of order at least three")
-        return {"g_pair": tuple(ug[:2]), "h_pair": tuple(uh[:2])}
-    if case == "iii_k2":
-        for k2_factor, (a, b) in enumerate(((g, h), (h, g))):
-            if _is_k2(a) and b.n >= 3:
-                ub = _universal(b)
-                if ub:
-                    u = ub[0]
-                    return {"k2_factor": k2_factor, "universal": u,
-                            "neighbor": min(b.neighbors(u))}
-        raise PreconditionError("case iii_k2 needs one K2 factor and one factor of order"
-                                " at least three with a universal vertex")
-    if case == "iii_triangle":
-        wg = classify.triangle_centered(g)
-        wh = classify.triangle_centered(h)
-        if wg is None or wh is None:
-            raise PreconditionError("case iii_triangle needs both factors triangle centered")
-        return {"g_triangle": wg.triangle, "h_triangle": wh.triangle}
-    if case == "iv":
-        if not classify.weight_seven_hypothesis(g, h):
-            raise PreconditionError("case iv hypothesis failed: needs a universal vertex in"
-                                    " each factor, exactly one universal vertex in some factor"
-                                    " whose partner is not K2, and at most one triangle"
-                                    " centered factor")
-        gu = _universal(g)[0]
-        hu = _universal(h)[0]
-        return {"g_universal": gu, "g_neighbor": min(g.neighbors(gu)),
-                "h_universal": hu, "h_neighbor": min(h.neighbors(hu))}
-    raise PreconditionError(f"unknown construction case {case!r}; valid: {SMALL_CASES}")
-
-
-def small_value_construction(case: str, g: Graph, h: Graph,
-                             witnesses: dict | None = None,
+def small_value_construction(case: str, g: Graph, h: Graph, witnesses: dict,
                              product: ProductGraph | None = None) -> LabelFunction:
-    """Explicit low-weight labelings on the product, one per characterization case.
+    """Low-weight labeling of the product for one small-value clause, built
+    from the given witnesses; its weight is SMALL_CASES[case].
 
-    Weights: 4 for ii, 6 for the three iii cases, 7 for iv. With
-    witnesses=None the lexicographically least valid witnesses are chosen
-    (and for iv the full case hypothesis is checked); explicit witnesses are
-    validated locally. Optimality of the weight is the classifier's claim,
+    The witnesses are those of classify.small_case_witnesses or of a
+    SmallVerdict. They are validated locally (vertex ids in range,
+    universality, adjacency, central triangles), not against the clause's
+    whole hypothesis. Optimality of the weight is the classifier's claim,
     not this function's.
     """
-    if witnesses is None:
-        witnesses = _auto_witnesses(case, g, h)
+    if case not in SMALL_CASES:
+        raise PreconditionError(f"unknown construction case {case!r}; valid: {tuple(SMALL_CASES)}")
     pg = _product_for(g, h, product)
     labels = [0] * pg.base.n
     if case == "ii":
-        if not (_is_k2(g) and _is_k2(h)):
+        if not (is_k2(g) and is_k2(h)):
             raise PreconditionError("case ii needs both factors isomorphic to K2")
         labels = [1] * pg.base.n
-        expect = 4
     elif case == "iii_universal":
-        ga, gb = witnesses["g_pair"]
-        ha, hb = witnesses["h_pair"]
-        for v, side in ((ga, g), (gb, g)):
+        ga, gb = _vertex_witness(witnesses, "g_pair", g, 2)
+        ha, hb = _vertex_witness(witnesses, "h_pair", h, 2)
+        for v, side in ((ga, g), (gb, g), (ha, h), (hb, h)):
             if side.degree(v) != side.n - 1:
-                raise PreconditionError(f"vertex {v} is not universal in its factor")
-        for v in (ha, hb):
-            if h.degree(v) != h.n - 1:
                 raise PreconditionError(f"vertex {v} is not universal in its factor")
         if ga == gb or ha == hb:
             raise PreconditionError("universal vertex pairs must be distinct")
         labels[pg.vertex_id(ga, ha)] = labels[pg.vertex_id(gb, hb)] = 2
         labels[pg.vertex_id(ga, hb)] = labels[pg.vertex_id(gb, ha)] = 1
-        expect = 6
     elif case == "iii_k2":
-        k2_factor = witnesses["k2_factor"]
-        u = witnesses["universal"]
-        u2 = witnesses["neighbor"]
+        k2_factor = witnesses.get("k2_factor")
+        if k2_factor not in (0, 1):
+            raise PreconditionError(f"witness k2_factor={k2_factor!r} must be 0 or 1")
         k2, other = (g, h) if k2_factor == 0 else (h, g)
-        if not _is_k2(k2):
+        if not is_k2(k2):
             raise PreconditionError("designated factor is not K2")
         if other.n < 3:
             raise PreconditionError("the non-K2 factor must have order at least three")
+        u = _vertex_witness(witnesses, "universal", other)
+        u2 = _vertex_witness(witnesses, "neighbor", other)
         if other.degree(u) != other.n - 1:
             raise PreconditionError(f"vertex {u} is not universal in the non-K2 factor")
         if not other.has_edge(u, u2):
@@ -208,18 +163,19 @@ def small_value_construction(case: str, g: Graph, h: Graph,
             else:
                 labels[pg.vertex_id(u, b)] = 2
                 labels[pg.vertex_id(u2, b)] = 1
-        expect = 6
     elif case == "iii_triangle":
-        tg = witnesses["g_triangle"]
-        th = witnesses["h_triangle"]
-        _check_central_triangle(g, tg)
-        _check_central_triangle(h, th)
+        tg = _vertex_witness(witnesses, "g_triangle", g, 3)
+        th = _vertex_witness(witnesses, "h_triangle", h, 3)
+        for tri, side in ((tg, g), (th, h)):
+            if not is_central_triangle(side, *tri):
+                raise PreconditionError(f"{tri} is not a central triangle of its factor")
         for a, b in zip(tg, th):
             labels[pg.vertex_id(a, b)] = 2
-        expect = 6
-    elif case == "iv":
-        gu, gn = witnesses["g_universal"], witnesses["g_neighbor"]
-        hu, hn = witnesses["h_universal"], witnesses["h_neighbor"]
+    else:  # case iv
+        gu = _vertex_witness(witnesses, "g_universal", g)
+        gn = _vertex_witness(witnesses, "g_neighbor", g)
+        hu = _vertex_witness(witnesses, "h_universal", h)
+        hn = _vertex_witness(witnesses, "h_neighbor", h)
         if g.degree(gu) != g.n - 1 or h.degree(hu) != h.n - 1:
             raise PreconditionError("case iv witnesses must be universal vertices")
         if not g.has_edge(gu, gn) or not h.has_edge(hu, hn):
@@ -229,10 +185,7 @@ def small_value_construction(case: str, g: Graph, h: Graph,
         labels[pg.vertex_id(gu, hn)] = 2
         labels[pg.vertex_id(gn, hu)] = 2
         labels[pg.vertex_id(gn, hn)] = 1
-        expect = 7
-    else:
-        raise PreconditionError(f"unknown construction case {case!r}; valid: {SMALL_CASES}")
     out = LabelFunction(pg.base, tuple(labels))
-    if out.weight != expect or not is_total_roman_dominating(out):
+    if out.weight != SMALL_CASES[case] or not is_total_roman_dominating(out):
         raise ConsistencyError(f"case {case} labeling failed verification")
     return out

@@ -243,6 +243,26 @@ def is_regular(g: Graph) -> bool:
     return all(g.degree(v) == d for v in range(1, g.n))
 
 
+def is_k2(g: Graph) -> bool:
+    return g.n == 2 and g.num_edges() == 1
+
+
+def universal_vertex_list(g: Graph) -> list[int]:
+    """Vertices adjacent to every other vertex, lowest first."""
+    return [v for v in range(g.n) if g.degree(v) == g.n - 1]
+
+
+def is_central_triangle(g: Graph, x: int, y: int, z: int) -> bool:
+    """Whether xyz is a triangle and every other vertex is adjacent to at
+    least two of its corners. The ids must be vertices of g."""
+    ax, ay, az = g.adj[x], g.adj[y], g.adj[z]
+    if not (ax >> y & 1 and ay >> z & 1 and ax >> z & 1):
+        return False
+    seen_twice = ax & ay | ay & az | ax & az
+    others = (1 << g.n) - 1 & ~(1 << x | 1 << y | 1 << z)
+    return not others & ~seen_twice
+
+
 def has_isolated_vertex(g: Graph) -> bool:
     return any(m == 0 for m in g.adj)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -107,6 +108,9 @@ def test_cli_verify(capsys, tmp_path):
     doc = json.loads(out_json.read_text())
     assert doc["num_pairs"] == 6 and doc["violations"] == []
     assert out_csv.read_text().startswith("g,")
+    # the report is byte-stable: a refactor that keeps behaviour keeps this digest
+    assert hashlib.sha256(out_json.read_bytes()).hexdigest() == (
+        "448f3fbb44c04d737e5b9c20d2c15431dbb6c49fdab3ef7f5e08291d24b8a898")
 
 
 def test_cli_domain_error_exit_code(capsys):
