@@ -32,12 +32,12 @@ undecided neighbour left. No live node holds such a vertex, so only the
 vertices the new label touched, the branch vertex and its neighbours, need
 the test. Otherwise two lower bounds on the weight still to come decide,
 each evaluated lazily: the cover bound on the unsatisfied decided vertices,
-and the Roman cover bound on every vertex not yet positive or dominated by
-a 2 (see _bnb). Each is first tried where it needs no loop, and only then
-scans the undecided vertices order[d+1:k], stopping once the bound fits.
-Every child gets the same verdict as from the fully evaluated bounds, so
-the nodes visited and the witnesses found do not depend on where a scan
-stops.
+and the Roman cover bound, in its knapsack form (see _bnb), on every
+vertex not yet positive or dominated by a 2. Each is first tried where it
+needs no loop, and only then scans the undecided vertices order[d+1:k],
+stopping once the bound fits. Every child gets the same verdict as from
+the fully evaluated bounds, so the nodes visited and the witnesses found
+do not depend on where a scan stops.
 
 On entering depth d, the search picks its branch vertex fail-first. The
 unsatisfied vertex with the fewest undecided neighbours (lowest index on
@@ -56,6 +56,8 @@ State slots:
 """
 
 from __future__ import annotations
+
+from heapq import heapreplace
 
 RUNNING = 0
 DONE = 1
@@ -108,13 +110,30 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
     future 2 at u serves at most c(u) = |N(u) & S| + [u in Q], less one when
     no neighbour of u outside S can be positive (no decided positive and no
     undecided vertex in cov): u's own positive partner then lies in S and
-    serves itself. With cmax the largest c(u) over the undecided vertices,
-    the weight still to come is at least |S| when cmax <= 2 and
-    ceil(2|S|/cmax) otherwise. The bound never exceeds |S|, so it is skipped
-    while |S| fits. Otherwise it fits once some c(u) reaches
-    need = ceil(2|S|/room). Since c(u) <= min(|S|, deg u), a child with
-    need above |S| (room < 2) or above the largest degree st[11] is pruned
-    without a scan, and the scan stops at the first c(u) >= need.
+    serves itself. With T the future 2s and O the future 1s, that gives
+    |S| <= |O| + sum_{u in T} c(u), and the weight still to come is
+    W = 2|T| + |O| >= |S| - sum_{u in T} (c(u) - 2). A child fits only if
+    W <= room, so |T| <= m = floor(room/2) and the excesses c(u) - 2 over T
+    sum to at least gap = |S| - room. The bound is thus a knapsack: the
+    child is pruned unless the m largest of max(0, c(u) - 2) over the
+    undecided vertices sum to gap or more.
+
+    This subsumes the plain form, W >= |S| when every c(u) <= 2 and
+    ceil(2|S|/cmax) otherwise, with cmax the largest c(u): a fitting child
+    has gap <= m (cmax - 2) <= room (cmax - 2)/2, that is cmax >= 2|S|/room,
+    so every child the plain form prunes is pruned here too. The knapsack
+    form also prunes when a few large c(u) cannot make up for many small
+    ones, which the plain form, charging every 2 at cmax, lets through.
+
+    It is evaluated in the order of its cost. Nothing is needed while
+    gap <= 0. c(u) <= deg u, since either a neighbour of u outside S is
+    missing from |N(u) & S| or the one subtracted offsets [u in Q]. So an
+    excess is at most st[11] - 2, and a child with m (st[11] - 2) < gap is
+    pruned without a scan; this covers room < 2. Otherwise a min-heap keeps
+    the m largest excesses seen, with 0 for an empty place, and the scan
+    stops once they sum to gap. A vertex whose excess cannot beat the
+    heap's smallest, judged from |N(u) & S| + 1 >= c(u), is passed over
+    before the two corrections.
     """
     n = len(labels)
     k = st[6]
@@ -272,28 +291,32 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
                 continue
         q = ud & ~cv
         s = q | u0
-        ns = _popcount(s)
-        if ns > room:
-            if room < 2:
-                continue
-            need = (2 * ns + room - 1) // room
-            if need > maxdeg:
+        gap = _popcount(s) - room
+        if gap > 0:
+            m = room >> 1
+            if m * (maxdeg - 2) < gap:
                 continue
             fits = False
             # the neighbours that can be a 2's positive partner outside S
             outside = po | (ud & cv)
+            # a min-heap of the m largest excesses so far, 0 standing
+            # for an empty place
+            top = [0] * m
+            total = 0
             for i in range(e, k):
                 u = order[i]
-                m = adj_mask[u]
-                c = _popcount(m & s)
-                if c + 1 >= need:
+                mu = adj_mask[u]
+                c = _popcount(mu & s)
+                if c - 1 > top[0]:
                     if q & bit[u]:
                         c += 1
-                    if not m & outside:
+                    if not mu & outside:
                         c -= 1
-                    if c >= need:
-                        fits = True
-                        break
+                    if c - 2 > top[0]:
+                        total += c - 2 - heapreplace(top, c - 2)
+                        if total >= gap:
+                            fits = True
+                            break
             if not fits:
                 continue
         cov[e] = cv

@@ -6,7 +6,9 @@ graph6 literal. Output is JSON with sorted keys so fixed inputs produce
 byte-identical reports.
 
 Exit codes: 0 success (and zero violations for verify), 1 domain error or
-violations found, 2 usage.
+violations found, 2 usage. A domain error is reported as JSON on stderr; a
+solver timeout adds the certified lower_bound and upper_bound it carries and
+the nodes searched.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 import sys
 
 from . import bounds, catalog, classify, construct, families, graph6, solve
-from .errors import TrdError
+from .errors import SolverTimeout, TrdError
 from .graph import Graph, direct_product, from_json_dict
 
 
@@ -227,8 +229,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except TrdError as exc:
-        json.dump({"error": str(exc), "type": type(exc).__name__},
-                  sys.stderr, sort_keys=True)
+        doc = {"error": str(exc), "type": type(exc).__name__}
+        if isinstance(exc, SolverTimeout):
+            doc.update(lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
+                       nodes=exc.nodes)
+        json.dump(doc, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 1
 

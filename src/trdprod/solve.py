@@ -75,13 +75,11 @@ class _SearchArrays:
     def __init__(self, g: Graph, fixed: dict[int, int]):
         n = g.n
         adj = g.adj
-        labels = [-1] * n
         # Slot 0 of each mask stack holds the fixed labels; the kernels fill
         # slot d+1 when they decide order[d].
         cov = pos = decided = 0
         weight = twos = 0
         for v, lab in fixed.items():
-            labels[v] = lab
             decided |= 1 << v
             weight += lab
             if lab:
@@ -95,11 +93,18 @@ class _SearchArrays:
                 un0 |= 1 << v
             elif lab and not adj[v] & pos:
                 unp |= 1 << v
+        und0 = ((1 << n) - 1) ^ decided
+        # A fixed vertex unsatisfied with no undecided neighbour stays
+        # unsatisfied. Such a probe is answered from init_dead alone, so the
+        # lists below are not built for it.
+        self.init_dead = any(not adj[v] & und0 for v in bits_of(un0 | unp))
+        if self.init_dead:
+            return
+        labels = [-1] * n
+        for v, lab in fixed.items():
+            labels[v] = lab
         free = [v for v in range(n) if labels[v] < 0]
         k = len(free)
-        und0 = ((1 << n) - 1) ^ decided
-        # A fixed vertex unsatisfied with no undecided neighbour stays unsatisfied.
-        self.init_dead = any(not adj[v] & und0 for v in bits_of(un0 | unp))
         # the kernels only read the adjacency masks, so they share the graph's
         self.adj_mask = adj
         self.labels = labels
@@ -314,14 +319,14 @@ def _exact_connected(g: Graph, deadline: float | None,
     return value, labels
 
 
-def _per_component(g: Graph, solver):
-    """Run a per-component solver and stitch; the objective and the
-    lexicographic tie-break both decompose over components because label
-    choices in different components never interact."""
+def _per_component(g: Graph, comps: list[list[int]], solver):
+    """Run a per-component solver over comps, the connected components of g,
+    and stitch; the objective and the lexicographic tie-break both decompose
+    over components because label choices in different components never
+    interact."""
     total = 0
     twos = 0
     stitched = [0] * g.n
-    comps = connected_components(g)
     for idx, comp in enumerate(comps):
         sub = induced_subgraph(g, comp)
         try:
@@ -361,7 +366,7 @@ def gamma_tr_exact(g: Graph, budget: float | None = None,
         def solver(sub):
             v, lab = _exact_connected(sub, deadline, None)
             return v, 0, lab
-        value, _, labels = _per_component(g, solver)
+        value, _, labels = _per_component(g, comps, solver)
     witness = LabelFunction(g, labels)
     if not is_total_roman_dominating(witness) or witness.weight != value:
         raise ConsistencyError("branch-and-bound witness failed validation")
@@ -399,7 +404,7 @@ def gamma_tr_max_v2(g: Graph, budget: float | None = None,
         value, v2max, labels = _max_v2_connected(g, deadline, upper_bound_hint)
     else:
         value, v2max, labels = _per_component(
-            g, lambda sub: _max_v2_connected(sub, deadline, None))
+            g, comps, lambda sub: _max_v2_connected(sub, deadline, None))
     witness = LabelFunction(g, labels)
     twos = sum(1 for l in labels if l == 2)
     if not is_total_roman_dominating(witness) or witness.weight != value or twos != v2max:

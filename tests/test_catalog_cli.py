@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from trdprod import cli
+from trdprod import cli, solve
 from trdprod.catalog import connected_count, enumerate_catalog
-from trdprod.errors import SizeLimitError
+from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import cycle
 from trdprod.graph import direct_product, is_connected
 from trdprod.graph6 import emit_graph6, parse_graph6
@@ -118,6 +118,17 @@ def test_cli_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "gammatr", "B?")
     assert code == 1
     assert "error" in json.loads(err)
+
+
+def test_cli_timeout_reports_its_certified_bounds(capsys, monkeypatch):
+    def timeout(g, budget=None):
+        raise SolverTimeout("x", lower_bound=18, upper_bound=21, nodes=5)
+
+    monkeypatch.setattr(solve, "gamma_tr_exact", timeout)
+    code, _, err = run_cli(capsys, "gammatr", "K3")
+    assert code == 1
+    assert json.loads(err) == {"error": "x", "type": "SolverTimeout",
+                               "lower_bound": 18, "upper_bound": 21, "nodes": 5}
 
 
 def test_cli_usage_error_exit_code():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies
 from trdprod import _kernels, solve
 from trdprod.catalog import enumerate_catalog
 from trdprod.errors import SizeLimitError, SolverTimeout
-from trdprod.families import (complete, complete_bipartite, cycle, path, prism,
-                              star, wheel)
+from trdprod.families import (complete, complete_bipartite, cycle, fan, path,
+                              prism, star, wheel)
 from trdprod.graph import direct_product, from_edge_list
 from trdprod.labeling import (LabelFunction, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
@@ -231,10 +231,13 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
 
 @pytest.mark.parametrize("g,min_nodes,twos_nodes", [
     (direct_product(cycle(4), prism(cycle(3))).base, 30, 72),
-    (direct_product(complete(3), wheel(6)).base, 1244, 254),
+    (direct_product(complete(3), wheel(6)).base, 1115, 230),
     # the only pinned product whose cover bounds scan long undecided lists
-    (direct_product(cycle(5), cycle(4)).base, 15988, 60),
-], ids=["C4xprismC3", "K3xW6", "C5xC4"])
+    (direct_product(cycle(5), cycle(4)).base, 8422, 60),
+    # irregular, and the knapsack Roman cover bound prunes more than
+    # ceil(2|S|/cmax) would under both objectives (3,579 and 384 nodes)
+    (direct_product(fan(6), cycle(4)).base, 2154, 300),
+], ids=["C4xprismC3", "K3xW6", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
     # between clock reads
