@@ -2,12 +2,23 @@
 packing numbers, the max-2s tie-broken variant, and weight/2-count frontiers.
 
 Budgets are wall-clock seconds; running out raises SolverTimeout with the
-best certified bounds rather than returning an approximation. The environment
-variable TRD_BUDGET_SECS sets the default budget.
+best certified bounds rather than returning an approximation, and with the
+nodes every search of the solve visited. The environment variable
+TRD_BUDGET_SECS sets the default budget.
+
+The optimality proof searches for a labeling lighter than a seed of weight
+ub. On a vertex-transitive graph with ub <= n it searches only labelings
+with a 2 at vertex 0. A labeling lighter than n is not all-positive, and a
+vertex labeled 0 needs a 2-neighbour, so the labeling has a 2 at some v; an
+automorphism sending 0 to v turns it into a valid labeling of the same
+weight with a 2 at vertex 0. graph.is_vertex_transitive answers True only
+with verified automorphisms in hand. The lexicographic witness rebuild and
+the max-2s pass search every labeling, so witnesses do not change.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -16,7 +27,7 @@ from itertools import combinations
 from . import _kernels
 from .errors import ConsistencyError, SizeLimitError, SolverTimeout
 from .graph import (Graph, bits_of, connected_components, induced_subgraph,
-                    mask_of, require_no_isolated)
+                    is_vertex_transitive, mask_of, require_no_isolated)
 from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
@@ -136,13 +147,16 @@ class _SearchArrays:
         st[11] = self.max_degree
         return st
 
-    def run(self, kernel, st, deadline: float | None) -> int:
+    def run(self, kernel, st, deadline: _Deadline | None) -> int:
         """Run kernel to completion, reading the clock between chunks of nodes.
 
         Each chunk is sized from the rate of the one before so that it takes
         about _SLICE_S; the kernel resumes exactly, so chunking never changes
-        the nodes visited.
+        the nodes visited. The search's nodes are added to deadline.nodes,
+        whether it completes or times out.
         """
+        if deadline is None:  # a search outside any solve: no budget, no total
+            deadline = _Deadline(0)
         chunk = _FIRST_CHUNK
         while True:
             t0 = time.monotonic()
@@ -150,21 +164,33 @@ class _SearchArrays:
                             self.cov, self.pos, self.un0, self.unp, self.bit,
                             self.und, self.best_labels, st, chunk)
             if status != _kernels.RUNNING:
-                return status
+                break
             now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                raise SolverTimeout(
-                    f"search budget exhausted after {st[4]} nodes", nodes=st[4])
+            if now >= deadline.at:
+                break
             fit = int(chunk * _SLICE_S / max(now - t0, 1e-6))
             chunk = max(_FIRST_CHUNK, min(4 * chunk, fit))
+        deadline.nodes += st[4]
+        if status == _kernels.RUNNING:
+            raise SolverTimeout(f"search budget exhausted after {deadline.nodes} nodes",
+                                nodes=deadline.nodes)
+        return status
 
 
-def _deadline(budget: float | None) -> float | None:
-    if budget is None:
-        budget = default_budget()
-    if budget <= 0:
-        return None
-    return time.monotonic() + budget
+class _Deadline:
+    """One solve's wall-clock deadline, and the nodes its searches have visited.
+
+    Every search of a solve (the proof, each lex probe, the max-2s pass, in
+    every component) shares one, so a timeout reports the nodes of the
+    whole solve, not only those of the search that ran out. A budget of
+    None means the default budget, and one of 0 or less means no deadline.
+    """
+
+    def __init__(self, budget: float | None):
+        if budget is None:
+            budget = default_budget()
+        self.at = time.monotonic() + budget if budget > 0 else math.inf
+        self.nodes = 0
 
 
 def trivial_lower_bound(g: Graph) -> int:
@@ -200,7 +226,7 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
 
 
 def _min_weight_search(g: Graph, fixed: dict[int, int], init_best: int,
-                       early: bool, deadline: float | None):
+                       early: bool, deadline: _Deadline | None):
     """Returns (found, best, labels_or_None, nodes); found means strictly below init_best."""
     arrs = _SearchArrays(g, fixed)
     if arrs.init_dead:
@@ -218,7 +244,7 @@ def _min_weight_search(g: Graph, fixed: dict[int, int], init_best: int,
 
 
 def _max_twos_search(g: Graph, fixed: dict[int, int], cap: int, init_best: int,
-                     early: bool, deadline: float | None):
+                     early: bool, deadline: _Deadline | None):
     """Max 2-count among valid labelings of weight exactly cap, over completions of fixed."""
     arrs = _SearchArrays(g, fixed)
     if arrs.init_dead:
@@ -282,26 +308,41 @@ def gamma_tr_bruteforce(g: Graph, limit: int = ORACLE_LIMIT) -> SolveResult:
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def _gamma_tr_value(g: Graph, deadline: float | None,
+def _gamma_tr_value(g: Graph, deadline: _Deadline | None,
                     upper_bound_hint: int | None):
-    """Optimal weight plus, when the search itself improved on the seeds, a witness."""
+    """Optimal weight plus, when the search itself improved on the seeds, a witness.
+
+    ub, the lighter of twice a greedy total dominating set and the hint, is
+    a valid labeling's weight. When the trivial floor reaches it, it is the
+    optimum and no search runs. Otherwise the proof searches for a labeling
+    lighter than ub. When ub <= n and the graph is vertex-transitive, the
+    proof searches only labelings with a 2 at vertex 0, which loses
+    nothing: a labeling lighter than n has a 0 somewhere, so a 2 at some
+    vertex v (the 0 needs a 2-neighbour), and composing it with an
+    automorphism that sends 0 to v gives a valid labeling of the same
+    weight with a 2 at vertex 0.
+    """
     greedy = greedy_total_dominating_set(g)
     seed_labels = tuple(2 if greedy.members >> v & 1 else 0 for v in range(g.n))
     ub = 2 * greedy.size
     if upper_bound_hint is not None and upper_bound_hint < ub:
         ub = upper_bound_hint
         seed_labels = None
+    floor = trivial_lower_bound(g)
+    if floor >= ub:
+        return ub, seed_labels
+    fixed = {0: 2} if ub <= g.n and is_vertex_transitive(g) else {}
     try:
-        found, value, labels, _ = _min_weight_search(g, {}, ub, False, deadline)
+        found, value, labels, _ = _min_weight_search(g, fixed, ub, False, deadline)
     except SolverTimeout as exc:
-        exc.lower_bound = trivial_lower_bound(g)
+        exc.lower_bound = floor
         raise
     if found:
         return value, labels
     return ub, seed_labels
 
 
-def _exact_connected(g: Graph, deadline: float | None,
+def _exact_connected(g: Graph, deadline: _Deadline | None,
                      upper_bound_hint: int | None):
     """Optimal weight and lexicographically smallest witness, one component."""
     value, seed = _gamma_tr_value(g, deadline, upper_bound_hint)
@@ -358,7 +399,7 @@ def gamma_tr_exact(g: Graph, budget: float | None = None,
     labeling.
     """
     require_no_isolated(g, "gamma_tR")
-    deadline = _deadline(budget)
+    deadline = _Deadline(budget)
     comps = connected_components(g)
     if len(comps) == 1:
         value, labels = _exact_connected(g, deadline, upper_bound_hint)
@@ -374,7 +415,7 @@ def gamma_tr_exact(g: Graph, budget: float | None = None,
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def _max_v2_connected(g: Graph, deadline: float | None,
+def _max_v2_connected(g: Graph, deadline: _Deadline | None,
                       upper_bound_hint: int | None):
     value, _ = _gamma_tr_value(g, deadline, upper_bound_hint)
 
@@ -398,7 +439,7 @@ def gamma_tr_max_v2(g: Graph, budget: float | None = None,
                     upper_bound_hint: int | None = None) -> SolveResult:
     """gamma_tR plus the secondary objective: most 2-labels among optimal labelings."""
     require_no_isolated(g, "gamma_tR")
-    deadline = _deadline(budget)
+    deadline = _Deadline(budget)
     comps = connected_components(g)
     if len(comps) == 1:
         value, v2max, labels = _max_v2_connected(g, deadline, upper_bound_hint)
@@ -497,7 +538,7 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
                             budget: float | None = None) -> LabelFunction | None:
     """Some valid labeling of the exact given weight maximizing the 2-count, or None."""
     require_no_isolated(g, "gamma_tR")
-    deadline = _deadline(budget)
+    deadline = _Deadline(budget)
     found, _, labels = _max_twos_search(g, {}, weight, -1, False, deadline)
     if not found:
         return None
@@ -513,7 +554,7 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
     dominating set); pass a larger cap to explore further.
     """
     require_no_isolated(g, "gamma_tR")
-    deadline = _deadline(budget)
+    deadline = _Deadline(budget)
     if weight_cap is None:
         weight_cap = 2 * gamma_t_exact(g).value
     if g.n <= oracle_limit:

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -10,7 +12,8 @@ from trdprod.catalog import enumerate_catalog
 from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, fan, path,
                               prism, star, wheel)
-from trdprod.graph import direct_product, from_edge_list
+from trdprod.graph import (connected_components, direct_product, from_edge_list,
+                           induced_subgraph, is_vertex_transitive)
 from trdprod.labeling import (LabelFunction, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
 from trdprod.solve import (_SearchArrays, _brute_scan, _max_twos_search,
@@ -230,10 +233,12 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
 
 
 @pytest.mark.parametrize("g,min_nodes,twos_nodes", [
-    (direct_product(cycle(4), prism(cycle(3))).base, 30, 72),
+    # the trivial floor equals the greedy seed, so only the lex probes search
+    (direct_product(cycle(4), prism(cycle(3))).base, 27, 72),
     (direct_product(complete(3), wheel(6)).base, 1115, 230),
-    # the only pinned product whose cover bounds scan long undecided lists
-    (direct_product(cycle(5), cycle(4)).base, 8422, 60),
+    # the only pinned product whose cover bounds scan long undecided lists;
+    # vertex-transitive, so its proof starts from a 2 at vertex 0
+    (direct_product(cycle(5), cycle(4)).base, 2263, 60),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,579 and 384 nodes)
     (direct_product(fan(6), cycle(4)).base, 2154, 300),
@@ -254,6 +259,34 @@ def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_n
     assert seen["bnb_min_weight"] == min_nodes
     gamma_tr_max_v2(g, budget=60)
     assert seen["bnb_max_twos"] == twos_nodes
+
+
+def test_a_timeout_reports_the_nodes_of_every_search_of_the_solve(monkeypatch):
+    # The proof runs to completion; the first lex probe stops after one node
+    # and then finds the clock far past the deadline, so the timeout comes
+    # from the probe and must count the proof's nodes too.
+    proof_nodes = [0]
+    late = []
+    kernel = _kernels.bnb_min_weight
+
+    def stepping(*args):
+        st = args[11]
+        if st[9]:
+            late.append(True)
+            return kernel(*args[:-1], 1)
+        before = st[4]
+        status = kernel(*args)
+        proof_nodes[0] += st[4] - before
+        return status
+
+    monkeypatch.setattr(_kernels, "bnb_min_weight", stepping)
+    monkeypatch.setattr(solve, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + (1e6 if late else 0)))
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_exact(direct_product(cycle(5), cycle(4)).base, budget=60)
+    assert late and proof_nodes[0] > 0
+    assert err.value.nodes > proof_nodes[0]
+    assert err.value.lower_bound == err.value.upper_bound == 12
 
 
 def _random_isolate_free_graphs(count, seed):
@@ -430,3 +463,83 @@ def test_search_runs_on_products_beyond_64_vertices(g, value, twos, budget):
         assert res.value == value
         assert is_total_roman_dominating(res.witness) and res.witness.weight == value
     assert most_twos.max_v2 == twos and most_twos.witness.labels.count(2) == twos
+
+
+def _random_circulants(count, seed, low, high):
+    """Distinct connected circulants: vertex v is joined to v + j mod n for each jump j."""
+    rng = random.Random(seed)
+    picked = set()
+    while len(picked) < count:
+        n = rng.randint(low, high)
+        jumps = tuple(sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3))))
+        if math.gcd(n, *jumps) == 1:
+            picked.add((n, jumps))
+    return [from_edge_list(n, [(v, (v + j) % n) for v in range(n) for j in jumps],
+                           f"Ci{n}({','.join(map(str, jumps))})")
+            for n, jumps in sorted(picked)]
+
+
+def _components(g):
+    return [induced_subgraph(g, comp) for comp in connected_components(g)]
+
+
+# cubic, 12 vertices, and its only automorphism is the identity: a 12-cycle
+# plus the chords of its LCF notation
+FRUCHT = from_edge_list(12, [(v, (v + 1) % 12) for v in range(12)]
+                        + [(v, (v + j) % 12) for v, j in
+                           enumerate([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])],
+                        "Frucht")
+# 4-regular on 8 vertices, not vertex-transitive
+REGULAR_8 = from_edge_list(8, [(int(e[0]), int(e[1])) for e in
+                               "02 03 04 07 12 14 15 16 23 27 34 36 45 56 57 67".split()],
+                           "R8")
+
+
+@pytest.mark.parametrize("g", [
+    direct_product(cycle(5), cycle(5)).base,
+    direct_product(cycle(5), cycle(4)).base,
+    direct_product(cycle(7), cycle(7)).base,
+    direct_product(complete(4), cycle(7)).base,
+    direct_product(complete(3), complete(3)).base,
+    complete_bipartite(6, 6),
+    # both have twin vertices, which defeat a search on adjacency alone
+    direct_product(cycle(4), prism(cycle(3))).base,
+    direct_product(prism(cycle(5)), cycle(5)).base,
+] + _random_circulants(12, seed=2024, low=6, high=30), ids=lambda g: g.name)
+def test_vertex_transitive_graphs_are_recognised(g):
+    assert is_vertex_transitive(g)
+
+
+@pytest.mark.parametrize("g", [
+    direct_product(complete(3), wheel(6)).base,
+    direct_product(fan(6), cycle(4)).base,
+    FRUCHT,
+    REGULAR_8,
+    *_components(direct_product(path(4), path(4)).base),
+    # the 13-vertex component (the 12-vertex one is vertex-transitive)
+    _components(direct_product(complete_bipartite(2, 3),
+                               complete_bipartite(2, 3)).base)[0],
+], ids=lambda g: f"{g.name}-{g.n}")
+def test_other_graphs_are_refused(g):
+    assert not is_vertex_transitive(g)
+
+
+@pytest.mark.parametrize("g,optimum,with_two_at_0", [(FRUCHT, 8, 9), (REGULAR_8, 4, 5)],
+                         ids=lambda x: getattr(x, "name", x))
+def test_a_regular_graph_that_is_not_vertex_transitive_keeps_its_optimum(
+        g, optimum, with_two_at_0):
+    # Every optimal labeling here leaves vertex 0 below 2, so a proof started
+    # from a 2 at vertex 0 would report a heavier optimum.
+    assert _min_weight_search(g, {0: 2}, 2 * g.n + 1, False, None)[1] == with_two_at_0
+    best, labels, _ = _brute_scan(g, 12)
+    assert best == optimum
+    result = gamma_tr_exact(g, budget=60)
+    assert result.value == best and result.witness.labels == labels
+
+
+@pytest.mark.parametrize("g", _random_circulants(16, seed=2025, low=6, high=12),
+                         ids=lambda g: g.name)
+def test_search_agrees_with_the_scan_on_circulants(g):
+    # vertex-transitive, so the proof starts from a 2 at vertex 0 whenever
+    # the floor is below the seed
+    _assert_search_agrees_with_the_scan(g)
