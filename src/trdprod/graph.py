@@ -1,5 +1,5 @@
 """Immutable simple graphs with per-vertex neighbor bitmasks, the direct product,
-and a vertex-transitivity check built from verified automorphisms.
+and orbit tests built from verified automorphisms that keep a vertex colouring.
 
 Vertices are dense integers 0..n-1. Adjacency is stored as one Python int
 bitmask per vertex, so graphs of any order work, in the exact-search kernels
@@ -185,49 +185,74 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 # Each automorphism search gives up after this many vertex assignments per
-# vertex of the graph, and is_vertex_transitive then answers False. With
-# the common-neighbour test below, the vertex-transitive graphs in the
-# tests need at most 1.25n assignments per search (C4 x prism(C3): 29 on
-# 24 vertices), so the cap mainly bounds the time spent on a regular graph
-# that is not vertex-transitive.
+# vertex of the graph, and the answer is then False. With the
+# common-neighbour test below, the vertex-transitive graphs in the tests
+# need at most 1.25n assignments per search (C4 x prism(C3): 29 on 24
+# vertices), so the cap mainly bounds the time spent on a regular graph
+# that is not vertex-transitive, or on targets in different orbits.
 _AUTOMORPHISM_STEPS_PER_VERTEX = 8
+
+
+def pair_table(g: Graph) -> list[list[int]]:
+    """Row u, column w: twice the number of common neighbours of u and w,
+    plus 1 when uw is an edge; the diagonal holds twice each degree.
+
+    Every automorphism keeps this table, and matching it prunes twins early
+    in the automorphism search.
+    """
+    adj = g.adj
+    return [[(adj[u] & adj[w]).bit_count() << 1 | adj[u] >> w & 1 for w in range(g.n)]
+            for u in range(g.n)]
 
 
 def is_vertex_transitive(g: Graph) -> bool:
     """Whether verified automorphisms carry vertex 0 to every vertex.
 
-    True is a proof: each automorphism found is checked edge by edge, and
-    the orbit of vertex 0 under the group they generate is every vertex.
-    False means not vertex-transitive or not shown to be: the answer is
-    False at once for a graph that is not regular or not connected, and
-    also when a capped search for an automorphism gives up.
+    True is a proof (see in_one_orbit). False means not vertex-transitive
+    or not shown to be: the answer is False before any automorphism search
+    for a graph that is not regular or not connected, and also when a
+    capped search for an automorphism gives up.
     """
-    n = g.n
-    if n < 2:
-        return True
-    if not is_regular(g) or not is_connected(g):
-        return False
+    return g.n < 2 or is_regular(g) and in_one_orbit(g, pair_table(g), [0] * g.n, range(g.n))
+
+
+def in_one_orbit(g: Graph, pair: list[list[int]], colour, targets) -> bool:
+    """Whether verified automorphisms that keep the vertex colouring carry
+    every target vertex onto the first one.
+
+    pair is pair_table(g), and colour[v] is any value per vertex. True is a
+    proof: each automorphism found is checked edge by edge and colour by
+    colour, and the orbit of the first target under the group they
+    generate holds every target. False means not in one orbit or not shown
+    to be: the answer is False at once when the graph is not connected or a
+    target differs from the first in colour or degree, and also when a
+    capped search for an automorphism gives up.
+    """
     adj = g.adj
-    # An automorphism keeps both adjacency and the number of common
-    # neighbours of every pair; matching both prunes twins early.
-    pair = [[(adj[u] & adj[w]).bit_count() << 1 | adj[u] >> w & 1 for w in range(n)]
-            for u in range(n)]
-    order = [0]
-    parent = [0] * n
-    seen = 1
+    n = g.n
+    targets = list(targets)
+    src = targets[0]
+    if any(colour[t] != colour[src] or pair[t][t] != pair[src][src] for t in targets):
+        return False
+    order = [src]
+    parent = [src] * n
+    seen = 1 << src
     for v in order:
         for u in _bits(adj[v] & ~seen):
             seen |= 1 << u
             parent[u] = v
             order.append(u)
+    if len(order) < n:
+        return False
     gens: list[list[int]] = []
-    orbit = 1
-    for target in range(1, n):
+    orbit = 1 << src
+    for target in targets:
         if orbit >> target & 1:
             continue
-        image = _automorphism_to(adj, pair, order, parent, target,
+        image = _automorphism_to(adj, pair, colour, order, parent, target,
                                  _AUTOMORPHISM_STEPS_PER_VERTEX * n)
-        if image is None or not _is_automorphism(g, image):
+        if (image is None or not _is_automorphism(g, image)
+                or any(colour[image[v]] != colour[v] for v in range(n))):
             return False
         gens.append(image)
         frontier = list(_bits(orbit))
@@ -240,18 +265,18 @@ def is_vertex_transitive(g: Graph) -> bool:
     return True
 
 
-def _automorphism_to(adj, pair, order, parent, target: int, cap: int):
-    """A vertex map sending vertex 0 to target that keeps every pair's
-    adjacency and common-neighbour count, or None when there is none or the
-    backtracking gives up after cap assignments.
+def _automorphism_to(adj, pair, colour, order, parent, dst: int, cap: int):
+    """A vertex map sending order[0] to dst that keeps every colour and every
+    pair's adjacency and common-neighbour count, or None when there is none
+    or the backtracking gives up after cap assignments.
 
-    Vertices are mapped in breadth-first order from 0, so each one's image
-    is a neighbour of its BFS parent's image.
+    order lists the vertices in breadth-first order from order[0], and each
+    one's image is a neighbour of its BFS parent's image.
     """
     n = len(adj)
     image = [-1] * n
-    image[0] = target
-    used = 1 << target
+    image[order[0]] = dst
+    used = 1 << dst
     cands = [0] * n
     depth = 1
     fresh = True
@@ -260,13 +285,15 @@ def _automorphism_to(adj, pair, order, parent, target: int, cap: int):
         u = order[depth]
         m = adj[image[parent[u]]] & ~used if fresh else cands[depth]
         pu = pair[u]
+        cu = colour[u]
         mapped = order[:depth]
         while m:
             low = m & -m
             m ^= low
             c = low.bit_length() - 1
             pc = pair[c]
-            if all(pu[w] == pc[image[w]] for w in mapped):
+            if (colour[c] == cu and pc[c] == pu[u]
+                    and all(pu[w] == pc[image[w]] for w in mapped)):
                 break
         else:
             c = -1

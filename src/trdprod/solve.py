@@ -11,9 +11,29 @@ ub. On a vertex-transitive graph with ub <= n it searches only labelings
 with a 2 at vertex 0. A labeling lighter than n is not all-positive, and a
 vertex labeled 0 needs a 2-neighbour, so the labeling has a 2 at some v; an
 automorphism sending 0 to v turns it into a valid labeling of the same
-weight with a 2 at vertex 0. graph.is_vertex_transitive answers True only
-with verified automorphisms in hand. The lexicographic witness rebuild and
-the max-2s pass search every labeling, so witnesses do not change.
+weight with a 2 at vertex 0.
+
+Every search (the proof, each lexicographic probe, under either objective)
+also applies an orbital rule below that root. A search still running after
+its first chunk takes v, the fixed vertex that is not yet satisfied with
+the fewest undecided neighbours, and asks whether automorphisms that keep
+every fixed label carry all of v's undecided neighbours onto u0, the
+lowest-index one. If v is a 0 with no fixed 2-neighbour, u0 is fixed to 2
+and the rule repeats on the larger set; if v is positive with no positive
+neighbour, the search splits into u0 = 2 and u0 = 1. The reduced searches
+replace the running one, which is dropped; otherwise it resumes. This is
+sound: every completion f puts a 2 (or a positive label) on some undecided
+w in N(v), and an automorphism s with s(w) = u0 that keeps every fixed
+label makes f composed with the inverse of s a completion with the same
+weight and the same number of 2s, now with that label at u0. So
+feasibility answers, optimal weights and best 2-counts stay the same, and
+with them the lexicographically smallest witnesses, which the probes
+rebuild from feasibility answers alone. When v's undecided neighbours fall
+into several orbits the rule fixes nothing: fixing the earlier orbits to 0
+would lose completions that put a 1 there. graph.in_one_orbit answers True
+only with automorphisms in hand that it has checked edge by edge and
+colour by colour, and a search too short to pass its first chunk runs no
+automorphism search at all.
 """
 
 from __future__ import annotations
@@ -22,12 +42,13 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import _kernels
 from .errors import ConsistencyError, SizeLimitError, SolverTimeout
-from .graph import (Graph, bits_of, connected_components, induced_subgraph,
-                    is_vertex_transitive, mask_of, require_no_isolated)
+from .graph import (Graph, bits_of, connected_components, in_one_orbit, induced_subgraph,
+                    is_regular, mask_of, pair_table, require_no_isolated)
 from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
@@ -80,10 +101,31 @@ class ParetoPoint:
     max_v2: int
 
 
+class _SearchGraph:
+    """A graph plus what every search on it reads.
+
+    One is built per component solve and shared by the proof, every lex
+    probe and the max-2s pass. The kernels read bit and max_degree; the
+    orbital rule reads pair (graph.pair_table), which is built on first
+    use, so a solve whose searches all end within their first chunk never
+    builds it.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.bit = [1 << v for v in range(g.n)]
+        self.max_degree = g.max_degree()
+
+    @cached_property
+    def pair(self) -> list[list[int]]:
+        return pair_table(self.g)
+
+
 class _SearchArrays:
     """One graph plus the mutable search state the kernels run on."""
 
-    def __init__(self, g: Graph, fixed: dict[int, int]):
+    def __init__(self, sg: _SearchGraph, fixed: dict[int, int]):
+        g = sg.g
         n = g.n
         adj = g.adj
         # Slot 0 of each mask stack holds the fixed labels; the kernels fill
@@ -116,8 +158,10 @@ class _SearchArrays:
             labels[v] = lab
         free = [v for v in range(n) if labels[v] < 0]
         k = len(free)
-        # the kernels only read the adjacency masks, so they share the graph's
+        # the kernels only read the adjacency masks and bit, so every
+        # search on the graph shares them
         self.adj_mask = adj
+        self.bit = sg.bit
         self.labels = labels
         self.order = free
         self.trial = [0] * (k + 1)
@@ -125,14 +169,13 @@ class _SearchArrays:
         self.pos = [pos] + [0] * k
         self.un0 = [un0] + [0] * k
         self.unp = [unp] + [0] * k
-        self.bit = [1 << v for v in range(n)]
         # order and und are stacks the kernel writes as it descends (see
         # _kernels); slot 0 lists every free vertex.
         self.und = [und0] + [0] * k
         self.best_labels = [-1] * n
         self.init_weight = weight
         self.init_v2 = twos
-        self.max_degree = max(map(int.bit_count, adj), default=0)
+        self.max_degree = sg.max_degree
 
     def state(self, best: int, cap: int = 0, early: bool = False,
               mode: int = _kernels.MIN_WEIGHT):
@@ -147,34 +190,41 @@ class _SearchArrays:
         st[11] = self.max_degree
         return st
 
-    def run(self, kernel, st, deadline: _Deadline | None) -> int:
+    def chunk(self, kernel, st, deadline: _Deadline, size: int) -> int:
+        """Run kernel for at most size nodes and add them to deadline.nodes.
+
+        Raises SolverTimeout when the search is still running past the
+        deadline; in a min-weight search it carries the incumbent, which
+        only ever drops to the weight of a valid labeling found.
+        """
+        before = st[4]
+        status = kernel(self.adj_mask, self.labels, self.order, self.trial,
+                        self.cov, self.pos, self.un0, self.unp, self.bit,
+                        self.und, self.best_labels, st, size)
+        deadline.nodes += st[4] - before
+        if status == _kernels.RUNNING and time.monotonic() >= deadline.at:
+            exc = SolverTimeout(f"search budget exhausted after {deadline.nodes} nodes",
+                                nodes=deadline.nodes)
+            if st[10] == _kernels.MIN_WEIGHT:
+                exc.upper_bound = st[3]
+            raise exc
+        return status
+
+    def run(self, kernel, st, deadline: _Deadline) -> int:
         """Run kernel to completion, reading the clock between chunks of nodes.
 
         Each chunk is sized from the rate of the one before so that it takes
         about _SLICE_S; the kernel resumes exactly, so chunking never changes
-        the nodes visited. The search's nodes are added to deadline.nodes,
-        whether it completes or times out.
+        the nodes visited.
         """
-        if deadline is None:  # a search outside any solve: no budget, no total
-            deadline = _Deadline(0)
-        chunk = _FIRST_CHUNK
+        size = _FIRST_CHUNK
         while True:
             t0 = time.monotonic()
-            status = kernel(self.adj_mask, self.labels, self.order, self.trial,
-                            self.cov, self.pos, self.un0, self.unp, self.bit,
-                            self.und, self.best_labels, st, chunk)
+            status = self.chunk(kernel, st, deadline, size)
             if status != _kernels.RUNNING:
-                break
-            now = time.monotonic()
-            if now >= deadline.at:
-                break
-            fit = int(chunk * _SLICE_S / max(now - t0, 1e-6))
-            chunk = max(_FIRST_CHUNK, min(4 * chunk, fit))
-        deadline.nodes += st[4]
-        if status == _kernels.RUNNING:
-            raise SolverTimeout(f"search budget exhausted after {deadline.nodes} nodes",
-                                nodes=deadline.nodes)
-        return status
+                return status
+            fit = int(size * _SLICE_S / max(time.monotonic() - t0, 1e-6))
+            size = max(_FIRST_CHUNK, min(4 * size, fit))
 
 
 class _Deadline:
@@ -225,35 +275,114 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
     return VertexSet(g, members, "total_dominating")
 
 
-def _min_weight_search(g: Graph, fixed: dict[int, int], init_best: int,
+def _min_weight_search(sg: _SearchGraph, fixed: dict[int, int], init_best: int,
                        early: bool, deadline: _Deadline | None):
-    """Returns (found, best, labels_or_None, nodes); found means strictly below init_best."""
-    arrs = _SearchArrays(g, fixed)
-    if arrs.init_dead:
-        return False, init_best, None, 0
-    st = arrs.state(best=init_best, early=early)
-    try:
-        arrs.run(_kernels.bnb_min_weight, st, deadline)
-    except SolverTimeout as exc:
-        # The incumbent only ever drops to the weight of a valid labeling found.
-        exc.upper_bound = st[3]
-        raise
-    found = bool(st[7])
-    labels = tuple(arrs.best_labels) if found else None
-    return found, st[3], labels, st[4]
+    """Lightest completion of fixed below init_best.
+
+    Returns (found, best, labels_or_None); found means strictly below
+    init_best. With early, the first such completion ends the search.
+
+    Not every completion is searched. Past its first chunk, the search
+    applies the orbital rule of the module docstring: when automorphisms
+    that keep every fixed label carry all undecided neighbours of an
+    unsatisfied fixed vertex onto one of them, u0, it searches only
+    completions with a 2 at u0 (for a 0) or a positive label there. Any
+    completion maps onto such a one of the same weight, so found and best
+    are those of a search over every completion; labels is some completion
+    of weight best.
+    """
+    return _search(sg, fixed, _kernels.MIN_WEIGHT, init_best, 0, early, deadline)
 
 
-def _max_twos_search(g: Graph, fixed: dict[int, int], cap: int, init_best: int,
+def _max_twos_search(sg: _SearchGraph, fixed: dict[int, int], cap: int, init_best: int,
                      early: bool, deadline: _Deadline | None):
-    """Max 2-count among valid labelings of weight exactly cap, over completions of fixed."""
-    arrs = _SearchArrays(g, fixed)
+    """Max 2-count among valid labelings of weight exactly cap, over completions of fixed.
+
+    Returns (found, best, labels_or_None); found means a 2-count above
+    init_best. With early, the first such completion ends the search. As in
+    _min_weight_search, the orbital rule searches only completions with a
+    2 or a positive label at u0; the automorphism that maps a completion
+    onto one of them keeps its weight and its 2-count, so found and best
+    are those of a search over every completion.
+    """
+    return _search(sg, fixed, _kernels.MAX_TWOS, init_best, cap, early, deadline)
+
+
+def _search(sg: _SearchGraph, fixed: dict[int, int], mode: int, best: int, cap: int,
+            early: bool, deadline: _Deadline | None):
+    """One search in the given mode, from incumbent best; returns (found, best, labels).
+
+    A search still running after its first chunk asks _orbital_fix for
+    reduced fixed sets. When there are some, the search is dropped, keeping
+    any incumbent it found, and each reduced set is searched in turn (by
+    this function, so the rule can apply again) from the incumbent so far;
+    an early search stops at the first that finds one. Otherwise the same
+    search resumes.
+    """
+    if deadline is None:  # a search outside any solve: no budget, no total
+        deadline = _Deadline(0)
+    arrs = _SearchArrays(sg, fixed)
     if arrs.init_dead:
-        return False, init_best, None
-    st = arrs.state(best=init_best, cap=cap, early=early, mode=_kernels.MAX_TWOS)
-    arrs.run(_kernels.bnb_max_twos, st, deadline)
+        return False, best, None
+    kernel = _kernels.bnb_min_weight if mode == _kernels.MIN_WEIGHT else _kernels.bnb_max_twos
+    st = arrs.state(best=best, cap=cap, early=early, mode=mode)
+    if arrs.chunk(kernel, st, deadline, _FIRST_CHUNK) == _kernels.RUNNING:
+        parts = _orbital_fix(sg, fixed)
+        if parts:
+            found = bool(st[7])
+            labels = tuple(arrs.best_labels) if found else None
+            best = st[3]
+            for part in parts:
+                ok, best, part_labels = _search(sg, part, mode, best, cap, early, deadline)
+                if ok:
+                    found, labels = True, part_labels
+                    if early:
+                        break
+            return found, best, labels
+        arrs.run(kernel, st, deadline)
     found = bool(st[7])
-    labels = tuple(arrs.best_labels) if found else None
-    return found, st[3], labels
+    return found, st[3], tuple(arrs.best_labels) if found else None
+
+
+def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]]:
+    """The fixed sets whose searches replace the search of fixed, or [] for none.
+
+    Takes v, the unsatisfied fixed vertex with the fewest undecided
+    neighbours (lowest index on ties), and asks whether automorphisms that
+    keep every fixed label carry all of v's undecided neighbours onto u0,
+    the lowest-index one. If so, a 0 at v gets u0 = 2 and the rule repeats
+    on the larger set; a positive v gives the two sets with u0 = 2 and
+    u0 = 1. The module docstring gives the argument.
+    """
+    g = sg.g
+    adj = g.adj
+    out = dict(fixed)
+    while True:
+        pos = cov = 0
+        for v, lab in out.items():
+            if lab:
+                pos |= 1 << v
+            if lab == 2:
+                cov |= adj[v]
+        und = ((1 << g.n) - 1) & ~mask_of(out)
+        tight = -1
+        fewest = g.n + 1
+        for v in sorted(out):
+            satisfied = cov >> v & 1 if out[v] == 0 else adj[v] & pos
+            if not satisfied:
+                c = (adj[v] & und).bit_count()
+                if c < fewest:
+                    tight, fewest = v, c
+        if tight < 0 or fewest == 0:
+            break
+        nbrs = bits_of(adj[tight] & und)
+        colour = [out.get(v, -1) for v in range(g.n)]
+        if len(nbrs) > 1 and not in_one_orbit(g, sg.pair, colour, nbrs):
+            break
+        if out[tight]:
+            return [{**out, nbrs[0]: 2}, {**out, nbrs[0]: 1}]
+        out[nbrs[0]] = 2
+    return [out] if len(out) > len(fixed) else []
 
 
 def _lex_smallest(g: Graph, feasible, seed: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -308,7 +437,7 @@ def gamma_tr_bruteforce(g: Graph, limit: int = ORACLE_LIMIT) -> SolveResult:
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def _gamma_tr_value(g: Graph, deadline: _Deadline | None,
+def _gamma_tr_value(sg: _SearchGraph, deadline: _Deadline | None,
                     upper_bound_hint: int | None):
     """Optimal weight plus, when the search itself improved on the seeds, a witness.
 
@@ -320,8 +449,10 @@ def _gamma_tr_value(g: Graph, deadline: _Deadline | None,
     nothing: a labeling lighter than n has a 0 somewhere, so a 2 at some
     vertex v (the 0 needs a 2-neighbour), and composing it with an
     automorphism that sends 0 to v gives a valid labeling of the same
-    weight with a 2 at vertex 0.
+    weight with a 2 at vertex 0. The orbital rule (module docstring) can
+    then reduce the proof further.
     """
+    g = sg.g
     greedy = greedy_total_dominating_set(g)
     seed_labels = tuple(2 if greedy.members >> v & 1 else 0 for v in range(g.n))
     ub = 2 * greedy.size
@@ -331,9 +462,11 @@ def _gamma_tr_value(g: Graph, deadline: _Deadline | None,
     floor = trivial_lower_bound(g)
     if floor >= ub:
         return ub, seed_labels
-    fixed = {0: 2} if ub <= g.n and is_vertex_transitive(g) else {}
+    transitive = (ub <= g.n and is_regular(g)
+                  and in_one_orbit(g, sg.pair, [0] * g.n, range(g.n)))
+    fixed = {0: 2} if transitive else {}
     try:
-        found, value, labels, _ = _min_weight_search(g, fixed, ub, False, deadline)
+        found, value, labels = _min_weight_search(sg, fixed, ub, False, deadline)
     except SolverTimeout as exc:
         exc.lower_bound = floor
         raise
@@ -345,10 +478,11 @@ def _gamma_tr_value(g: Graph, deadline: _Deadline | None,
 def _exact_connected(g: Graph, deadline: _Deadline | None,
                      upper_bound_hint: int | None):
     """Optimal weight and lexicographically smallest witness, one component."""
-    value, seed = _gamma_tr_value(g, deadline, upper_bound_hint)
+    sg = _SearchGraph(g)
+    value, seed = _gamma_tr_value(sg, deadline, upper_bound_hint)
 
     def feasible(fixed):
-        found, _, labels, _ = _min_weight_search(g, fixed, value + 1, True, deadline)
+        found, _, labels = _min_weight_search(sg, fixed, value + 1, True, deadline)
         return found, labels
 
     try:
@@ -417,14 +551,15 @@ def gamma_tr_exact(g: Graph, budget: float | None = None,
 
 def _max_v2_connected(g: Graph, deadline: _Deadline | None,
                       upper_bound_hint: int | None):
-    value, _ = _gamma_tr_value(g, deadline, upper_bound_hint)
+    sg = _SearchGraph(g)
+    value, _ = _gamma_tr_value(sg, deadline, upper_bound_hint)
 
     def feasible(fixed):
-        ok, _, labels = _max_twos_search(g, fixed, value, v2max - 1, True, deadline)
+        ok, _, labels = _max_twos_search(sg, fixed, value, v2max - 1, True, deadline)
         return ok, labels
 
     try:
-        found, v2max, seed = _max_twos_search(g, {}, value, -1, False, deadline)
+        found, v2max, seed = _max_twos_search(sg, {}, value, -1, False, deadline)
         if not found:
             raise ConsistencyError("no labeling found at the proven optimal weight")
         labels = _lex_smallest(g, feasible, seed)
@@ -539,7 +674,7 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
     """Some valid labeling of the exact given weight maximizing the 2-count, or None."""
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
-    found, _, labels = _max_twos_search(g, {}, weight, -1, False, deadline)
+    found, _, labels = _max_twos_search(_SearchGraph(g), {}, weight, -1, False, deadline)
     if not found:
         return None
     return LabelFunction(g, labels)
@@ -561,10 +696,11 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
         best, _, table = _brute_scan(g, oracle_limit)
         top = min(weight_cap, 2 * g.n)
         return [ParetoPoint(w, table[w]) for w in range(best, top + 1) if table[w] >= 0]
-    value, _ = _gamma_tr_value(g, deadline, None)
+    sg = _SearchGraph(g)
+    value, _ = _gamma_tr_value(sg, deadline, None)
     points = []
     for w in range(value, weight_cap + 1):
-        found, v2max, _ = _max_twos_search(g, {}, w, -1, False, deadline)
+        found, v2max, _ = _max_twos_search(sg, {}, w, -1, False, deadline)
         if found:
             points.append(ParetoPoint(w, v2max))
     return points

@@ -13,11 +13,11 @@ from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, fan, path,
                               prism, star, wheel)
 from trdprod.graph import (connected_components, direct_product, from_edge_list,
-                           induced_subgraph, is_vertex_transitive)
+                           in_one_orbit, induced_subgraph, is_vertex_transitive)
 from trdprod.labeling import (LabelFunction, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchArrays, _brute_scan, _max_twos_search,
-                           _min_weight_search, gamma_t_exact,
+from trdprod.solve import (_SearchArrays, _SearchGraph, _brute_scan, _max_twos_search,
+                           _min_weight_search, _orbital_fix, gamma_t_exact,
                            gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                            greedy_total_dominating_set, maximum_open_packings,
                            rho_exact, rho_o_exact,
@@ -185,8 +185,9 @@ def test_timeout_carries_bounds():
 
 
 def test_timeout_is_prompt_and_carries_the_search_incumbent():
-    # C5 x C7 has gamma_tR = 21 and takes tens of seconds to prove; the
-    # greedy seed gives 24, and the search finds lighter labelings at once
+    # C5 x C7 has gamma_tR = 21, and its whole solve takes about 2.3 s on a
+    # 2-vCPU Xeon VM, far past the budget; the greedy seed gives 24, and the
+    # search finds lighter labelings at once
     start = time.monotonic()
     with pytest.raises(SolverTimeout) as err:
         gamma_tr_exact(direct_product(cycle(5), cycle(7)).base, budget=0.2)
@@ -237,8 +238,9 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     (direct_product(cycle(4), prism(cycle(3))).base, 27, 72),
     (direct_product(complete(3), wheel(6)).base, 1115, 230),
     # the only pinned product whose cover bounds scan long undecided lists;
-    # vertex-transitive, so its proof starts from a 2 at vertex 0
-    (direct_product(cycle(5), cycle(4)).base, 2263, 60),
+    # vertex-transitive, so its proof starts from a 2 at vertex 0, and the
+    # orbital rule then splits it on one neighbour of vertex 0
+    (direct_product(cycle(5), cycle(4)).base, 1739, 60),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,579 and 384 nodes)
     (direct_product(fan(6), cycle(4)).base, 2154, 300),
@@ -378,6 +380,10 @@ def _fixed_prefix_cases(count, seed):
 def test_search_from_fixed_labels_agrees_with_a_scan_of_completions(g, fixed):
     # the lexicographic probes start both searches from fixed labels, whose
     # 2s seed the kernels' slot-0 masks; no full solve reaches that state
+    _assert_searches_agree_with_a_scan_of_completions(g, fixed)
+
+
+def _assert_searches_agree_with_a_scan_of_completions(g, fixed):
     free = [v for v in range(g.n) if v not in fixed]
     valid = []
     for labs in itertools.product((0, 1, 2), repeat=len(free)):
@@ -392,27 +398,28 @@ def test_search_from_fixed_labels_agrees_with_a_scan_of_completions(g, fixed):
         f = LabelFunction(g, labels)
         return is_total_roman_dominating(f) and all(labels[v] == fixed[v] for v in fixed)
 
-    found, best, labels, _ = _min_weight_search(g, fixed, 2 * g.n + 1, False, None)
+    sg = _SearchGraph(g)
+    found, best, labels = _min_weight_search(sg, fixed, 2 * g.n + 1, False, None)
     assert found == bool(valid)
     if not valid:
         return
     low = min(w for w, _ in valid)
     assert best == low and completes(labels) and sum(labels) == low
     for init_best in (low, low + 1):
-        found, _, labels, _ = _min_weight_search(g, fixed, init_best, True, None)
+        found, _, labels = _min_weight_search(sg, fixed, init_best, True, None)
         assert found == (low < init_best)
         if found:
             assert completes(labels) and sum(labels) < init_best
     for cap in sorted({w for w, _ in valid} | {low - 1}):
         twos = max((t for w, t in valid if w == cap), default=None)
-        found, best, labels = _max_twos_search(g, fixed, cap, -1, False, None)
+        found, best, labels = _max_twos_search(sg, fixed, cap, -1, False, None)
         assert found == (twos is not None)
         if not found:
             continue
         assert best == twos and completes(labels)
         assert sum(labels) == cap and labels.count(2) == twos
-        assert _max_twos_search(g, fixed, cap, twos - 1, True, None)[0]
-        assert not _max_twos_search(g, fixed, cap, twos, True, None)[0]
+        assert _max_twos_search(sg, fixed, cap, twos - 1, True, None)[0]
+        assert not _max_twos_search(sg, fixed, cap, twos, True, None)[0]
 
 
 def test_eod_product_certificate_case():
@@ -423,7 +430,7 @@ def test_eod_product_certificate_case():
 
 
 def _run_pair(g):
-    arrs = _SearchArrays(g, {})
+    arrs = _SearchArrays(_SearchGraph(g), {})
     st = arrs.state(best=2 * g.n + 1)
     _kernels.bnb_min_weight(arrs.adj_mask, arrs.labels, arrs.order, arrs.trial, arrs.cov,
                             arrs.pos, arrs.un0, arrs.unp, arrs.bit, arrs.und,
@@ -530,7 +537,8 @@ def test_a_regular_graph_that_is_not_vertex_transitive_keeps_its_optimum(
         g, optimum, with_two_at_0):
     # Every optimal labeling here leaves vertex 0 below 2, so a proof started
     # from a 2 at vertex 0 would report a heavier optimum.
-    assert _min_weight_search(g, {0: 2}, 2 * g.n + 1, False, None)[1] == with_two_at_0
+    assert _min_weight_search(_SearchGraph(g), {0: 2}, 2 * g.n + 1, False,
+                              None)[1] == with_two_at_0
     best, labels, _ = _brute_scan(g, 12)
     assert best == optimum
     result = gamma_tr_exact(g, budget=60)
@@ -543,3 +551,110 @@ def test_search_agrees_with_the_scan_on_circulants(g):
     # vertex-transitive, so the proof starts from a 2 at vertex 0 whenever
     # the floor is below the seed
     _assert_search_agrees_with_the_scan(g)
+
+
+# the products of test_vertex_transitive_graphs_are_recognised but C7 x C7
+# and prism(C5) x C5, whose solves take 10-90 s each
+_VERTEX_TRANSITIVE_PRODUCTS = [
+    direct_product(cycle(5), cycle(5)).base,
+    direct_product(cycle(5), cycle(4)).base,
+    direct_product(complete(4), cycle(7)).base,
+    direct_product(complete(3), complete(3)).base,
+    direct_product(cycle(4), prism(cycle(3))).base,
+]
+
+
+def _exact_and_most_twos(g):
+    exact = gamma_tr_exact(g, budget=120)
+    most = gamma_tr_max_v2(g, budget=120)
+    return exact.value, exact.witness.labels, most.max_v2, most.witness.labels
+
+
+@pytest.mark.parametrize(
+    "g", _VERTEX_TRANSITIVE_PRODUCTS + _random_circulants(16, seed=2025, low=6, high=12),
+    ids=lambda g: g.name)
+def test_orbital_fixing_on_every_search_keeps_values_and_witnesses(monkeypatch, g):
+    # With a first chunk of one node, every search that does not end at once
+    # asks the orbital rule for fixes: the proof and each lex probe, under
+    # both objectives.
+    monkeypatch.setattr(solve, "_FIRST_CHUNK", 1)
+    with monkeypatch.context() as off:
+        off.setattr(solve, "in_one_orbit", lambda *args: False)
+        plain = _exact_and_most_twos(g)
+    assert _exact_and_most_twos(g) == plain
+    if g.n <= 12:
+        best, labels, table = _brute_scan(g, 12)
+        assert plain[:3] == (best, labels, table[best])
+
+
+def test_a_colouring_that_breaks_the_symmetry_gives_no_fix():
+    g = direct_product(cycle(5), cycle(5)).base
+    sg = _SearchGraph(g)
+    # N((0,0)) is {(1,1), (1,4), (4,1), (4,4)} = {6, 9, 21, 24}, one orbit
+    # of the maps (a, b) -> (+-a, +-b) and (a, b) -> (b, a).
+    assert in_one_orbit(g, sg.pair, [0] * g.n, [6, 9, 21, 24])
+    # A lone 0 at vertex 0 gets a 2 at vertex 6. Vertex 6 then needs a
+    # positive neighbour among {2, 10, 12}, and the maps that fix both
+    # vertices keep 12 = (2,2) and swap 2 and 10, so the rule stops there.
+    assert _orbital_fix(sg, {0: 0}) == [{0: 0, 6: 2}]
+    # With vertex 6 labeled 1, vertex 0's undecided neighbours fall into two
+    # orbits, {9, 21} and {24}, so the rule fixes nothing.
+    colour = [{0: 0, 6: 1}.get(v, -1) for v in range(g.n)]
+    assert in_one_orbit(g, sg.pair, colour, [9, 21])
+    assert not in_one_orbit(g, sg.pair, colour, [9, 21, 24])
+    assert _orbital_fix(sg, {0: 0, 6: 1}) == []
+    # a positive vertex with no positive neighbour splits the search
+    assert _orbital_fix(sg, {0: 2}) == [{0: 2, 6: 2}, {0: 2, 6: 1}]
+
+
+def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
+    # C5 x C5's proof from a 2 at vertex 0 outlasts its first chunk, so the
+    # orbital rule drops it for two reduced searches. The clock then reads
+    # far past the deadline, and the first reduced search times out.
+    nodes = [0]
+    fixes = []
+    kernel = _kernels.bnb_min_weight
+    orbital_fix = solve._orbital_fix
+
+    def counting(*args):
+        before = args[11][4]
+        status = kernel(*args)
+        nodes[0] += args[11][4] - before
+        return status
+
+    def recording(sg, fixed):
+        parts = orbital_fix(sg, fixed)
+        fixes.append((nodes[0], fixed, parts))
+        return parts
+
+    monkeypatch.setattr(_kernels, "bnb_min_weight", counting)
+    monkeypatch.setattr(solve, "_orbital_fix", recording)
+    monkeypatch.setattr(solve, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + (1e6 if fixes else 0)))
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=60)
+    assert fixes == [(solve._FIRST_CHUNK, {0: 2}, [{0: 2, 6: 2}, {0: 2, 6: 1}])]
+    assert err.value.nodes == nodes[0] > solve._FIRST_CHUNK
+    assert err.value.lower_bound == 13 and err.value.upper_bound >= 15
+
+
+def _symmetric_fixed_cases(count, seed):
+    rng = random.Random(seed)
+    graphs = _random_circulants(8, seed=seed, low=6, high=9) + [
+        direct_product(complete(3), complete(3)).base, complete_bipartite(4, 4)]
+    cases = []
+    while len(cases) < count:
+        g = rng.choice(graphs)
+        fixed_vertices = rng.sample(range(g.n), rng.randint(1, 3))
+        cases.append((g, {v: rng.choice((0, 1, 2)) for v in fixed_vertices}))
+    return cases
+
+
+@pytest.mark.parametrize("g,fixed", _symmetric_fixed_cases(30, seed=2026),
+                         ids=lambda x: getattr(x, "name", None))
+def test_orbital_fixing_from_fixed_labels_agrees_with_a_scan_of_completions(
+        monkeypatch, g, fixed):
+    # vertex-transitive graphs, where the orbital rule fixes labels below
+    # any fixed set and under every weight cap, not only the optimal one
+    monkeypatch.setattr(solve, "_FIRST_CHUNK", 1)
+    _assert_searches_agree_with_a_scan_of_completions(g, fixed)
