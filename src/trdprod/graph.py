@@ -125,15 +125,6 @@ class ProductGraph:
     def vertex_id(self, g: int, h: int) -> int:
         return g * self.hn + h
 
-    def coords(self, vid: int) -> tuple[int, int]:
-        return divmod(vid, self.hn)
-
-    def project_g(self, vid: int) -> int:
-        return vid // self.hn
-
-    def project_h(self, vid: int) -> int:
-        return vid % self.hn
-
     def g_layer(self, h: int) -> list[int]:
         """All product vertices projecting to h (an independent set)."""
         return [g * self.hn + h for g in range(self.gn)]
@@ -345,17 +336,7 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        new = g.adj[v] & ~seen
-        seen |= new
-        for u in _bits(new):
-            queue.append(u)
-    return seen == (1 << g.n) - 1
+    return len(connected_components(g)) <= 1
 
 
 def is_bipartite(g: Graph) -> bool:

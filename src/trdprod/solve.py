@@ -475,23 +475,36 @@ def _gamma_tr_value(sg: _SearchGraph, deadline: _Deadline | None,
     return ub, seed_labels
 
 
-def _exact_connected(g: Graph, deadline: _Deadline | None,
-                     upper_bound_hint: int | None):
-    """Optimal weight and lexicographically smallest witness, one component."""
+def _solve_connected(g: Graph, deadline: _Deadline | None,
+                     upper_bound_hint: int | None, max_twos: bool):
+    """Optimal weight, best 2-count and witness labels, one component.
+
+    The witness is the lexicographically smallest optimal labeling; with
+    max_twos it is the smallest among those with the most 2s, and the
+    2-count is their number of 2s (0 otherwise).
+    """
     sg = _SearchGraph(g)
     value, seed = _gamma_tr_value(sg, deadline, upper_bound_hint)
+    twos = 0
 
     def feasible(fixed):
-        found, _, labels = _min_weight_search(sg, fixed, value + 1, True, deadline)
-        return found, labels
+        if max_twos:
+            ok, _, labels = _max_twos_search(sg, fixed, value, twos - 1, True, deadline)
+        else:
+            ok, _, labels = _min_weight_search(sg, fixed, value + 1, True, deadline)
+        return ok, labels
 
     try:
+        if max_twos:
+            found, twos, seed = _max_twos_search(sg, {}, value, -1, False, deadline)
+            if not found:
+                raise ConsistencyError("no labeling found at the proven optimal weight")
         labels = _lex_smallest(g, feasible, seed)
     except SolverTimeout as exc:
         exc.upper_bound = value
         exc.lower_bound = value  # value itself is proven; only the witness was pending
         raise
-    return value, labels
+    return value, twos, labels
 
 
 def _per_component(g: Graph, comps: list[list[int]], solver):
@@ -522,6 +535,23 @@ def _per_component(g: Graph, comps: list[list[int]], solver):
     return total, twos, tuple(stitched)
 
 
+def _solve(g: Graph, budget: float | None, upper_bound_hint: int | None, max_twos: bool):
+    """Value, 2-count and verified witness under one budget; see _solve_connected."""
+    require_no_isolated(g, "gamma_tR")
+    deadline = _Deadline(budget)
+    comps = connected_components(g)
+    if len(comps) == 1:
+        value, twos, labels = _solve_connected(g, deadline, upper_bound_hint, max_twos)
+    else:
+        value, twos, labels = _per_component(
+            g, comps, lambda sub: _solve_connected(sub, deadline, None, max_twos))
+    witness = LabelFunction(g, labels)
+    if (not is_total_roman_dominating(witness) or witness.weight != value
+            or (max_twos and len(witness.v2) != twos)):
+        raise ConsistencyError("branch-and-bound witness failed validation")
+    return value, twos, witness
+
+
 def gamma_tr_exact(g: Graph, budget: float | None = None,
                    upper_bound_hint: int | None = None) -> SolveResult:
     """Provably optimal gamma_tR by branch-and-bound.
@@ -532,62 +562,18 @@ def gamma_tr_exact(g: Graph, budget: float | None = None,
     pruning. The returned witness is the lexicographically smallest optimal
     labeling.
     """
-    require_no_isolated(g, "gamma_tR")
-    deadline = _Deadline(budget)
-    comps = connected_components(g)
-    if len(comps) == 1:
-        value, labels = _exact_connected(g, deadline, upper_bound_hint)
-    else:
-        def solver(sub):
-            v, lab = _exact_connected(sub, deadline, None)
-            return v, 0, lab
-        value, _, labels = _per_component(g, comps, solver)
-    witness = LabelFunction(g, labels)
-    if not is_total_roman_dominating(witness) or witness.weight != value:
-        raise ConsistencyError("branch-and-bound witness failed validation")
+    value, _, witness = _solve(g, budget, upper_bound_hint, max_twos=False)
     return SolveResult("gamma_tR", value, witness, "branch_and_bound",
                        tie_break_note="lexicographically smallest optimal labeling")
-
-
-def _max_v2_connected(g: Graph, deadline: _Deadline | None,
-                      upper_bound_hint: int | None):
-    sg = _SearchGraph(g)
-    value, _ = _gamma_tr_value(sg, deadline, upper_bound_hint)
-
-    def feasible(fixed):
-        ok, _, labels = _max_twos_search(sg, fixed, value, v2max - 1, True, deadline)
-        return ok, labels
-
-    try:
-        found, v2max, seed = _max_twos_search(sg, {}, value, -1, False, deadline)
-        if not found:
-            raise ConsistencyError("no labeling found at the proven optimal weight")
-        labels = _lex_smallest(g, feasible, seed)
-    except SolverTimeout as exc:
-        exc.upper_bound = value
-        exc.lower_bound = value  # value itself is proven; only the 2-count was pending
-        raise
-    return value, v2max, labels
 
 
 def gamma_tr_max_v2(g: Graph, budget: float | None = None,
                     upper_bound_hint: int | None = None) -> SolveResult:
     """gamma_tR plus the secondary objective: most 2-labels among optimal labelings."""
-    require_no_isolated(g, "gamma_tR")
-    deadline = _Deadline(budget)
-    comps = connected_components(g)
-    if len(comps) == 1:
-        value, v2max, labels = _max_v2_connected(g, deadline, upper_bound_hint)
-    else:
-        value, v2max, labels = _per_component(
-            g, comps, lambda sub: _max_v2_connected(sub, deadline, None))
-    witness = LabelFunction(g, labels)
-    twos = sum(1 for l in labels if l == 2)
-    if not is_total_roman_dominating(witness) or witness.weight != value or twos != v2max:
-        raise ConsistencyError("max-2s witness failed validation")
+    value, twos, witness = _solve(g, budget, upper_bound_hint, max_twos=True)
     return SolveResult("gamma_tR", value, witness, "branch_and_bound",
                        tie_break_note="maximum 2-count, then lexicographically smallest",
-                       max_v2=v2max)
+                       max_v2=twos)
 
 
 def gamma_t_exact(g: Graph) -> SolveResult:
@@ -681,25 +667,21 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
 
 
 def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
-                         budget: float | None = None,
-                         oracle_limit: int = ORACLE_LIMIT) -> list[ParetoPoint]:
+                         budget: float | None = None) -> list[ParetoPoint]:
     """For each achievable weight from gamma_tR up to the cap, the best 2-count.
 
     The default cap 2*gamma_t is always reachable (all-2 on a minimum total
-    dominating set); pass a larger cap to explore further.
+    dominating set); pass a larger cap to explore further. No labeling weighs
+    more than 2n, so no weight above that is searched.
     """
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
     if weight_cap is None:
         weight_cap = 2 * gamma_t_exact(g).value
-    if g.n <= oracle_limit:
-        best, _, table = _brute_scan(g, oracle_limit)
-        top = min(weight_cap, 2 * g.n)
-        return [ParetoPoint(w, table[w]) for w in range(best, top + 1) if table[w] >= 0]
     sg = _SearchGraph(g)
     value, _ = _gamma_tr_value(sg, deadline, None)
     points = []
-    for w in range(value, weight_cap + 1):
+    for w in range(value, min(weight_cap, 2 * g.n) + 1):
         found, v2max, _ = _max_twos_search(sg, {}, w, -1, False, deadline)
         if found:
             points.append(ParetoPoint(w, v2max))

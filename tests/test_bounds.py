@@ -1,10 +1,11 @@
 import pytest
 
+from trdprod import bounds
 from trdprod.bounds import (factor_profile, genlower_check, pair_bounds,
                             verify_theorems)
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import certify_regular_eod_product
-from trdprod.errors import PreconditionError
+from trdprod.errors import PreconditionError, SolverTimeout
 from trdprod.families import complete, cycle, path, star
 from trdprod.graph import direct_product
 from trdprod.labeling import LabelFunction
@@ -137,3 +138,55 @@ def test_verify_parallel_matches_serial():
     parallel = verify_theorems(graphs, budget=60, jobs=2)
     assert [p["exact"] for p in serial.pairs] == [p["exact"] for p in parallel.pairs]
     assert serial.violations == parallel.violations
+
+
+def test_verify_solves_each_graph_once(monkeypatch):
+    calls = {"gamma_tr_exact": [], "gamma_tr_max_v2": []}
+    for name, log in calls.items():
+        def counting(g, *args, real=getattr(bounds, name), log=log, **kwargs):
+            log.append(g.n)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counting)
+    rep = verify_theorems([complete(2), path(3)], budget=60)
+    assert rep.ok and not rep.skipped
+    assert calls["gamma_tr_exact"] == []
+    # the two factors, then the products K2xK2, K2xP3 and P3xP3
+    assert sorted(calls["gamma_tr_max_v2"]) == [2, 3, 4, 6, 9]
+
+
+def _products_time_out(monkeypatch, gap):
+    """Patch the harness so every product solve times out with bounds
+    [value, value + gap] around its true value; factors still solve."""
+    real = bounds.gamma_tr_max_v2
+    factors = [complete(2), path(3)]
+
+    def timing_out(g, *args, **kwargs):
+        res = real(g, *args, **kwargs)
+        if any(g is f for f in factors):
+            return res
+        raise SolverTimeout("search budget exhausted", res.value, res.value + gap)
+
+    monkeypatch.setattr(bounds, "gamma_tr_max_v2", timing_out)
+    return verify_theorems(factors, budget=60)
+
+
+def test_a_timeout_with_a_proven_value_keeps_the_value_checks(monkeypatch):
+    expected = verify_theorems([complete(2), path(3)], budget=60)
+    rep = _products_time_out(monkeypatch, 0)
+    assert rep.ok and len(rep.skipped) == 3
+    for rec, full in zip(rep.pairs, expected.pairs):
+        assert rec["skipped"] and rec["timeout_bounds"] == [full["exact"]] * 2
+        for key in ("exact", "oracle", "bounds", "best_lower", "best_upper"):
+            assert rec[key] == full[key]
+        assert "genlower" in full and "genlower" not in rec and "triangle" not in rec
+
+
+def test_a_timeout_before_the_proof_records_no_value(monkeypatch):
+    rep = _products_time_out(monkeypatch, 1)
+    assert rep.ok and len(rep.skipped) == 3
+    for rec in rep.pairs:
+        assert rec["skipped"] and rec["exact"] is None
+        lower, upper = rec["timeout_bounds"]
+        assert upper == lower + 1
+        assert "bounds" not in rec and "genlower" not in rec

@@ -93,10 +93,13 @@ def test_max_v2_known_values():
 
 def test_max_v2_agrees_with_scan_table():
     for g in [path(3), path(4), cycle(4), cycle(5), star(3), complete(4),
-              complete_bipartite(2, 3), wheel(5), TWO_K2]:
+              complete_bipartite(2, 3), wheel(5), TWO_K2, prism(cycle(5)), fan(10)]:
         best, _, table = _brute_scan(g, 12)
         res = gamma_tr_max_v2(g, budget=60)
         assert res.value == best and res.max_v2 == table[best]
+        frontier = trdf_pareto_frontier(g, weight_cap=2 * g.n, budget=60)
+        assert [(p.weight, p.max_v2) for p in frontier] == \
+            [(w, table[w]) for w in range(best, 2 * g.n + 1) if table[w] >= 0], g.name
 
 
 def test_upper_bound_hint_does_not_change_result():
