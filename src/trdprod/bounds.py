@@ -129,7 +129,6 @@ class PairReport:
     bounds: list[BoundEntry] = field(default_factory=list)
     exact: int | None = None
     verdict: classify.SmallVerdict | None = None
-    construction_weights: dict = field(default_factory=dict)
 
     def entry(self, name: str) -> BoundEntry:
         for b in self.bounds:
@@ -156,8 +155,6 @@ class PairReport:
         }
         if self.verdict is not None:
             out["verdict"] = self.verdict.to_json_dict()
-        if self.construction_weights:
-            out["constructions"] = dict(sorted(self.construction_weights.items()))
         return out
 
 
@@ -335,7 +332,7 @@ class VerificationReport:
 
 
 def _verify_pair(args) -> dict:
-    pg, ph, budget, oracle_limit = args
+    pg, ph, budget = args
     name = f"({pg.graph.name or emit_graph6(pg.graph)},{ph.graph.name or emit_graph6(ph.graph)})"
     rec: dict = {"g": emit_graph6(pg.graph), "h": emit_graph6(ph.graph),
                  "g_name": pg.graph.name, "h_name": ph.graph.name,
@@ -391,10 +388,9 @@ def _verify_pair(args) -> dict:
             return rec
         exact = exc.lower_bound
     rec["exact"] = exact
-    rep.exact = exact
 
-    if product.base.n <= oracle_limit:
-        oracle = gamma_tr_bruteforce(product.base, oracle_limit).value
+    if product.base.n <= ORACLE_LIMIT:
+        oracle = gamma_tr_bruteforce(product.base).value
         rec["oracle"] = oracle
         if oracle != exact:
             bad(f"{name}: branch-and-bound {exact} disagrees with brute force {oracle}")
@@ -458,14 +454,14 @@ def _verify_pair(args) -> dict:
 
 
 def verify_theorems(catalog: list[Graph], budget: float | None = 60.0,
-                    oracle_limit: int = ORACLE_LIMIT, jobs: int = 1) -> VerificationReport:
+                    jobs: int = 1) -> VerificationReport:
     """Exhaustively audit all bounds, verdicts and constructions on every
     unordered factor pair from the catalog (pairs with itself included)."""
     profiles = [factor_profile(g, budget) for g in catalog]
     tasks = []
     for i, pg in enumerate(profiles):
         for ph in profiles[i:]:
-            tasks.append((pg, ph, budget, oracle_limit))
+            tasks.append((pg, ph, budget))
     report = VerificationReport()
     if jobs > 1:
         # Imported only here: the pool machinery adds 1-2 MB of memory to

@@ -118,8 +118,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_n = 5 if args.extended else args.max_n
-    cat = catalog.enumerate_catalog(max_n)
+    cat = catalog.enumerate_catalog(args.max_n)
     rep = bounds.verify_theorems(list(cat.graphs), budget=args.budget, jobs=args.jobs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -127,7 +126,7 @@ def _cmd_verify(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(rep.csv_rows())
-    print(f"catalog: {len(cat.graphs)} graphs up to {max_n} vertices,"
+    print(f"catalog: {len(cat.graphs)} graphs up to {args.max_n} vertices,"
           f" {len(rep.pairs)} factor pairs")
     print(f"violations: {len(rep.violations)}")
     for v in rep.violations:
@@ -208,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive theorem audit over a small-graph catalog")
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--extended", action="store_true", help="use the catalog up to 5 vertices")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the full JSON report here")
     p.add_argument("--csv", help="write a CSV summary here")

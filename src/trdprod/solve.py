@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import _kernels
-from .errors import ConsistencyError, SizeLimitError, SolverTimeout
+from .errors import ConsistencyError, PreconditionError, SizeLimitError, SolverTimeout
 from .graph import (Graph, bits_of, connected_components, in_one_orbit, induced_subgraph,
                     is_regular, mask_of, pair_table, require_no_isolated)
 from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
@@ -59,12 +59,16 @@ BUDGET_ENV = "TRD_BUDGET_SECS"
 # every _SLICE_S seconds; a budget is therefore kept within a slice or so.
 _FIRST_CHUNK = 1 << 10
 _SLICE_S = 0.02
-# The oracle scan runs without a budget; it returns to Python once per chunk.
-_SCAN_CHUNK = 1 << 20
 
 
 def default_budget() -> float:
-    return float(os.environ.get(BUDGET_ENV, "60"))
+    """TRD_BUDGET_SECS as seconds, 60 when unset; 0 or less means no deadline."""
+    text = os.environ.get(BUDGET_ENV, "60")
+    try:
+        return float(text)
+    except ValueError:
+        raise PreconditionError(
+            f"{BUDGET_ENV} must be a number of seconds, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,9 @@ class _SearchGraph:
 
     One is built per component solve and shared by the proof, every lex
     probe and the max-2s pass. The kernels read bit and max_degree; the
-    orbital rule reads pair (graph.pair_table), which is built on first
-    use, so a solve whose searches all end within their first chunk never
-    builds it.
+    vertex-transitivity test of a regular graph's proof and the orbital
+    rule read pair (graph.pair_table), which is built on first use, so a
+    solve that runs neither never builds it.
     """
 
     def __init__(self, g: Graph):
@@ -119,112 +123,6 @@ class _SearchGraph:
     @cached_property
     def pair(self) -> list[list[int]]:
         return pair_table(self.g)
-
-
-class _SearchArrays:
-    """One graph plus the mutable search state the kernels run on."""
-
-    def __init__(self, sg: _SearchGraph, fixed: dict[int, int]):
-        g = sg.g
-        n = g.n
-        adj = g.adj
-        # Slot 0 of each mask stack holds the fixed labels; the kernels fill
-        # slot d+1 when they decide order[d].
-        cov = pos = decided = 0
-        weight = twos = 0
-        for v, lab in fixed.items():
-            decided |= 1 << v
-            weight += lab
-            if lab:
-                pos |= 1 << v
-            if lab == 2:
-                cov |= adj[v]
-                twos += 1
-        un0 = unp = 0
-        for v, lab in fixed.items():
-            if lab == 0 and not cov >> v & 1:
-                un0 |= 1 << v
-            elif lab and not adj[v] & pos:
-                unp |= 1 << v
-        und0 = ((1 << n) - 1) ^ decided
-        # A fixed vertex unsatisfied with no undecided neighbour stays
-        # unsatisfied. Such a probe is answered from init_dead alone, so the
-        # lists below are not built for it.
-        self.init_dead = any(not adj[v] & und0 for v in bits_of(un0 | unp))
-        if self.init_dead:
-            return
-        labels = [-1] * n
-        for v, lab in fixed.items():
-            labels[v] = lab
-        free = [v for v in range(n) if labels[v] < 0]
-        k = len(free)
-        # the kernels only read the adjacency masks and bit, so every
-        # search on the graph shares them
-        self.adj_mask = adj
-        self.bit = sg.bit
-        self.labels = labels
-        self.order = free
-        self.trial = [0] * (k + 1)
-        self.cov = [cov] + [0] * k
-        self.pos = [pos] + [0] * k
-        self.un0 = [un0] + [0] * k
-        self.unp = [unp] + [0] * k
-        # order and und are stacks the kernel writes as it descends (see
-        # _kernels); slot 0 lists every free vertex.
-        self.und = [und0] + [0] * k
-        self.best_labels = [-1] * n
-        self.init_weight = weight
-        self.init_v2 = twos
-        self.max_degree = sg.max_degree
-
-    def state(self, best: int, cap: int = 0, early: bool = False,
-              mode: int = _kernels.MIN_WEIGHT):
-        st = [0] * 12
-        st[1] = self.init_weight
-        st[2] = self.init_v2
-        st[3] = best
-        st[6] = len(self.order)
-        st[8] = cap
-        st[9] = 1 if early else 0
-        st[10] = mode
-        st[11] = self.max_degree
-        return st
-
-    def chunk(self, kernel, st, deadline: _Deadline, size: int) -> int:
-        """Run kernel for at most size nodes and add them to deadline.nodes.
-
-        Raises SolverTimeout when the search is still running past the
-        deadline; in a min-weight search it carries the incumbent, which
-        only ever drops to the weight of a valid labeling found.
-        """
-        before = st[4]
-        status = kernel(self.adj_mask, self.labels, self.order, self.trial,
-                        self.cov, self.pos, self.un0, self.unp, self.bit,
-                        self.und, self.best_labels, st, size)
-        deadline.nodes += st[4] - before
-        if status == _kernels.RUNNING and time.monotonic() >= deadline.at:
-            exc = SolverTimeout(f"search budget exhausted after {deadline.nodes} nodes",
-                                nodes=deadline.nodes)
-            if st[10] == _kernels.MIN_WEIGHT:
-                exc.upper_bound = st[3]
-            raise exc
-        return status
-
-    def run(self, kernel, st, deadline: _Deadline) -> int:
-        """Run kernel to completion, reading the clock between chunks of nodes.
-
-        Each chunk is sized from the rate of the one before so that it takes
-        about _SLICE_S; the kernel resumes exactly, so chunking never changes
-        the nodes visited.
-        """
-        size = _FIRST_CHUNK
-        while True:
-            t0 = time.monotonic()
-            status = self.chunk(kernel, st, deadline, size)
-            if status != _kernels.RUNNING:
-                return status
-            fit = int(size * _SLICE_S / max(time.monotonic() - t0, 1e-6))
-            size = max(_FIRST_CHUNK, min(4 * size, fit))
 
 
 class _Deadline:
@@ -239,6 +137,8 @@ class _Deadline:
     def __init__(self, budget: float | None):
         if budget is None:
             budget = default_budget()
+        if math.isnan(budget):
+            raise PreconditionError("a budget must be a number of seconds, not NaN")
         self.at = time.monotonic() + budget if budget > 0 else math.inf
         self.nodes = 0
 
@@ -275,73 +175,108 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
     return VertexSet(g, members, "total_dominating")
 
 
-def _min_weight_search(sg: _SearchGraph, fixed: dict[int, int], init_best: int,
-                       early: bool, deadline: _Deadline | None):
-    """Lightest completion of fixed below init_best.
+def _fixed_masks(adj, fixed: dict[int, int]):
+    """Weight, 2-count, cov, pos, un0 and unp of a set of fixed labels.
 
-    Returns (found, best, labels_or_None); found means strictly below
-    init_best. With early, the first such completion ends the search.
-
-    Not every completion is searched. Past its first chunk, the search
-    applies the orbital rule of the module docstring: when automorphisms
-    that keep every fixed label carry all undecided neighbours of an
-    unsatisfied fixed vertex onto one of them, u0, it searches only
-    completions with a 2 at u0 (for a 0) or a positive label there. Any
-    completion maps onto such a one of the same weight, so found and best
-    are those of a search over every completion; labels is some completion
-    of weight best.
+    The masks are those of the kernels' slot 0 (see _kernels): un0 holds the
+    fixed 0s with no fixed 2-neighbour, unp the fixed positives with no
+    fixed positive neighbour.
     """
-    return _search(sg, fixed, _kernels.MIN_WEIGHT, init_best, 0, early, deadline)
-
-
-def _max_twos_search(sg: _SearchGraph, fixed: dict[int, int], cap: int, init_best: int,
-                     early: bool, deadline: _Deadline | None):
-    """Max 2-count among valid labelings of weight exactly cap, over completions of fixed.
-
-    Returns (found, best, labels_or_None); found means a 2-count above
-    init_best. With early, the first such completion ends the search. As in
-    _min_weight_search, the orbital rule searches only completions with a
-    2 or a positive label at u0; the automorphism that maps a completion
-    onto one of them keeps its weight and its 2-count, so found and best
-    are those of a search over every completion.
-    """
-    return _search(sg, fixed, _kernels.MAX_TWOS, init_best, cap, early, deadline)
+    weight = twos = cov = pos = 0
+    for v, lab in fixed.items():
+        weight += lab
+        if lab:
+            pos |= 1 << v
+        if lab == 2:
+            cov |= adj[v]
+            twos += 1
+    un0 = unp = 0
+    for v, lab in fixed.items():
+        if lab == 0 and not cov >> v & 1:
+            un0 |= 1 << v
+        elif lab and not adj[v] & pos:
+            unp |= 1 << v
+    return weight, twos, cov, pos, un0, unp
 
 
 def _search(sg: _SearchGraph, fixed: dict[int, int], mode: int, best: int, cap: int,
             early: bool, deadline: _Deadline | None):
-    """One search in the given mode, from incumbent best; returns (found, best, labels).
+    """The best completion of fixed under one objective, from incumbent best.
 
-    A search still running after its first chunk asks _orbital_fix for
-    reduced fixed sets. When there are some, the search is dropped, keeping
-    any incumbent it found, and each reduced set is searched in turn (by
-    this function, so the rule can apply again) from the incumbent so far;
-    an early search stops at the first that finds one. Otherwise the same
-    search resumes.
+    Returns (found, best, labels_or_None). With mode MIN_WEIGHT, found means
+    a completion lighter than the incumbent, and best is the lightest
+    weight. With MAX_TWOS, it means a completion of weight exactly cap with
+    more 2s than the incumbent, and best is the largest 2-count. With early,
+    the first such completion ends the search.
+
+    The kernel runs in chunks of nodes, and the clock is read after each. A
+    search still running after its first chunk of _FIRST_CHUNK nodes asks
+    _orbital_fix for reduced fixed sets. When there are some, the search is
+    dropped, keeping any incumbent it found, and each reduced set is
+    searched in turn (by this function, so the rule can apply again) from
+    the incumbent so far; an early search stops at the first that finds one.
+    Any completion maps onto one of theirs with the same weight and 2-count
+    (module docstring), so found and best are those of a search over every
+    completion; labels is some completion that reaches best. Otherwise the
+    same search resumes in chunks sized to take about _SLICE_S each; the
+    kernel resumes exactly, so chunking never changes the nodes visited.
     """
     if deadline is None:  # a search outside any solve: no budget, no total
         deadline = _Deadline(0)
-    arrs = _SearchArrays(sg, fixed)
-    if arrs.init_dead:
+    n = sg.g.n
+    adj = sg.g.adj
+    weight, twos, cov, pos, un0, unp = _fixed_masks(adj, fixed)
+    und = ((1 << n) - 1) & ~mask_of(fixed)
+    # A fixed vertex unsatisfied with no undecided neighbour stays
+    # unsatisfied, so such a search ends before any node.
+    if any(not adj[v] & und for v in bits_of(un0 | unp)):
         return False, best, None
+    labels = [fixed.get(v, -1) for v in range(n)]
+    # Slot 0 of each per-depth stack holds the masks of the fixed labels,
+    # and order lists every free vertex; the kernel writes the deeper slots
+    # and reorders order as it descends.
+    order = [v for v in range(n) if labels[v] < 0]
+    k = len(order)
+    rest = [0] * k
+    trial = [0] * (k + 1)
+    covs, poss, un0s, unps, unds = ([m] + rest for m in (cov, pos, un0, unp, und))
+    best_labels = [-1] * n
+    st = [0, weight, twos, best, 0, 0, k, 0, cap, int(early), mode, sg.max_degree]
     kernel = _kernels.bnb_min_weight if mode == _kernels.MIN_WEIGHT else _kernels.bnb_max_twos
-    st = arrs.state(best=best, cap=cap, early=early, mode=mode)
-    if arrs.chunk(kernel, st, deadline, _FIRST_CHUNK) == _kernels.RUNNING:
-        parts = _orbital_fix(sg, fixed)
-        if parts:
-            found = bool(st[7])
-            labels = tuple(arrs.best_labels) if found else None
-            best = st[3]
-            for part in parts:
-                ok, best, part_labels = _search(sg, part, mode, best, cap, early, deadline)
-                if ok:
-                    found, labels = True, part_labels
-                    if early:
-                        break
-            return found, best, labels
-        arrs.run(kernel, st, deadline)
+    size = _FIRST_CHUNK
+    parts = None
+    while True:
+        t0 = time.monotonic()
+        before = st[4]
+        status = kernel(adj, labels, order, trial, covs, poss, un0s, unps, sg.bit, unds,
+                        best_labels, st, size)
+        deadline.nodes += st[4] - before
+        if status != _kernels.RUNNING:
+            break
+        t1 = time.monotonic()
+        if t1 >= deadline.at:
+            exc = SolverTimeout(f"search budget exhausted after {deadline.nodes} nodes",
+                                nodes=deadline.nodes)
+            if mode == _kernels.MIN_WEIGHT:
+                # the incumbent only ever drops to the weight of a valid labeling
+                exc.upper_bound = st[3]
+            raise exc
+        if parts is None:
+            parts = _orbital_fix(sg, fixed)
+            if parts:
+                break
+        fit = int(size * _SLICE_S / max(t1 - t0, 1e-6))
+        size = max(_FIRST_CHUNK, min(4 * size, fit))
     found = bool(st[7])
-    return found, st[3], tuple(arrs.best_labels) if found else None
+    best = st[3]
+    witness = tuple(best_labels) if found else None
+    for part in parts or ():
+        ok, best, part_labels = _search(sg, part, mode, best, cap, early, deadline)
+        if ok:
+            found, witness = True, part_labels
+            if early:
+                break
+    return found, best, witness
 
 
 def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]]:
@@ -358,21 +293,14 @@ def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]
     adj = g.adj
     out = dict(fixed)
     while True:
-        pos = cov = 0
-        for v, lab in out.items():
-            if lab:
-                pos |= 1 << v
-            if lab == 2:
-                cov |= adj[v]
+        *_, un0, unp = _fixed_masks(adj, out)
         und = ((1 << g.n) - 1) & ~mask_of(out)
         tight = -1
         fewest = g.n + 1
-        for v in sorted(out):
-            satisfied = cov >> v & 1 if out[v] == 0 else adj[v] & pos
-            if not satisfied:
-                c = (adj[v] & und).bit_count()
-                if c < fewest:
-                    tight, fewest = v, c
+        for v in bits_of(un0 | unp):
+            c = (adj[v] & und).bit_count()
+            if c < fewest:
+                tight, fewest = v, c
         if tight < 0 or fewest == 0:
             break
         nbrs = bits_of(adj[tight] & und)
@@ -421,9 +349,10 @@ def _brute_scan(g: Graph, limit: int):
     best_labels = [-1] * g.n
     table = [-1] * (2 * g.n + 1)
     st = [2 * g.n + 1, 0, 0, 0, 0, 0]
-    while _kernels.brute_force_scan(g.adj, bit, digits, best_labels,
-                                    table, st, _SCAN_CHUNK) != _kernels.DONE:
-        pass
+    # one call with a budget of every labeling runs the scan to its end
+    status = _kernels.brute_force_scan(g.adj, bit, digits, best_labels, table, st, 3 ** g.n)
+    if status != _kernels.DONE:
+        raise ConsistencyError("brute force scan stopped before its last labeling")
     return st[0], tuple(best_labels), table
 
 
@@ -466,7 +395,7 @@ def _gamma_tr_value(sg: _SearchGraph, deadline: _Deadline | None,
                   and in_one_orbit(g, sg.pair, [0] * g.n, range(g.n)))
     fixed = {0: 2} if transitive else {}
     try:
-        found, value, labels = _min_weight_search(sg, fixed, ub, False, deadline)
+        found, value, labels = _search(sg, fixed, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
     except SolverTimeout as exc:
         exc.lower_bound = floor
         raise
@@ -489,14 +418,16 @@ def _solve_connected(g: Graph, deadline: _Deadline | None,
 
     def feasible(fixed):
         if max_twos:
-            ok, _, labels = _max_twos_search(sg, fixed, value, twos - 1, True, deadline)
+            ok, _, labels = _search(sg, fixed, _kernels.MAX_TWOS, twos - 1, value, True,
+                                    deadline)
         else:
-            ok, _, labels = _min_weight_search(sg, fixed, value + 1, True, deadline)
+            ok, _, labels = _search(sg, fixed, _kernels.MIN_WEIGHT, value + 1, 0, True,
+                                    deadline)
         return ok, labels
 
     try:
         if max_twos:
-            found, twos, seed = _max_twos_search(sg, {}, value, -1, False, deadline)
+            found, twos, seed = _search(sg, {}, _kernels.MAX_TWOS, -1, value, False, deadline)
             if not found:
                 raise ConsistencyError("no labeling found at the proven optimal weight")
         labels = _lex_smallest(g, feasible, seed)
@@ -660,7 +591,8 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
     """Some valid labeling of the exact given weight maximizing the 2-count, or None."""
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
-    found, _, labels = _max_twos_search(_SearchGraph(g), {}, weight, -1, False, deadline)
+    found, _, labels = _search(_SearchGraph(g), {}, _kernels.MAX_TWOS, -1, weight, False,
+                               deadline)
     if not found:
         return None
     return LabelFunction(g, labels)
@@ -682,7 +614,7 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
     value, _ = _gamma_tr_value(sg, deadline, None)
     points = []
     for w in range(value, min(weight_cap, 2 * g.n) + 1):
-        found, v2max, _ = _max_twos_search(sg, {}, w, -1, False, deadline)
+        found, v2max, _ = _search(sg, {}, _kernels.MAX_TWOS, -1, w, False, deadline)
         if found:
             points.append(ParetoPoint(w, v2max))
     return points

@@ -131,6 +131,16 @@ def test_cli_timeout_reports_its_certified_bounds(capsys, monkeypatch):
                                "lower_bound": 18, "upper_bound": 21, "nodes": 5}
 
 
+@pytest.mark.parametrize("env,flags", [("abc", []), ("nan", []), ("", []),
+                                       ("60", ["--budget", "nan"])])
+def test_cli_malformed_budget_is_a_json_error(capsys, monkeypatch, env, flags):
+    monkeypatch.setenv(solve.BUDGET_ENV, env)
+    code, _, err = run_cli(capsys, "gammatr", "K3", *flags)
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["type"] == "PreconditionError" and "budget" in doc["error"].lower()
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-command"])

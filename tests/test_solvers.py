@@ -16,8 +16,7 @@ from trdprod.graph import (connected_components, direct_product, from_edge_list,
                            in_one_orbit, induced_subgraph, is_vertex_transitive)
 from trdprod.labeling import (LabelFunction, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchArrays, _SearchGraph, _brute_scan, _max_twos_search,
-                           _min_weight_search, _orbital_fix, gamma_t_exact,
+from trdprod.solve import (_SearchGraph, _brute_scan, _orbital_fix, _search, gamma_t_exact,
                            gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                            greedy_total_dominating_set, maximum_open_packings,
                            rho_exact, rho_o_exact,
@@ -26,6 +25,7 @@ from trdprod.solve import (_SearchArrays, _SearchGraph, _brute_scan, _max_twos_s
                            trivial_lower_bound)
 
 TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
+MIN, TWOS = _kernels.MIN_WEIGHT, _kernels.MAX_TWOS
 
 
 # values frozen from the exhaustive 3^n scan
@@ -226,7 +226,7 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     def out_of_time(*args):
         raise SolverTimeout("search budget exhausted")
 
-    monkeypatch.setattr(solve, "_max_twos_search", out_of_time)
+    monkeypatch.setattr(_kernels, "bnb_max_twos", out_of_time)
     with pytest.raises(SolverTimeout) as err:
         gamma_tr_max_v2(direct_product(complete(3), complete(3)).base, budget=60)
     assert err.value.lower_bound == err.value.upper_bound == 6
@@ -402,27 +402,27 @@ def _assert_searches_agree_with_a_scan_of_completions(g, fixed):
         return is_total_roman_dominating(f) and all(labels[v] == fixed[v] for v in fixed)
 
     sg = _SearchGraph(g)
-    found, best, labels = _min_weight_search(sg, fixed, 2 * g.n + 1, False, None)
+    found, best, labels = _search(sg, fixed, MIN, 2 * g.n + 1, 0, False, None)
     assert found == bool(valid)
     if not valid:
         return
     low = min(w for w, _ in valid)
     assert best == low and completes(labels) and sum(labels) == low
     for init_best in (low, low + 1):
-        found, _, labels = _min_weight_search(sg, fixed, init_best, True, None)
+        found, _, labels = _search(sg, fixed, MIN, init_best, 0, True, None)
         assert found == (low < init_best)
         if found:
             assert completes(labels) and sum(labels) < init_best
     for cap in sorted({w for w, _ in valid} | {low - 1}):
         twos = max((t for w, t in valid if w == cap), default=None)
-        found, best, labels = _max_twos_search(sg, fixed, cap, -1, False, None)
+        found, best, labels = _search(sg, fixed, TWOS, -1, cap, False, None)
         assert found == (twos is not None)
         if not found:
             continue
         assert best == twos and completes(labels)
         assert sum(labels) == cap and labels.count(2) == twos
-        assert _max_twos_search(sg, fixed, cap, twos - 1, True, None)[0]
-        assert not _max_twos_search(sg, fixed, cap, twos, True, None)[0]
+        assert _search(sg, fixed, TWOS, twos - 1, cap, True, None)[0]
+        assert not _search(sg, fixed, TWOS, twos, cap, True, None)[0]
 
 
 def test_eod_product_certificate_case():
@@ -433,16 +433,14 @@ def test_eod_product_certificate_case():
 
 
 def _run_pair(g):
-    arrs = _SearchArrays(_SearchGraph(g), {})
-    st = arrs.state(best=2 * g.n + 1)
-    _kernels.bnb_min_weight(arrs.adj_mask, arrs.labels, arrs.order, arrs.trial, arrs.cov,
-                            arrs.pos, arrs.un0, arrs.unp, arrs.bit, arrs.und,
-                            arrs.best_labels, st, 10 ** 9)
+    found, best, _ = _search(_SearchGraph(g), {}, MIN, 2 * g.n + 1, 0, False, None)
+    assert found
     table = [-1] * (2 * g.n + 1)
     bst = [2 * g.n + 1, 0, 0, 0, 0, 0]
-    _kernels.brute_force_scan(g.adj, arrs.bit, [0] * g.n, [-1] * g.n, table, bst, 10 ** 9)
-    assert st[5] == bst[3] == _kernels.DONE
-    return st[3], bst[0], table
+    bit = [1 << v for v in range(g.n)]
+    _kernels.brute_force_scan(g.adj, bit, [0] * g.n, [-1] * g.n, table, bst, 10 ** 9)
+    assert bst[3] == _kernels.DONE
+    return best, bst[0], table
 
 
 def test_kernel_fallback_parity():
@@ -540,8 +538,8 @@ def test_a_regular_graph_that_is_not_vertex_transitive_keeps_its_optimum(
         g, optimum, with_two_at_0):
     # Every optimal labeling here leaves vertex 0 below 2, so a proof started
     # from a 2 at vertex 0 would report a heavier optimum.
-    assert _min_weight_search(_SearchGraph(g), {0: 2}, 2 * g.n + 1, False,
-                              None)[1] == with_two_at_0
+    assert _search(_SearchGraph(g), {0: 2}, MIN, 2 * g.n + 1, 0, False,
+                   None)[1] == with_two_at_0
     best, labels, _ = _brute_scan(g, 12)
     assert best == optimum
     result = gamma_tr_exact(g, budget=60)
