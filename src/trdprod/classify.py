@@ -10,6 +10,11 @@ those witnesses; SMALL_CASES there holds each clause's weight.
 The small-value verdicts are certificates in the mathematical sense; the
 verification harness still audits every verdict against the exact solver on
 small catalogs rather than trusting the case analysis.
+
+The EOD test has no search of its own: it scans the maximum open packings
+that solve enumerates, the same packing search that gives rho and rho_o,
+and keeps the first that totally dominates (is_eod_graph says why that
+finds every EOD set).
 """
 
 from __future__ import annotations
@@ -17,15 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .construct import SMALL_CASES, product_eod_set
-from .errors import ConsistencyError, PreconditionError, SizeLimitError
+from .errors import ConsistencyError, PreconditionError
 from .graph import (Graph, direct_product, is_central_triangle, is_k2,
                     is_regular, mask_of, require_no_isolated,
                     universal_vertex_list)
-from .labeling import (VertexSet, is_efficient_open_dominating,
-                       trdf_from_total_dominating_set)
-from .solve import SUBSET_LIMIT, SolveResult, gamma_t_exact, gamma_tr_exact
-
-EOD_SEARCH_LIMIT = 32
+from .labeling import VertexSet, is_total_dominating, trdf_from_total_dominating_set
+from .solve import (SUBSET_LIMIT, SolveResult, gamma_t_exact, gamma_tr_exact,
+                    maximum_open_packings)
 
 
 @dataclass(frozen=True)
@@ -77,57 +80,27 @@ def is_total_roman_graph(g: Graph, budget: float | None = None) -> bool:
 
 
 def is_eod_graph(g: Graph) -> VertexSet | None:
-    """Search for an efficient open dominating set (every vertex exactly one
-    neighbor inside); returns the first one found or None.
+    """The lexicographically first efficient open dominating (EOD) set, one
+    holding exactly one neighbor of every vertex, or None when there is none.
 
-    The unit-neighbor-count recursion prunes as soon as any vertex sees two
-    chosen neighbors or runs out of undecided ones. Any set found is
-    cross-checked against the packing/domination predicate pair, and its size
-    against the total domination number, which it must match.
+    Every EOD set S is a maximum open packing. Each vertex has one neighbor
+    in S, so the open neighborhoods of S's members are pairwise disjoint,
+    and S is an open packing. An open packing is never larger than a total
+    dominating set (Henning & Slater, "Open packing in graphs", 1999): each
+    member has a neighbor in the dominating set, and disjoint neighborhoods
+    give distinct ones. Hence |S| <= rho_o <= gamma_t <= |S|. The maximum
+    open packings that totally dominate are therefore exactly the EOD sets,
+    and the first in lexicographic order is returned. Its size is
+    cross-checked against the total domination number.
     """
     require_no_isolated(g, "efficient open domination")
-    if g.n > EOD_SEARCH_LIMIT:
-        raise SizeLimitError(f"EOD search limited to {EOD_SEARCH_LIMIT} vertices, got {g.n}")
-    n = g.n
-    maxnbr = [max(g.neighbors(v)) for v in range(n)]
-    finish = [[] for _ in range(n)]
-    for v in range(n):
-        finish[maxnbr[v]].append(v)
-    cnt = [0] * n
-
-    def search(i: int, members: int) -> int | None:
-        if i == n:
-            return members
-        for take in (1, 0):
-            ok = True
-            if take:
-                for u in g.neighbors(i):
-                    cnt[u] += 1
-                    if cnt[u] > 1:
-                        ok = False
-            if ok:
-                for v in finish[i]:
-                    if cnt[v] != 1:
-                        ok = False
-                        break
-            if ok:
-                got = search(i + 1, members | (take << i))
-                if got is not None:
-                    return got
-            if take:
-                for u in g.neighbors(i):
-                    cnt[u] -= 1
-        return None
-
-    members = search(0, 0)
-    if members is None:
-        return None
-    out = VertexSet(g, members, "efficient_open_dominating")
-    if not is_efficient_open_dominating(out):
-        raise ConsistencyError("EOD search produced a non-EOD set")
-    if out.size != gamma_t_exact(g).value:
-        raise ConsistencyError("EOD set size differs from the total domination number")
-    return out
+    for s in maximum_open_packings(g):
+        if is_total_dominating(s):
+            out = VertexSet(g, s.members, "efficient_open_dominating")
+            if out.size != gamma_t_exact(g).value:
+                raise ConsistencyError("EOD set size differs from the total domination number")
+            return out
+    return None
 
 
 def weight_seven_hypothesis(g: Graph, h: Graph) -> bool:

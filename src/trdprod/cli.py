@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import bounds, catalog, classify, construct, families, graph6, solve
-from .errors import SolverTimeout, TrdError
+from .errors import GraphInputError, SolverTimeout, TrdError
 from .graph import Graph, direct_product, from_json_dict
 
 
@@ -150,7 +150,11 @@ def _cmd_family(args) -> int:
     if len(args.params) != nsizes + nops:
         raise TrdError(f"family {kind!r} takes {nsizes} size parameter(s)"
                        f" and {nops} graph operand(s)")
-    sizes = tuple(int(p) for p in args.params[:nsizes])
+    try:
+        sizes = tuple(int(p) for p in args.params[:nsizes])
+    except ValueError:
+        raise GraphInputError(f"family {kind!r} size parameters must be integers,"
+                              f" got {args.params[:nsizes]}") from None
     operands = tuple(_load_graph(p) for p in args.params[nsizes:])
     g = families.generate(families.FamilySpec(kind, sizes, operands))
     _emit_graph(g, args.emit)

@@ -1,5 +1,7 @@
 """Exact solvers: gamma_tR (branch-and-bound and brute force), gamma_t, the
 packing numbers, the max-2s tie-broken variant, and weight/2-count frontiers.
+rho, rho_o and the maximum open packings come from one subset enumeration,
+_packings, given closed or open neighbourhoods.
 
 Budgets are wall-clock seconds; running out raises SolverTimeout with the
 best certified bounds rather than returning an approximation, and with the
@@ -339,11 +341,11 @@ def _lex_smallest(g: Graph, feasible, seed: tuple[int, ...] | None) -> tuple[int
     return tuple(fixed[v] for v in range(g.n))
 
 
-def _brute_scan(g: Graph, limit: int):
+def _brute_scan(g: Graph):
     """Full 3^n scan; returns (best weight, lex-first witness, per-weight max-2-count table)."""
     require_no_isolated(g, "gamma_tR")
-    if g.n > limit:
-        raise SizeLimitError(f"brute force oracle limited to {limit} vertices, got {g.n}")
+    if g.n > ORACLE_LIMIT:
+        raise SizeLimitError(f"brute force oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
     bit = [1 << v for v in range(g.n)]
     digits = [0] * g.n
     best_labels = [-1] * g.n
@@ -356,9 +358,9 @@ def _brute_scan(g: Graph, limit: int):
     return st[0], tuple(best_labels), table
 
 
-def gamma_tr_bruteforce(g: Graph, limit: int = ORACLE_LIMIT) -> SolveResult:
+def gamma_tr_bruteforce(g: Graph) -> SolveResult:
     """Independent oracle: exhaustive scan of all 3^n labelings."""
-    best, labels, _ = _brute_scan(g, limit)
+    best, labels, _ = _brute_scan(g)
     witness = LabelFunction(g, labels)
     if not is_total_roman_dominating(witness) or witness.weight != best:
         raise ConsistencyError("brute force witness failed validation")
@@ -438,45 +440,39 @@ def _solve_connected(g: Graph, deadline: _Deadline | None,
     return value, twos, labels
 
 
-def _per_component(g: Graph, comps: list[list[int]], solver):
-    """Run a per-component solver over comps, the connected components of g,
-    and stitch; the objective and the lexicographic tie-break both decompose
-    over components because label choices in different components never
-    interact."""
-    total = 0
-    twos = 0
+def _solve(g: Graph, budget: float | None, upper_bound_hint: int | None, max_twos: bool):
+    """Value, 2-count and verified witness under one budget; see _solve_connected.
+
+    Each connected component is solved on its own and the labels stitched:
+    the objective and the lexicographic tie-break both decompose over
+    components because label choices in different components never
+    interact. The hint bounds the whole graph, so only a graph of one
+    component, solved as it is, gets it.
+    """
+    require_no_isolated(g, "gamma_tR")
+    deadline = _Deadline(budget)
+    comps = connected_components(g)
+    hint = upper_bound_hint if len(comps) == 1 else None
+    value = twos = 0
     stitched = [0] * g.n
     for idx, comp in enumerate(comps):
-        sub = induced_subgraph(g, comp)
+        sub = g if len(comps) == 1 else induced_subgraph(g, comp)
         try:
-            value, v2, labels = solver(sub)
+            sub_value, sub_twos, labels = _solve_connected(sub, deadline, hint, max_twos)
         except SolverTimeout as exc:
             # Solved components count exactly; a pending one is at least its
             # trivial floor and at most twice a greedy total dominating set.
             rest = [induced_subgraph(g, c) for c in comps[idx + 1:]]
-            exc.lower_bound = (total + exc.lower_bound
+            exc.lower_bound = (value + exc.lower_bound
                                + sum(trivial_lower_bound(r) for r in rest))
-            exc.upper_bound = (total + exc.upper_bound
+            exc.upper_bound = (value + exc.upper_bound
                                + sum(2 * greedy_total_dominating_set(r).size for r in rest))
             raise
-        total += value
-        twos += v2
+        value += sub_value
+        twos += sub_twos
         for i, orig in enumerate(comp):
             stitched[orig] = labels[i]
-    return total, twos, tuple(stitched)
-
-
-def _solve(g: Graph, budget: float | None, upper_bound_hint: int | None, max_twos: bool):
-    """Value, 2-count and verified witness under one budget; see _solve_connected."""
-    require_no_isolated(g, "gamma_tR")
-    deadline = _Deadline(budget)
-    comps = connected_components(g)
-    if len(comps) == 1:
-        value, twos, labels = _solve_connected(g, deadline, upper_bound_hint, max_twos)
-    else:
-        value, twos, labels = _per_component(
-            g, comps, lambda sub: _solve_connected(sub, deadline, None, max_twos))
-    witness = LabelFunction(g, labels)
+    witness = LabelFunction(g, tuple(stitched))
     if (not is_total_roman_dominating(witness) or witness.weight != value
             or (max_twos and len(witness.v2) != twos)):
         raise ConsistencyError("branch-and-bound witness failed validation")
@@ -521,57 +517,50 @@ def gamma_t_exact(g: Graph) -> SolveResult:
     raise ConsistencyError("no total dominating set despite no isolated vertices")
 
 
-def rho_exact(g: Graph) -> SolveResult:
-    """Largest packing (pairwise disjoint closed neighborhoods)."""
-    if g.n > SUBSET_LIMIT:
-        raise SizeLimitError(f"subset enumeration limited to {SUBSET_LIMIT} vertices, got {g.n}")
-    if g.n == 0:
-        return SolveResult("rho", 0, VertexSet(g, 0, "packing"), "brute_force")
-    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
-    dmin = min(g.degree(v) for v in range(g.n))
-    for k in range(g.n // (dmin + 1), 0, -1):
-        for comb in combinations(range(g.n), k):
-            used = 0
-            for v in comb:
-                if used & closed[v]:
-                    break
-                used |= closed[v]
-            else:
-                return SolveResult("rho", k, VertexSet(g, mask_of(comb), "packing"),
-                                   "brute_force")
-    raise ConsistencyError("single vertices are always packings")
-
-
-def _open_packings_of_size(g: Graph, k: int):
-    for comb in combinations(range(g.n), k):
+def _packings(nbhd: tuple[int, ...], k: int):
+    """The k-sets whose nbhd masks are pairwise disjoint, as masks, in lexicographic order."""
+    for comb in combinations(range(len(nbhd)), k):
         used = 0
         for v in comb:
-            if used & g.adj[v]:
+            if used & nbhd[v]:
                 break
-            used |= g.adj[v]
+            used |= nbhd[v]
         else:
             yield mask_of(comb)
 
 
+def _largest_packing(nbhd: tuple[int, ...]) -> tuple[int, int]:
+    """Size and lexicographically first mask of a largest packing under nbhd.
+
+    Sizes are tried from the largest down: k pairwise disjoint masks of at
+    least m vertices each fit in n vertices only when k*m <= n.
+    """
+    n = len(nbhd)
+    if n > SUBSET_LIMIT:
+        raise SizeLimitError(f"subset enumeration limited to {SUBSET_LIMIT} vertices, got {n}")
+    kmax = n // max(1, min((m.bit_count() for m in nbhd), default=1))
+    for k in range(kmax, 0, -1):
+        for mask in _packings(nbhd, k):
+            return k, mask
+    return 0, 0  # the empty graph; any other has a one-vertex packing
+
+
+def rho_exact(g: Graph) -> SolveResult:
+    """Largest packing (pairwise disjoint closed neighborhoods)."""
+    k, mask = _largest_packing(tuple(g.adj[v] | 1 << v for v in range(g.n)))
+    return SolveResult("rho", k, VertexSet(g, mask, "packing"), "brute_force")
+
+
 def rho_o_exact(g: Graph) -> SolveResult:
     """Largest open packing (pairwise disjoint open neighborhoods)."""
-    if g.n > SUBSET_LIMIT:
-        raise SizeLimitError(f"subset enumeration limited to {SUBSET_LIMIT} vertices, got {g.n}")
-    if g.n == 0:
-        return SolveResult("rho_o", 0, VertexSet(g, 0, "open_packing"), "brute_force")
-    dmin = min(g.degree(v) for v in range(g.n))
-    kmax = g.n if dmin == 0 else g.n // dmin
-    for k in range(min(kmax, g.n), 0, -1):
-        for mask in _open_packings_of_size(g, k):
-            return SolveResult("rho_o", k, VertexSet(g, mask, "open_packing"),
-                               "brute_force")
-    raise ConsistencyError("single vertices are always open packings")
+    k, mask = _largest_packing(g.adj)
+    return SolveResult("rho_o", k, VertexSet(g, mask, "open_packing"), "brute_force")
 
 
 def maximum_open_packings(g: Graph) -> list[VertexSet]:
-    """Every open packing of maximum size; small graphs only."""
+    """Every open packing of maximum size, in lexicographic order; small graphs only."""
     k = rho_o_exact(g).value
-    return [VertexSet(g, mask, "open_packing") for mask in _open_packings_of_size(g, k)]
+    return [VertexSet(g, mask, "open_packing") for mask in _packings(g.adj, k)]
 
 
 def rho_o_set_inducing_perfect_matching(g: Graph) -> VertexSet | None:
@@ -595,7 +584,10 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
                                deadline)
     if not found:
         return None
-    return LabelFunction(g, labels)
+    witness = LabelFunction(g, labels)
+    if not is_total_roman_dominating(witness) or witness.weight != weight:
+        raise ConsistencyError("weight-constrained witness failed validation")
+    return witness
 
 
 def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,

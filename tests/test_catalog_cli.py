@@ -120,6 +120,13 @@ def test_cli_domain_error_exit_code(capsys):
     assert "error" in json.loads(err)
 
 
+def test_cli_family_non_integer_size_is_a_json_error(capsys):
+    code, out, err = run_cli(capsys, "family", "cycle", "abc")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "GraphInputError" and "abc" in doc["error"]
+
+
 def test_cli_timeout_reports_its_certified_bounds(capsys, monkeypatch):
     def timeout(g, budget=None):
         raise SolverTimeout("x", lower_bound=18, upper_bound=21, nodes=5)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from trdprod.catalog import enumerate_catalog
@@ -5,12 +7,12 @@ from trdprod.classify import (certify_regular_eod, certify_regular_eod_product,
                               classify_small_product, is_eod_graph, is_k2,
                               is_total_roman_graph, triangle_centered,
                               universal_vertices)
-from trdprod.errors import HypothesisError
+from trdprod.errors import HypothesisError, SizeLimitError
 from trdprod.families import (complete, complete_bipartite,
                               complete_minus_matching, cycle, fan, path, prism,
                               star, wheel)
 from trdprod.graph import direct_product, from_edge_list
-from trdprod.labeling import VertexSet, is_total_dominating
+from trdprod.labeling import VertexSet, eod_by_unit_neighbor_count, is_total_dominating
 from trdprod.solve import gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact
 
 TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
@@ -67,10 +69,25 @@ def test_eod_requires_no_isolated():
         is_eod_graph(from_edge_list(3, [(0, 1)]))
 
 
+@pytest.mark.parametrize("n", [22, 24])
+def test_eod_search_past_the_subset_limit_is_a_size_limit_error(n):
+    with pytest.raises(SizeLimitError):
+        is_eod_graph(cycle(n))
+
+
 def test_eod_size_matches_gamma_t_across_catalog():
-    for g in enumerate_catalog(4).graphs:
+    graphs = (list(enumerate_catalog(5).graphs) + [cycle(n) for n in range(3, 15)]
+              + [path(n) for n in range(2, 13)])
+    for g in graphs:
+        # the first set a literal scan of every subset, smallest first, accepts
+        scan = (VertexSet.from_vertices(g, c)
+                for k in range(1, g.n + 1) for c in itertools.combinations(range(g.n), k))
+        first = next((s for s in scan if eod_by_unit_neighbor_count(s)), None)
         s = is_eod_graph(g)
-        if s is not None:
+        if first is None:
+            assert s is None, g.name
+        else:
+            assert s.members == first.members, g.name
             assert s.size == gamma_t_exact(g).value
 
 

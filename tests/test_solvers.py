@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies
 
 from trdprod import _kernels, solve
 from trdprod.catalog import enumerate_catalog
-from trdprod.errors import SizeLimitError, SolverTimeout
+from trdprod.errors import ConsistencyError, SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, fan, path,
                               prism, star, wheel)
 from trdprod.graph import (connected_components, direct_product, from_edge_list,
                            in_one_orbit, induced_subgraph, is_vertex_transitive)
-from trdprod.labeling import (LabelFunction, is_open_packing, is_packing,
+from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
 from trdprod.solve import (_SearchGraph, _brute_scan, _orbital_fix, _search, gamma_t_exact,
                            gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
@@ -94,7 +94,7 @@ def test_max_v2_known_values():
 def test_max_v2_agrees_with_scan_table():
     for g in [path(3), path(4), cycle(4), cycle(5), star(3), complete(4),
               complete_bipartite(2, 3), wheel(5), TWO_K2, prism(cycle(5)), fan(10)]:
-        best, _, table = _brute_scan(g, 12)
+        best, _, table = _brute_scan(g)
         res = gamma_tr_max_v2(g, budget=60)
         assert res.value == best and res.max_v2 == table[best]
         frontier = trdf_pareto_frontier(g, weight_cap=2 * g.n, budget=60)
@@ -122,13 +122,18 @@ def test_gamma_t_rho_examples():
 
 
 def test_solver_witnesses_satisfy_their_predicates():
-    for g in [path(4), cycle(5), star(3), complete(4), prism(cycle(3))]:
+    graphs = (list(enumerate_catalog(5).graphs) + [prism(cycle(3))]
+              + [cycle(n) for n in range(3, 15)] + [path(n) for n in range(2, 13)])
+    for g in graphs:
         t = gamma_t_exact(g)
         assert is_total_dominating(t.witness) and t.witness.size == t.value
-        p = rho_exact(g)
-        assert is_packing(p.witness) and p.witness.size == p.value
-        o = rho_o_exact(g)
-        assert is_open_packing(o.witness) and o.witness.size == o.value
+        # the first set a literal scan of every subset, largest first, accepts
+        scan = [VertexSet.from_vertices(g, c)
+                for k in range(g.n, 0, -1) for c in itertools.combinations(range(g.n), k)]
+        for res, accepts in ((rho_exact(g), is_packing), (rho_o_exact(g), is_open_packing)):
+            first = next(s for s in scan if accepts(s))
+            assert accepts(res.witness) and res.witness.size == res.value
+            assert res.witness.members == first.members, (g.name, res.invariant)
 
 
 def test_sandwich_gamma_t_vs_gamma_tr_on_catalog():
@@ -157,6 +162,14 @@ def test_pareto_frontier_matches_weight_constrained_search():
             f = trdf_with_weight_max_v2(g, point.weight)
             assert f is not None
             assert f.weight == point.weight and len(f.v2) == point.max_v2
+
+
+@pytest.mark.parametrize("labels", [(2, 2, 2), (0, 1, 2)])
+def test_weight_constrained_witness_is_reverified(monkeypatch, labels):
+    # a search answer of the wrong weight, or not total Roman dominating, is refused
+    monkeypatch.setattr(solve, "_search", lambda *args: (True, 0, labels))
+    with pytest.raises(ConsistencyError):
+        trdf_with_weight_max_v2(path(3), 3)
 
 
 def test_greedy_total_dominating_set_is_valid():
@@ -336,7 +349,7 @@ def _relabeling_cases(count, seed):
 def test_search_values_do_not_depend_on_vertex_labels(g, h):
     # the fail-first rule breaks ties by vertex index, so a relabeled copy
     # takes another search path to the same optimum and max-2s count
-    best, _, table = _brute_scan(g, 12)
+    best, _, table = _brute_scan(g)
     for graph in (g, h):
         assert gamma_tr_exact(graph, budget=60).value == best
         result = gamma_tr_max_v2(graph, budget=60)
@@ -344,7 +357,7 @@ def test_search_values_do_not_depend_on_vertex_labels(g, h):
 
 
 def _assert_search_agrees_with_the_scan(g):
-    best, labels, table = _brute_scan(g, 12)
+    best, labels, table = _brute_scan(g)
     exact = gamma_tr_exact(g, budget=60)
     assert exact.value == best and exact.witness.labels == labels
     assert gamma_tr_max_v2(g, budget=60).max_v2 == table[best]
@@ -427,7 +440,7 @@ def _assert_searches_agree_with_a_scan_of_completions(g, fixed):
 
 def test_eod_product_certificate_case():
     # the 2K2 product of two single edges: optimum is all-1, never uses a 2
-    best, labels, table = _brute_scan(TWO_K2, 12)
+    best, labels, table = _brute_scan(TWO_K2)
     assert best == 4 and table[4] == 0
     assert labels == (1, 1, 1, 1)
 
@@ -540,7 +553,7 @@ def test_a_regular_graph_that_is_not_vertex_transitive_keeps_its_optimum(
     # from a 2 at vertex 0 would report a heavier optimum.
     assert _search(_SearchGraph(g), {0: 2}, MIN, 2 * g.n + 1, 0, False,
                    None)[1] == with_two_at_0
-    best, labels, _ = _brute_scan(g, 12)
+    best, labels, _ = _brute_scan(g)
     assert best == optimum
     result = gamma_tr_exact(g, budget=60)
     assert result.value == best and result.witness.labels == labels
@@ -584,7 +597,7 @@ def test_orbital_fixing_on_every_search_keeps_values_and_witnesses(monkeypatch, 
         plain = _exact_and_most_twos(g)
     assert _exact_and_most_twos(g) == plain
     if g.n <= 12:
-        best, labels, table = _brute_scan(g, 12)
+        best, labels, table = _brute_scan(g)
         assert plain[:3] == (best, labels, table[best])
 
 
