@@ -22,10 +22,11 @@ i.e. outside cov) and unp (decided positives with no decided positive
 neighbour). The kernel also writes the branching order as it goes: order[d]
 is the vertex branched on at depth d, order[d:k] lists the vertices still
 undecided there in some order, and und[d] is the same set as a mask. The
-caller fills slot 0 from the fixed labels, with order listing every free
-vertex and und[0] their mask. A child's masks come from slot d in a few
-mask operations and are written to slot d+1 only when the child survives,
-so backtracking only resets a label.
+caller fills slot 0 from a fixed-label state, with order listing every
+free vertex and und[0] their mask; solve._fix builds that state one label
+at a time and is the one Python copy of the child rule below. A child's
+masks come from slot d in a few mask operations and are written to slot
+d+1 only when the child survives, so backtracking only resets a label.
 
 A child is dead when some unsatisfied vertex (in un0 or unp) has no
 undecided neighbour left. No live node holds such a vertex, so only the
@@ -71,11 +72,6 @@ MAX_TWOS = 1
 USE_NUMBA = False
 
 _popcount = int.bit_count
-
-
-def _lowbit(x):
-    """Index of the lowest set bit of a nonzero mask."""
-    return (x & -x).bit_length() - 1
 
 
 def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
@@ -190,7 +186,7 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
             fewest = n + 1
             r = un0[depth] | unp[depth]
             while r:
-                x = _lowbit(r)
+                x = (r & -r).bit_length() - 1
                 r ^= bit[x]
                 c = _popcount(adj_mask[x] & ud)
                 if c < fewest:
@@ -198,7 +194,8 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
                     tight = x
                     if c == 1:
                         break
-            nxt = _lowbit(ud if tight < 0 else adj_mask[tight] & ud)
+            r = ud if tight < 0 else adj_mask[tight] & ud
+            nxt = (r & -r).bit_length() - 1
             i = depth
             while order[i] != nxt:
                 i += 1
@@ -256,7 +253,7 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
         dead = False
         r = (u0 | up) & (nv | vb)
         while r:
-            x = _lowbit(r)
+            x = (r & -r).bit_length() - 1
             r ^= bit[x]
             if not adj_mask[x] & ud:
                 dead = True

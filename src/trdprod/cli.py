@@ -29,7 +29,11 @@ def _load_graph(token: str) -> Graph:
         with open(token, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
         if text.startswith("{"):
-            return from_json_dict(json.loads(text))
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise GraphInputError(f"bad edge-list JSON in {token}: {exc}") from None
+            return from_json_dict(data)
         g = graph6.parse_graph6(text.splitlines()[0])
         return g.relabeled(os.path.basename(token))
     return families.parse_graph_token(token)
@@ -142,20 +146,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_family(args) -> int:
     kind = args.kind
-    builders = families.FAMILY_BUILDERS
-    if kind not in builders:
-        raise TrdError(f"unknown family kind {kind!r}; valid: "
-                       + ", ".join(sorted(builders)))
-    _, nsizes, nops = builders[kind]
-    if len(args.params) != nsizes + nops:
-        raise TrdError(f"family {kind!r} takes {nsizes} size parameter(s)"
-                       f" and {nops} graph operand(s)")
+    # The last parameters are the kind's operand graphs and the rest its
+    # sizes; families.generate checks the kind and both counts.
+    _, _, nops = families.FAMILY_BUILDERS.get(kind, (None, 0, 0))
+    split = max(0, len(args.params) - nops)
     try:
-        sizes = tuple(int(p) for p in args.params[:nsizes])
+        sizes = tuple(int(p) for p in args.params[:split])
     except ValueError:
         raise GraphInputError(f"family {kind!r} size parameters must be integers,"
-                              f" got {args.params[:nsizes]}") from None
-    operands = tuple(_load_graph(p) for p in args.params[nsizes:])
+                              f" got {args.params[:split]}") from None
+    operands = tuple(_load_graph(p) for p in args.params[split:])
     g = families.generate(families.FamilySpec(kind, sizes, operands))
     _emit_graph(g, args.emit)
     return 0

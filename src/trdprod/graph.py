@@ -33,31 +33,35 @@ class Graph:
             raise GraphInputError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
             raise GraphInputError(f"adjacency length {len(self.adj)} != n={self.n}")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
+        for v, mask in enumerate(adj):
             if mask & ~full:
                 raise GraphInputError(f"adjacency of vertex {v} references vertices >= n")
             if mask >> v & 1:
                 raise GraphInputError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in _bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        for v, mask in enumerate(adj):
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise GraphInputError(f"asymmetric adjacency between {u} and {v}")
+                mask ^= low
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.adj), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
+        return bits_of(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
+        return [(u, v) for u in range(self.n) for v in bits_of(self.adj[u]) if u < v]
 
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -73,16 +77,14 @@ class Graph:
         return f"Graph({label}, n={self.n}, m={self.num_edges()})"
 
 
-def _bits(mask: int):
-    """Yield set bit positions of a Python int, lowest first."""
+def bits_of(mask: int) -> list[int]:
+    """Set bit positions of a Python int, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
-
-
-def bits_of(mask: int) -> list[int]:
-    return list(_bits(mask))
+    return out
 
 
 def mask_of(vertices) -> int:
@@ -141,7 +143,7 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     hn = h.n
     adj = []
     for a in range(g.n):
-        g_nbrs = list(_bits(g.adj[a]))
+        g_nbrs = bits_of(g.adj[a])
         for b in range(h.n):
             mask = 0
             hmask = h.adj[b]
@@ -157,21 +159,21 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, in order of
     their smallest vertex."""
+    adj = g.adj
     seen = 0
     out = []
     for start in range(g.n):
         if seen >> start & 1:
             continue
-        comp = 1 << start
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            new = g.adj[v] & ~comp
-            comp |= new
-            for u in _bits(new):
-                queue.append(u)
+        comp = frontier = 1 << start
+        while frontier:
+            reach = 0
+            for v in bits_of(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
         seen |= comp
-        out.append(list(_bits(comp)))
+        out.append(bits_of(comp))
     return out
 
 
@@ -229,7 +231,7 @@ def in_one_orbit(g: Graph, pair: list[list[int]], colour, targets) -> bool:
     parent = [src] * n
     seen = 1 << src
     for v in order:
-        for u in _bits(adj[v] & ~seen):
+        for u in bits_of(adj[v] & ~seen):
             seen |= 1 << u
             parent[u] = v
             order.append(u)
@@ -246,7 +248,7 @@ def in_one_orbit(g: Graph, pair: list[list[int]], colour, targets) -> bool:
                 or any(colour[image[v]] != colour[v] for v in range(n))):
             return False
         gens.append(image)
-        frontier = list(_bits(orbit))
+        frontier = bits_of(orbit)
         while frontier:
             v = frontier.pop()
             for s in gens:
@@ -315,7 +317,7 @@ def _is_automorphism(g: Graph, image: list[int]) -> bool:
         return False
     for v in range(g.n):
         mapped = 0
-        for u in _bits(g.adj[v]):
+        for u in bits_of(g.adj[v]):
             mapped |= 1 << image[u]
         if mapped != g.adj[image[v]]:
             return False
@@ -325,12 +327,12 @@ def _is_automorphism(g: Graph, image: list[int]) -> bool:
 def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
     """Subgraph on the given vertices, relabeled 0..k-1 in list order."""
     index = {v: i for i, v in enumerate(vertices)}
+    keep = mask_of(vertices)
     adj = []
     for v in vertices:
         mask = 0
-        for u in _bits(g.adj[v]):
-            if u in index:
-                mask |= 1 << index[u]
+        for u in bits_of(g.adj[v] & keep):
+            mask |= 1 << index[u]
         adj.append(mask)
     return Graph(len(vertices), tuple(adj), g.name)
 
@@ -348,7 +350,7 @@ def is_bipartite(g: Graph) -> bool:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for u in _bits(g.adj[v]):
+            for u in bits_of(g.adj[v]):
                 if color[u] < 0:
                     color[u] = 1 - color[v]
                     queue.append(u)
@@ -359,7 +361,7 @@ def is_bipartite(g: Graph) -> bool:
 
 def is_triangle_free(g: Graph) -> bool:
     for u in range(g.n):
-        for v in _bits(g.adj[u]):
+        for v in bits_of(g.adj[u]):
             if v > u and g.adj[u] & g.adj[v]:
                 return False
     return True
@@ -393,7 +395,7 @@ def is_central_triangle(g: Graph, x: int, y: int, z: int) -> bool:
 
 
 def has_isolated_vertex(g: Graph) -> bool:
-    return any(m == 0 for m in g.adj)
+    return 0 in g.adj
 
 
 def require_no_isolated(g: Graph, context: str) -> None:

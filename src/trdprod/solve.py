@@ -15,6 +15,14 @@ vertex labeled 0 needs a 2-neighbour, so the labeling has a 2 at some v; an
 automorphism sending 0 to v turns it into a valid labeling of the same
 weight with a 2 at vertex 0.
 
+Every search starts from a fixed-label state: the masks of the kernels'
+slot 0 and the label list. _fix extends a state by one label with the
+kernels' child rule, and is the one Python copy of that rule; a dict of
+fixed labels becomes a state by folding _fix over it. The lexicographic
+witness rebuild extends the state of its prefix by one label per probe, and
+a probe whose new label leaves a vertex unsatisfied with no undecided
+neighbour is answered there, without a search.
+
 Every search (the proof, each lexicographic probe, under either objective)
 also applies an orbital rule below that root. A search still running after
 its first chunk takes v, the fixed vertex that is not yet satisfied with
@@ -177,39 +185,63 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
     return VertexSet(g, members, "total_dominating")
 
 
-def _fixed_masks(adj, fixed: dict[int, int]):
-    """Weight, 2-count, cov, pos, un0 and unp of a set of fixed labels.
+def _fix(adj, state, v: int, lab: int):
+    """A new state: state with the undecided v labeled lab by the kernels'
+    child rule, or None when v or a neighbour is left unsatisfied with no
+    undecided neighbour, which no further label mends.
 
-    The masks are those of the kernels' slot 0 (see _kernels): un0 holds the
-    fixed 0s with no fixed 2-neighbour, unp the fixed positives with no
-    fixed positive neighbour.
+    A state is (weight, 2-count, cov, pos, un0, unp, und, labels), the
+    kernels' slot 0 (see _kernels) with -1 for an undecided label; it is
+    never changed in place.
     """
-    weight = twos = cov = pos = 0
-    for v, lab in fixed.items():
-        weight += lab
-        if lab:
-            pos |= 1 << v
+    weight, twos, cov, pos, un0, unp, und, labels = state
+    vb = 1 << v
+    nv = adj[v]
+    und ^= vb
+    if lab == 0:
+        if not cov & vb:
+            un0 |= vb
+    else:
+        if not nv & pos:
+            unp |= vb
+        unp &= ~nv
+        pos |= vb
         if lab == 2:
-            cov |= adj[v]
+            un0 &= ~nv
+            cov |= nv
             twos += 1
-    un0 = unp = 0
+    r = (un0 | unp) & (nv | vb)
+    while r:
+        low = r & -r
+        if not adj[low.bit_length() - 1] & und:
+            return None
+        r ^= low
+    labels = labels[:]
+    labels[v] = lab
+    return weight + lab, twos, cov, pos, un0, unp, und, labels
+
+
+def _fixed_state(adj, fixed: dict[int, int]):
+    """The state of a set of fixed labels (_fix folded over them), or None when dead."""
+    n = len(adj)
+    state = (0, 0, 0, 0, 0, 0, (1 << n) - 1, [-1] * n)
     for v, lab in fixed.items():
-        if lab == 0 and not cov >> v & 1:
-            un0 |= 1 << v
-        elif lab and not adj[v] & pos:
-            unp |= 1 << v
-    return weight, twos, cov, pos, un0, unp
+        state = _fix(adj, state, v, lab)
+        if state is None:
+            break
+    return state
 
 
-def _search(sg: _SearchGraph, fixed: dict[int, int], mode: int, best: int, cap: int,
+def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
             early: bool, deadline: _Deadline | None):
-    """The best completion of fixed under one objective, from incumbent best.
+    """The best completion of a fixed-label state under one objective, from incumbent best.
 
     Returns (found, best, labels_or_None). With mode MIN_WEIGHT, found means
     a completion lighter than the incumbent, and best is the lightest
     weight. With MAX_TWOS, it means a completion of weight exactly cap with
     more 2s than the incumbent, and best is the largest 2-count. With early,
-    the first such completion ends the search.
+    the first such completion ends the search. A state of None (see _fix)
+    has no completion, and its search visits no node.
 
     The kernel runs in chunks of nodes, and the clock is read after each. A
     search still running after its first chunk of _FIRST_CHUNK nodes asks
@@ -223,26 +255,23 @@ def _search(sg: _SearchGraph, fixed: dict[int, int], mode: int, best: int, cap: 
     same search resumes in chunks sized to take about _SLICE_S each; the
     kernel resumes exactly, so chunking never changes the nodes visited.
     """
+    if state is None:
+        return False, best, None
     if deadline is None:  # a search outside any solve: no budget, no total
         deadline = _Deadline(0)
-    n = sg.g.n
     adj = sg.g.adj
-    weight, twos, cov, pos, un0, unp = _fixed_masks(adj, fixed)
-    und = ((1 << n) - 1) & ~mask_of(fixed)
-    # A fixed vertex unsatisfied with no undecided neighbour stays
-    # unsatisfied, so such a search ends before any node.
-    if any(not adj[v] & und for v in bits_of(un0 | unp)):
-        return False, best, None
-    labels = [fixed.get(v, -1) for v in range(n)]
-    # Slot 0 of each per-depth stack holds the masks of the fixed labels,
-    # and order lists every free vertex; the kernel writes the deeper slots
-    # and reorders order as it descends.
-    order = [v for v in range(n) if labels[v] < 0]
+    weight, twos, cov, pos, un0, unp, und, fixed_labels = state
+    labels = fixed_labels[:]
+    # Slot 0 of each per-depth stack holds the state's masks, and order
+    # lists every free vertex; the kernel writes the deeper slots and
+    # reorders order as it descends.
+    order = bits_of(und)
     k = len(order)
     rest = [0] * k
     trial = [0] * (k + 1)
-    covs, poss, un0s, unps, unds = ([m] + rest for m in (cov, pos, un0, unp, und))
-    best_labels = [-1] * n
+    covs, poss, un0s, unps, unds = ([cov] + rest, [pos] + rest, [un0] + rest, [unp] + rest,
+                                    [und] + rest)
+    best_labels = [-1] * len(labels)
     st = [0, weight, twos, best, 0, 0, k, 0, cap, int(early), mode, sg.max_degree]
     kernel = _kernels.bnb_min_weight if mode == _kernels.MIN_WEIGHT else _kernels.bnb_max_twos
     size = _FIRST_CHUNK
@@ -264,7 +293,8 @@ def _search(sg: _SearchGraph, fixed: dict[int, int], mode: int, best: int, cap: 
                 exc.upper_bound = st[3]
             raise exc
         if parts is None:
-            parts = _orbital_fix(sg, fixed)
+            parts = _orbital_fix(sg, {v: lab for v, lab in enumerate(fixed_labels)
+                                      if lab >= 0})
             if parts:
                 break
         fit = int(size * _SLICE_S / max(t1 - t0, 1e-6))
@@ -273,7 +303,8 @@ def _search(sg: _SearchGraph, fixed: dict[int, int], mode: int, best: int, cap: 
     best = st[3]
     witness = tuple(best_labels) if found else None
     for part in parts or ():
-        ok, best, part_labels = _search(sg, part, mode, best, cap, early, deadline)
+        ok, best, part_labels = _search(sg, _fixed_state(adj, part), mode, best, cap, early,
+                                        deadline)
         if ok:
             found, witness = True, part_labels
             if early:
@@ -294,51 +325,57 @@ def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]
     g = sg.g
     adj = g.adj
     out = dict(fixed)
-    while True:
-        *_, un0, unp = _fixed_masks(adj, out)
-        und = ((1 << g.n) - 1) & ~mask_of(out)
+    state = _fixed_state(adj, fixed)
+    while state is not None:
+        *_, un0, unp, und, colour = state
         tight = -1
         fewest = g.n + 1
         for v in bits_of(un0 | unp):
             c = (adj[v] & und).bit_count()
             if c < fewest:
                 tight, fewest = v, c
-        if tight < 0 or fewest == 0:
+        if tight < 0:
             break
         nbrs = bits_of(adj[tight] & und)
-        colour = [out.get(v, -1) for v in range(g.n)]
         if len(nbrs) > 1 and not in_one_orbit(g, sg.pair, colour, nbrs):
             break
         if out[tight]:
             return [{**out, nbrs[0]: 2}, {**out, nbrs[0]: 1}]
         out[nbrs[0]] = 2
+        state = _fix(adj, state, nbrs[0], 2)
     return [out] if len(out) > len(fixed) else []
 
 
 def _lex_smallest(g: Graph, feasible, seed: tuple[int, ...] | None) -> tuple[int, ...]:
     """Fix labels vertex by vertex, smallest first, keeping a known completion as witness.
 
-    feasible(fixed) must return (ok, completion); completions are reused so a
-    vertex whose cheapest label matches the cached witness costs nothing.
+    Each probe extends the state of the labels fixed so far by one label. A
+    probe that _fix finds dead is infeasible and never reaches
+    feasible(state), which must return (ok, completion); completions are
+    reused so a vertex whose cheapest label matches the cached witness costs
+    nothing.
     """
-    fixed: dict[int, int] = {}
-    witness = list(seed) if seed is not None else None
+    adj = g.adj
+    state = _fixed_state(adj, {})
+    witness = seed
     for v in range(g.n):
         for lab in (0, 1, 2):
             if witness is not None:
                 if witness[v] == lab:
-                    fixed[v] = lab
+                    state = _fix(adj, state, v, lab)
                     break
                 if witness[v] < lab:
                     raise ConsistencyError("witness cache out of sync")
-            ok, completion = feasible({**fixed, v: lab})
+            child = _fix(adj, state, v, lab)
+            if child is None:
+                continue
+            ok, completion = feasible(child)
             if ok:
-                fixed[v] = lab
-                witness = list(completion)
+                state, witness = child, completion
                 break
         else:
             raise ConsistencyError("no completion under proven-achievable constraints")
-    return tuple(fixed[v] for v in range(g.n))
+    return tuple(state[7])
 
 
 def _brute_scan(g: Graph):
@@ -395,9 +432,9 @@ def _gamma_tr_value(sg: _SearchGraph, deadline: _Deadline | None,
         return ub, seed_labels
     transitive = (ub <= g.n and is_regular(g)
                   and in_one_orbit(g, sg.pair, [0] * g.n, range(g.n)))
-    fixed = {0: 2} if transitive else {}
+    state = _fixed_state(g.adj, {0: 2} if transitive else {})
     try:
-        found, value, labels = _search(sg, fixed, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
+        found, value, labels = _search(sg, state, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
     except SolverTimeout as exc:
         exc.lower_bound = floor
         raise
@@ -418,18 +455,19 @@ def _solve_connected(g: Graph, deadline: _Deadline | None,
     value, seed = _gamma_tr_value(sg, deadline, upper_bound_hint)
     twos = 0
 
-    def feasible(fixed):
+    def feasible(state):
         if max_twos:
-            ok, _, labels = _search(sg, fixed, _kernels.MAX_TWOS, twos - 1, value, True,
+            ok, _, labels = _search(sg, state, _kernels.MAX_TWOS, twos - 1, value, True,
                                     deadline)
         else:
-            ok, _, labels = _search(sg, fixed, _kernels.MIN_WEIGHT, value + 1, 0, True,
+            ok, _, labels = _search(sg, state, _kernels.MIN_WEIGHT, value + 1, 0, True,
                                     deadline)
         return ok, labels
 
     try:
         if max_twos:
-            found, twos, seed = _search(sg, {}, _kernels.MAX_TWOS, -1, value, False, deadline)
+            found, twos, seed = _search(sg, _fixed_state(g.adj, {}), _kernels.MAX_TWOS, -1,
+                                        value, False, deadline)
             if not found:
                 raise ConsistencyError("no labeling found at the proven optimal weight")
         labels = _lex_smallest(g, feasible, seed)
@@ -504,11 +542,16 @@ def gamma_tr_max_v2(g: Graph, budget: float | None = None,
 
 
 def gamma_t_exact(g: Graph) -> SolveResult:
-    """Smallest total dominating set by subset enumeration in increasing cardinality."""
+    """Smallest total dominating set by subset enumeration in increasing cardinality.
+
+    Every vertex has a neighbour in a total dominating set S, so the degrees
+    over S sum to at least n and |S| >= ceil(n/Delta); smaller sizes are not
+    tried. The first set found is the lexicographically first smallest one.
+    """
     require_no_isolated(g, "total domination")
     if g.n > SUBSET_LIMIT:
         raise SizeLimitError(f"subset enumeration limited to {SUBSET_LIMIT} vertices, got {g.n}")
-    for k in range(1, g.n + 1):
+    for k in range(max(1, -(-g.n // max(1, g.max_degree()))), g.n + 1):
         for comb in combinations(range(g.n), k):
             mask = mask_of(comb)
             if all(g.adj[v] & mask for v in range(g.n)):
@@ -580,8 +623,8 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
     """Some valid labeling of the exact given weight maximizing the 2-count, or None."""
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
-    found, _, labels = _search(_SearchGraph(g), {}, _kernels.MAX_TWOS, -1, weight, False,
-                               deadline)
+    found, _, labels = _search(_SearchGraph(g), _fixed_state(g.adj, {}), _kernels.MAX_TWOS,
+                               -1, weight, False, deadline)
     if not found:
         return None
     witness = LabelFunction(g, labels)
@@ -604,9 +647,10 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
         weight_cap = 2 * gamma_t_exact(g).value
     sg = _SearchGraph(g)
     value, _ = _gamma_tr_value(sg, deadline, None)
+    root = _fixed_state(g.adj, {})
     points = []
     for w in range(value, min(weight_cap, 2 * g.n) + 1):
-        found, v2max, _ = _search(sg, {}, _kernels.MAX_TWOS, -1, w, False, deadline)
+        found, v2max, _ = _search(sg, root, _kernels.MAX_TWOS, -1, w, False, deadline)
         if found:
             points.append(ParetoPoint(w, v2max))
     return points

@@ -127,6 +127,24 @@ def test_cli_family_non_integer_size_is_a_json_error(capsys):
     assert doc["type"] == "GraphInputError" and "abc" in doc["error"]
 
 
+@pytest.mark.parametrize("params", [("nosuch",), ("cycle", "3", "4")])
+def test_cli_family_checks_are_those_of_generate(capsys, params):
+    # an unknown kind and a wrong parameter count are families.generate's errors
+    code, out, err = run_cli(capsys, "family", *params)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "GraphInputError" and params[0] in doc["error"]
+
+
+def test_cli_malformed_graph_json_is_a_json_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    code, out, err = run_cli(capsys, "gammatr", str(path))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "GraphInputError" and "bad.json" in doc["error"]
+
+
 def test_cli_timeout_reports_its_certified_bounds(capsys, monkeypatch):
     def timeout(g, budget=None):
         raise SolverTimeout("x", lower_bound=18, upper_bound=21, nodes=5)

@@ -16,9 +16,9 @@ from trdprod.graph import (connected_components, direct_product, from_edge_list,
                            in_one_orbit, induced_subgraph, is_vertex_transitive)
 from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchGraph, _brute_scan, _orbital_fix, _search, gamma_t_exact,
-                           gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
-                           greedy_total_dominating_set, maximum_open_packings,
+from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _fixed_state, _orbital_fix,
+                           _search, gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact,
+                           gamma_tr_max_v2, greedy_total_dominating_set, maximum_open_packings,
                            rho_exact, rho_o_exact,
                            rho_o_set_inducing_perfect_matching,
                            trdf_pareto_frontier, trdf_with_weight_max_v2,
@@ -123,10 +123,14 @@ def test_gamma_t_rho_examples():
 
 def test_solver_witnesses_satisfy_their_predicates():
     graphs = (list(enumerate_catalog(5).graphs) + [prism(cycle(3))]
-              + [cycle(n) for n in range(3, 15)] + [path(n) for n in range(2, 13)])
+              + [cycle(n) for n in range(3, 17)] + [path(n) for n in range(2, 13)])
     for g in graphs:
         t = gamma_t_exact(g)
         assert is_total_dominating(t.witness) and t.witness.size == t.value
+        # the first set a literal scan of every subset, smallest first, accepts
+        first = next(s for k in range(1, g.n + 1) for c in itertools.combinations(range(g.n), k)
+                     if is_total_dominating(s := VertexSet.from_vertices(g, c)))
+        assert t.witness.members == first.members, (g.name, t.invariant)
         # the first set a literal scan of every subset, largest first, accepts
         scan = [VertexSet.from_vertices(g, c)
                 for k in range(g.n, 0, -1) for c in itertools.combinations(range(g.n), k)]
@@ -415,27 +419,60 @@ def _assert_searches_agree_with_a_scan_of_completions(g, fixed):
         return is_total_roman_dominating(f) and all(labels[v] == fixed[v] for v in fixed)
 
     sg = _SearchGraph(g)
-    found, best, labels = _search(sg, fixed, MIN, 2 * g.n + 1, 0, False, None)
+    state = _fixed_state(g.adj, fixed)
+    found, best, labels = _search(sg, state, MIN, 2 * g.n + 1, 0, False, None)
     assert found == bool(valid)
     if not valid:
         return
     low = min(w for w, _ in valid)
     assert best == low and completes(labels) and sum(labels) == low
     for init_best in (low, low + 1):
-        found, _, labels = _search(sg, fixed, MIN, init_best, 0, True, None)
+        found, _, labels = _search(sg, state, MIN, init_best, 0, True, None)
         assert found == (low < init_best)
         if found:
             assert completes(labels) and sum(labels) < init_best
     for cap in sorted({w for w, _ in valid} | {low - 1}):
         twos = max((t for w, t in valid if w == cap), default=None)
-        found, best, labels = _search(sg, fixed, TWOS, -1, cap, False, None)
+        found, best, labels = _search(sg, state, TWOS, -1, cap, False, None)
         assert found == (twos is not None)
         if not found:
             continue
         assert best == twos and completes(labels)
         assert sum(labels) == cap and labels.count(2) == twos
-        assert _search(sg, fixed, TWOS, twos - 1, cap, True, None)[0]
-        assert not _search(sg, fixed, TWOS, twos, cap, True, None)[0]
+        assert _search(sg, state, TWOS, twos - 1, cap, True, None)[0]
+        assert not _search(sg, state, TWOS, twos, cap, True, None)[0]
+
+
+@pytest.mark.parametrize("g", _random_isolate_free_graphs(40, seed=2026),
+                         ids=lambda g: g.name)
+def test_fixed_state_matches_the_masks_of_its_labels(g):
+    # _fix folded over partial labelings, applied in a random order, against
+    # the slot-0 masks computed from their definitions
+    rng = random.Random(g.name)
+    for _ in range(20):
+        fixed = {v: rng.choice((0, 1, 2)) for v in rng.sample(range(g.n), rng.randint(0, g.n))}
+        twos = pos = cov = 0
+        for v, lab in fixed.items():
+            if lab:
+                pos |= 1 << v
+            if lab == 2:
+                twos |= 1 << v
+                cov |= g.adj[v]
+        und = ((1 << g.n) - 1) & ~sum(1 << v for v in fixed)
+        un0 = sum(1 << v for v, lab in fixed.items() if lab == 0 and not g.adj[v] & twos)
+        unp = sum(1 << v for v, lab in fixed.items() if lab and not g.adj[v] & pos)
+        dead = any((un0 | unp) >> v & 1 and not g.adj[v] & und for v in range(g.n))
+        state = _fixed_state(g.adj, fixed)
+        assert (state is None) == dead
+        if dead:
+            continue
+        labels = [fixed.get(v, -1) for v in range(g.n)]
+        assert state == (sum(fixed.values()), twos.bit_count(), cov, pos, un0, unp, und, labels)
+        # a state is never changed in place
+        free = [v for v in range(g.n) if v not in fixed]
+        if free:
+            _fix(g.adj, state, rng.choice(free), rng.choice((0, 1, 2)))
+            assert state[7] == labels
 
 
 def test_eod_product_certificate_case():
@@ -446,7 +483,8 @@ def test_eod_product_certificate_case():
 
 
 def _run_pair(g):
-    found, best, _ = _search(_SearchGraph(g), {}, MIN, 2 * g.n + 1, 0, False, None)
+    found, best, _ = _search(_SearchGraph(g), _fixed_state(g.adj, {}), MIN, 2 * g.n + 1, 0,
+                             False, None)
     assert found
     table = [-1] * (2 * g.n + 1)
     bst = [2 * g.n + 1, 0, 0, 0, 0, 0]
@@ -551,7 +589,7 @@ def test_a_regular_graph_that_is_not_vertex_transitive_keeps_its_optimum(
         g, optimum, with_two_at_0):
     # Every optimal labeling here leaves vertex 0 below 2, so a proof started
     # from a 2 at vertex 0 would report a heavier optimum.
-    assert _search(_SearchGraph(g), {0: 2}, MIN, 2 * g.n + 1, 0, False,
+    assert _search(_SearchGraph(g), _fixed_state(g.adj, {0: 2}), MIN, 2 * g.n + 1, 0, False,
                    None)[1] == with_two_at_0
     best, labels, _ = _brute_scan(g)
     assert best == optimum
