@@ -146,16 +146,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_family(args) -> int:
     kind = args.kind
-    # The last parameters are the kind's operand graphs and the rest its
-    # sizes; families.generate checks the kind and both counts.
-    _, _, nops = families.FAMILY_BUILDERS.get(kind, (None, 0, 0))
-    split = max(0, len(args.params) - nops)
-    try:
-        sizes = tuple(int(p) for p in args.params[:split])
-    except ValueError:
-        raise GraphInputError(f"family {kind!r} size parameters must be integers,"
-                              f" got {args.params[:split]}") from None
-    operands = tuple(_load_graph(p) for p in args.params[split:])
+    # The first parameters are the kind's sizes and the rest its operand
+    # graphs. families.generate checks the kind and both counts, so the
+    # parameters are parsed only when the operand count fits.
+    _, nsizes, nops = families.FAMILY_BUILDERS.get(kind, (None, 0, 0))
+    sizes, operands = tuple(args.params[:nsizes]), tuple(args.params[nsizes:])
+    if kind in families.FAMILY_BUILDERS and len(operands) == nops:
+        try:
+            sizes = tuple(int(p) for p in sizes)
+        except ValueError:
+            raise GraphInputError(f"family {kind!r} size parameters must be integers,"
+                                  f" got {list(sizes)}") from None
+        operands = tuple(_load_graph(p) for p in operands)
     g = families.generate(families.FamilySpec(kind, sizes, operands))
     _emit_graph(g, args.emit)
     return 0

@@ -156,9 +156,9 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     return ProductGraph(base, g.n, h.n)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, in order of
-    their smallest vertex."""
+def connected_components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components, in order of their smallest
+    vertex."""
     adj = g.adj
     seen = 0
     out = []
@@ -173,12 +173,12 @@ def connected_components(g: Graph) -> list[list[int]]:
             frontier = reach & ~comp
             comp |= frontier
         seen |= comp
-        out.append(bits_of(comp))
+        out.append(comp)
     return out
 
 
 # Each automorphism search gives up after this many vertex assignments per
-# vertex of the graph, and the answer is then False. With the
+# vertex of the component it maps, and the answer is then False. With the
 # common-neighbour test below, the vertex-transitive graphs in the tests
 # need at most 1.25n assignments per search (C4 x prism(C3): 29 on 24
 # vertices), so the cap mainly bounds the time spent on a regular graph
@@ -213,29 +213,30 @@ def in_one_orbit(g: Graph, pair: list[list[int]], colour, targets) -> bool:
     """Whether verified automorphisms that keep the vertex colouring carry
     every target vertex onto the first one.
 
-    pair is pair_table(g), and colour[v] is any value per vertex. True is a
-    proof: each automorphism found is checked edge by edge and colour by
-    colour, and the orbit of the first target under the group they
-    generate holds every target. False means not in one orbit or not shown
-    to be: the answer is False at once when the graph is not connected or a
-    target differs from the first in colour or degree, and also when a
-    capped search for an automorphism gives up.
+    pair is pair_table(g), and colour[v] is any value per vertex. The
+    automorphisms move only the component of the first target and fix
+    every other vertex. True is a proof: each automorphism found is checked
+    edge by edge and colour by colour, and the orbit of the first target
+    under the group they generate holds every target. False means not in
+    one orbit or not shown to be: the answer is False at once when a target
+    lies outside the first target's component or differs from the first in
+    colour or degree, and also when a capped search for an automorphism
+    gives up.
     """
     adj = g.adj
-    n = g.n
     targets = list(targets)
     src = targets[0]
     if any(colour[t] != colour[src] or pair[t][t] != pair[src][src] for t in targets):
         return False
     order = [src]
-    parent = [src] * n
+    parent = [src] * g.n
     seen = 1 << src
     for v in order:
         for u in bits_of(adj[v] & ~seen):
             seen |= 1 << u
             parent[u] = v
             order.append(u)
-    if len(order) < n:
+    if any(not seen >> t & 1 for t in targets):
         return False
     gens: list[list[int]] = []
     orbit = 1 << src
@@ -243,9 +244,9 @@ def in_one_orbit(g: Graph, pair: list[list[int]], colour, targets) -> bool:
         if orbit >> target & 1:
             continue
         image = _automorphism_to(adj, pair, colour, order, parent, target,
-                                 _AUTOMORPHISM_STEPS_PER_VERTEX * n)
+                                 _AUTOMORPHISM_STEPS_PER_VERTEX * len(order))
         if (image is None or not _is_automorphism(g, image)
-                or any(colour[image[v]] != colour[v] for v in range(n))):
+                or any(colour[image[v]] != colour[v] for v in order)):
             return False
         gens.append(image)
         frontier = bits_of(orbit)
@@ -263,18 +264,19 @@ def _automorphism_to(adj, pair, colour, order, parent, dst: int, cap: int):
     pair's adjacency and common-neighbour count, or None when there is none
     or the backtracking gives up after cap assignments.
 
-    order lists the vertices in breadth-first order from order[0], and each
-    one's image is a neighbour of its BFS parent's image.
+    order lists the component of order[0] in breadth-first order, and each
+    one's image is a neighbour of its BFS parent's image; every vertex
+    outside it maps to itself.
     """
-    n = len(adj)
-    image = [-1] * n
+    k = len(order)
+    image = list(range(len(adj)))
     image[order[0]] = dst
     used = 1 << dst
-    cands = [0] * n
+    cands = [0] * k
     depth = 1
     fresh = True
     steps = 0
-    while depth < n:
+    while depth < k:
         u = order[depth]
         m = adj[image[parent[u]]] & ~used if fresh else cands[depth]
         pu = pair[u]

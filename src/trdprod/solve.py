@@ -8,12 +8,17 @@ best certified bounds rather than returning an approximation, and with the
 nodes every search of the solve visited. The environment variable
 TRD_BUDGET_SECS sets the default budget.
 
+Each connected component is solved on its own, as a vertex mask of one
+search graph on the whole graph: the mask is the free set of the
+component's searches, labels keep their indices, and no subgraph is built.
+
 The optimality proof searches for a labeling lighter than a seed of weight
-ub. On a vertex-transitive graph with ub <= n it searches only labelings
-with a 2 at vertex 0. A labeling lighter than n is not all-positive, and a
-vertex labeled 0 needs a 2-neighbour, so the labeling has a 2 at some v; an
-automorphism sending 0 to v turns it into a valid labeling of the same
-weight with a 2 at vertex 0.
+ub. On a vertex-transitive component of n vertices with ub <= n it
+searches only labelings with a 2 at r, the component's lowest vertex. A
+labeling lighter than n is not all-positive, and a vertex labeled 0 needs a
+2-neighbour, so the labeling has a 2 at some v; an automorphism sending r
+to v turns it into a valid labeling of the same weight with a 2 at r. That
+root goes through the orbital rule below before its first node.
 
 Every search starts from a fixed-label state: the masks of the kernels'
 slot 0 and the label list. _fix extends a state by one label with the
@@ -57,8 +62,8 @@ from itertools import combinations
 
 from . import _kernels
 from .errors import ConsistencyError, PreconditionError, SizeLimitError, SolverTimeout
-from .graph import (Graph, bits_of, connected_components, in_one_orbit, induced_subgraph,
-                    is_regular, mask_of, pair_table, require_no_isolated)
+from .graph import (Graph, bits_of, connected_components, in_one_orbit, mask_of, pair_table,
+                    require_no_isolated)
 from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
@@ -116,23 +121,34 @@ class ParetoPoint:
 
 
 class _SearchGraph:
-    """A graph plus what every search on it reads.
+    """A graph, the free vertex set of its searches, and what every search reads.
 
-    One is built per component solve and shared by the proof, every lex
-    probe and the max-2s pass. The kernels read bit and max_degree; the
-    vertex-transitivity test of a regular graph's proof and the orbital
-    rule read pair (graph.pair_table), which is built on first use, so a
-    solve that runs neither never builds it.
+    free is a vertex mask: every vertex, or one connected component of a
+    disconnected graph, whose searches then run on g itself with every label
+    at its own index. One is built per component solve and shared by the
+    proof, every lex probe and the max-2s pass. The kernels read bit and
+    max_degree, the largest degree in free. The vertex-transitivity test of
+    a regular component's proof and the orbital rule read pair
+    (graph.pair_table of g), which is built on first use and shared by
+    every component of a solve through whole, so a solve that runs neither
+    never builds it and one that does builds it once.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, free: int | None = None, whole: _SearchGraph | None = None):
         self.g = g
-        self.bit = [1 << v for v in range(g.n)]
-        self.max_degree = g.max_degree()
+        self._whole = whole
+        if free is None:
+            self.free = (1 << g.n) - 1
+            self.bit = [1 << v for v in range(g.n)]
+            self.max_degree = g.max_degree()
+        else:
+            self.free = free
+            self.bit = whole.bit
+            self.max_degree = max(g.adj[v].bit_count() for v in bits_of(free))
 
     @cached_property
     def pair(self) -> list[list[int]]:
-        return pair_table(self.g)
+        return self._whole.pair if self._whole is not None else pair_table(self.g)
 
 
 class _Deadline:
@@ -162,9 +178,13 @@ def trivial_lower_bound(g: Graph) -> int:
     itself, which leaves at most Delta vertices served per 2. The floor is
     never below ceil(2n/(Delta+1)), the Roman domination floor.
     """
-    delta = g.max_degree()
-    lb = -(-2 * g.n // delta) if delta >= 2 else g.n
-    return max(lb, 3 if g.n >= 3 else 2)
+    return _floor(g.n, g.max_degree())
+
+
+def _floor(n: int, delta: int) -> int:
+    """trivial_lower_bound of a graph or component of n vertices and largest degree delta."""
+    lb = -(-2 * n // delta) if delta >= 2 else n
+    return max(lb, 3 if n >= 3 else 2)
 
 
 def greedy_total_dominating_set(g: Graph) -> VertexSet:
@@ -221,10 +241,16 @@ def _fix(adj, state, v: int, lab: int):
     return weight + lab, twos, cov, pos, un0, unp, und, labels
 
 
-def _fixed_state(adj, fixed: dict[int, int]):
-    """The state of a set of fixed labels (_fix folded over them), or None when dead."""
+def _fixed_state(adj, fixed: dict[int, int], free: int | None = None):
+    """The state of a set of fixed labels (_fix folded over them), or None when dead.
+
+    free is the mask of the vertices the searches from it may label, every
+    vertex by default; a vertex outside it keeps the label -1 throughout.
+    """
     n = len(adj)
-    state = (0, 0, 0, 0, 0, 0, (1 << n) - 1, [-1] * n)
+    if free is None:
+        free = (1 << n) - 1
+    state = (0, 0, 0, 0, 0, 0, free, [-1] * n)
     for v, lab in fixed.items():
         state = _fix(adj, state, v, lab)
         if state is None:
@@ -246,9 +272,10 @@ def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
     The kernel runs in chunks of nodes, and the clock is read after each. A
     search still running after its first chunk of _FIRST_CHUNK nodes asks
     _orbital_fix for reduced fixed sets. When there are some, the search is
-    dropped, keeping any incumbent it found, and each reduced set is
-    searched in turn (by this function, so the rule can apply again) from
-    the incumbent so far; an early search stops at the first that finds one.
+    dropped, keeping any incumbent it found, and _search_parts searches
+    each reduced set in turn (by this function, so the rule can apply
+    again) from the incumbent so far; an early search stops at the first
+    that finds one.
     Any completion maps onto one of theirs with the same weight and 2-count
     (module docstring), so found and best are those of a search over every
     completion; labels is some completion that reaches best. Otherwise the
@@ -302,11 +329,28 @@ def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
     found = bool(st[7])
     best = st[3]
     witness = tuple(best_labels) if found else None
-    for part in parts or ():
-        ok, best, part_labels = _search(sg, _fixed_state(adj, part), mode, best, cap, early,
-                                        deadline)
+    if parts:
+        ok, best, part_labels = _search_parts(sg, parts, mode, best, cap, early, deadline)
         if ok:
             found, witness = True, part_labels
+    return found, best, witness
+
+
+def _search_parts(sg: _SearchGraph, parts: list[dict[int, int]], mode: int, best: int,
+                  cap: int, early: bool, deadline: _Deadline | None):
+    """_search over each fixed set in turn, from the incumbent so far.
+
+    Returns (found, best, labels_or_None) as _search does, found meaning
+    that some part beat the incumbent it started from; an early search
+    stops at the first part that does.
+    """
+    found = False
+    witness = None
+    for part in parts:
+        ok, best, labels = _search(sg, _fixed_state(sg.g.adj, part, sg.free), mode, best, cap,
+                                   early, deadline)
+        if ok:
+            found, witness = True, labels
             if early:
                 break
     return found, best, witness
@@ -325,7 +369,7 @@ def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]
     g = sg.g
     adj = g.adj
     out = dict(fixed)
-    state = _fixed_state(adj, fixed)
+    state = _fixed_state(adj, fixed, sg.free)
     while state is not None:
         *_, un0, unp, und, colour = state
         tight = -1
@@ -346,19 +390,19 @@ def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]
     return [out] if len(out) > len(fixed) else []
 
 
-def _lex_smallest(g: Graph, feasible, seed: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Fix labels vertex by vertex, smallest first, keeping a known completion as witness.
+def _lex_smallest(sg: _SearchGraph, feasible, seed: tuple[int, ...] | None) -> tuple[int, ...]:
+    """Fix the free labels vertex by vertex, smallest first, keeping a known completion as witness.
 
     Each probe extends the state of the labels fixed so far by one label. A
     probe that _fix finds dead is infeasible and never reaches
     feasible(state), which must return (ok, completion); completions are
     reused so a vertex whose cheapest label matches the cached witness costs
-    nothing.
+    nothing. Labels outside sg.free come back as -1.
     """
-    adj = g.adj
-    state = _fixed_state(adj, {})
+    adj = sg.g.adj
+    state = _fixed_state(adj, {}, sg.free)
     witness = seed
-    for v in range(g.n):
+    for v in bits_of(sg.free):
         for lab in (0, 1, 2):
             if witness is not None:
                 if witness[v] == lab:
@@ -405,36 +449,47 @@ def gamma_tr_bruteforce(g: Graph) -> SolveResult:
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def _gamma_tr_value(sg: _SearchGraph, deadline: _Deadline | None,
+def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline | None,
                     upper_bound_hint: int | None):
-    """Optimal weight plus, when the search itself improved on the seeds, a witness.
+    """Optimal weight of sg's free set plus, when the search improved on the seeds, a witness.
 
-    ub, the lighter of twice a greedy total dominating set and the hint, is
-    a valid labeling's weight. When the trivial floor reaches it, it is the
-    optimum and no search runs. Otherwise the proof searches for a labeling
-    lighter than ub. When ub <= n and the graph is vertex-transitive, the
-    proof searches only labelings with a 2 at vertex 0, which loses
-    nothing: a labeling lighter than n has a 0 somewhere, so a 2 at some
-    vertex v (the 0 needs a 2-neighbour), and composing it with an
-    automorphism that sends 0 to v gives a valid labeling of the same
-    weight with a 2 at vertex 0. The orbital rule (module docstring) can
-    then reduce the proof further.
+    seed is a greedy total dominating set of the whole graph as a mask, and
+    its restriction to the free set is that component's own greedy set: the
+    gains of its vertices depend only on their component, and ties break by
+    index either way. ub, the lighter of twice that set and the hint, is a
+    valid labeling's weight. When the trivial floor of the free set reaches
+    it, it is the optimum and no search runs. Otherwise the proof searches
+    for a labeling lighter than ub. When ub <= |free| and the component is
+    vertex-transitive, the proof searches only labelings with a 2 at r, its
+    lowest vertex, which loses nothing: a labeling lighter than |free| has
+    a 0 somewhere, so a 2 at some vertex v (the 0 needs a 2-neighbour), and
+    composing it with an automorphism that sends r to v gives a valid
+    labeling of the same weight with a 2 at r. That root goes through the
+    orbital rule (module docstring) before any node is searched, and its
+    parts are searched in turn, each from the incumbent so far.
     """
     g = sg.g
-    greedy = greedy_total_dominating_set(g)
-    seed_labels = tuple(2 if greedy.members >> v & 1 else 0 for v in range(g.n))
-    ub = 2 * greedy.size
+    free = sg.free
+    seed &= free
+    seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
+    ub = 2 * seed.bit_count()
     if upper_bound_hint is not None and upper_bound_hint < ub:
         ub = upper_bound_hint
         seed_labels = None
-    floor = trivial_lower_bound(g)
+    size = free.bit_count()
+    floor = _floor(size, sg.max_degree)
     if floor >= ub:
         return ub, seed_labels
-    transitive = (ub <= g.n and is_regular(g)
-                  and in_one_orbit(g, sg.pair, [0] * g.n, range(g.n)))
-    state = _fixed_state(g.adj, {0: 2} if transitive else {})
+    parts = [{}]
+    if ub <= size:
+        comp = bits_of(free)
+        if (all(g.adj[v].bit_count() == sg.max_degree for v in comp)
+                and in_one_orbit(g, sg.pair, [0] * g.n, comp)):
+            root = {comp[0]: 2}
+            parts = _orbital_fix(sg, root) or [root]
     try:
-        found, value, labels = _search(sg, state, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
+        found, value, labels = _search_parts(sg, parts, _kernels.MIN_WEIGHT, ub, 0, False,
+                                             deadline)
     except SolverTimeout as exc:
         exc.lower_bound = floor
         raise
@@ -443,16 +498,16 @@ def _gamma_tr_value(sg: _SearchGraph, deadline: _Deadline | None,
     return ub, seed_labels
 
 
-def _solve_connected(g: Graph, deadline: _Deadline | None,
+def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline | None,
                      upper_bound_hint: int | None, max_twos: bool):
-    """Optimal weight, best 2-count and witness labels, one component.
+    """Optimal weight, best 2-count and witness labels of sg's free set.
 
-    The witness is the lexicographically smallest optimal labeling; with
-    max_twos it is the smallest among those with the most 2s, and the
-    2-count is their number of 2s (0 otherwise).
+    The witness is the lexicographically smallest optimal labeling of the
+    free set, with -1 at every other vertex; with max_twos it is the
+    smallest among those with the most 2s, and the 2-count is their number
+    of 2s (0 otherwise). seed is as for _gamma_tr_value.
     """
-    sg = _SearchGraph(g)
-    value, seed = _gamma_tr_value(sg, deadline, upper_bound_hint)
+    value, witness = _gamma_tr_value(sg, seed, deadline, upper_bound_hint)
     twos = 0
 
     def feasible(state):
@@ -466,11 +521,11 @@ def _solve_connected(g: Graph, deadline: _Deadline | None,
 
     try:
         if max_twos:
-            found, twos, seed = _search(sg, _fixed_state(g.adj, {}), _kernels.MAX_TWOS, -1,
-                                        value, False, deadline)
+            found, twos, witness = _search(sg, _fixed_state(sg.g.adj, {}, sg.free),
+                                          _kernels.MAX_TWOS, -1, value, False, deadline)
             if not found:
                 raise ConsistencyError("no labeling found at the proven optimal weight")
-        labels = _lex_smallest(g, feasible, seed)
+        labels = _lex_smallest(sg, feasible, witness)
     except SolverTimeout as exc:
         exc.upper_bound = value
         exc.lower_bound = value  # value itself is proven; only the witness was pending
@@ -479,38 +534,43 @@ def _solve_connected(g: Graph, deadline: _Deadline | None,
 
 
 def _solve(g: Graph, budget: float | None, upper_bound_hint: int | None, max_twos: bool):
-    """Value, 2-count and verified witness under one budget; see _solve_connected.
+    """Value, 2-count and verified witness under one budget; see _solve_component.
 
-    Each connected component is solved on its own and the labels stitched:
-    the objective and the lexicographic tie-break both decompose over
-    components because label choices in different components never
-    interact. The hint bounds the whole graph, so only a graph of one
-    component, solved as it is, gets it.
+    Each connected component is solved on its own, as a vertex mask that
+    is the free set of one search graph on g, so its labels sit at their
+    own indices and the stitch is a plain copy. The objective and the
+    lexicographic tie-break both decompose over components because label
+    choices in different components never interact. One greedy total
+    dominating set of g seeds every component, and the hint bounds the
+    whole graph, so only a graph of one component gets it.
     """
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
+    whole = _SearchGraph(g)
     comps = connected_components(g)
+    seed = greedy_total_dominating_set(g).members
     hint = upper_bound_hint if len(comps) == 1 else None
     value = twos = 0
-    stitched = [0] * g.n
+    labels = [0] * g.n
     for idx, comp in enumerate(comps):
-        sub = g if len(comps) == 1 else induced_subgraph(g, comp)
+        sg = whole if len(comps) == 1 else _SearchGraph(g, comp, whole)
         try:
-            sub_value, sub_twos, labels = _solve_connected(sub, deadline, hint, max_twos)
+            sub_value, sub_twos, sub_labels = _solve_component(sg, seed, deadline, hint,
+                                                               max_twos)
         except SolverTimeout as exc:
             # Solved components count exactly; a pending one is at least its
-            # trivial floor and at most twice a greedy total dominating set.
-            rest = [induced_subgraph(g, c) for c in comps[idx + 1:]]
+            # trivial floor and at most twice its greedy seed.
+            rest = [_SearchGraph(g, c, whole) for c in comps[idx + 1:]]
             exc.lower_bound = (value + exc.lower_bound
-                               + sum(trivial_lower_bound(r) for r in rest))
+                               + sum(_floor(r.free.bit_count(), r.max_degree) for r in rest))
             exc.upper_bound = (value + exc.upper_bound
-                               + sum(2 * greedy_total_dominating_set(r).size for r in rest))
+                               + sum(2 * (seed & r.free).bit_count() for r in rest))
             raise
         value += sub_value
         twos += sub_twos
-        for i, orig in enumerate(comp):
-            stitched[orig] = labels[i]
-    witness = LabelFunction(g, tuple(stitched))
+        for v in bits_of(comp):
+            labels[v] = sub_labels[v]
+    witness = LabelFunction(g, tuple(labels))
     if (not is_total_roman_dominating(witness) or witness.weight != value
             or (max_twos and len(witness.v2) != twos)):
         raise ConsistencyError("branch-and-bound witness failed validation")
@@ -623,8 +683,9 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
     """Some valid labeling of the exact given weight maximizing the 2-count, or None."""
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
-    found, _, labels = _search(_SearchGraph(g), _fixed_state(g.adj, {}), _kernels.MAX_TWOS,
-                               -1, weight, False, deadline)
+    sg = _SearchGraph(g)
+    found, _, labels = _search(sg, _fixed_state(g.adj, {}, sg.free), _kernels.MAX_TWOS, -1,
+                               weight, False, deadline)
     if not found:
         return None
     witness = LabelFunction(g, labels)
@@ -646,8 +707,8 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
     if weight_cap is None:
         weight_cap = 2 * gamma_t_exact(g).value
     sg = _SearchGraph(g)
-    value, _ = _gamma_tr_value(sg, deadline, None)
-    root = _fixed_state(g.adj, {})
+    value, _ = _gamma_tr_value(sg, greedy_total_dominating_set(g).members, deadline, None)
+    root = _fixed_state(g.adj, {}, sg.free)
     points = []
     for w in range(value, min(weight_cap, 2 * g.n) + 1):
         found, v2max, _ = _search(sg, root, _kernels.MAX_TWOS, -1, w, False, deadline)

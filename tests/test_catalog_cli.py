@@ -136,6 +136,15 @@ def test_cli_family_checks_are_those_of_generate(capsys, params):
     assert doc["type"] == "GraphInputError" and params[0] in doc["error"]
 
 
+def test_cli_family_wrong_operand_count_is_the_count_error_of_generate(capsys):
+    # prism takes one operand graph; a second one is a wrong count, not a bad size
+    code, out, err = run_cli(capsys, "family", "prism", "C3", "C4")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "GraphInputError"
+    assert "takes 0 size parameter(s) and 1 operand graph(s)" in doc["error"]
+
+
 def test_cli_malformed_graph_json_is_a_json_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{bad")

@@ -12,7 +12,7 @@ from trdprod.catalog import enumerate_catalog
 from trdprod.errors import ConsistencyError, SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, fan, path,
                               prism, star, wheel)
-from trdprod.graph import (connected_components, direct_product, from_edge_list,
+from trdprod.graph import (bits_of, connected_components, direct_product, from_edge_list,
                            in_one_orbit, induced_subgraph, is_vertex_transitive)
 from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
@@ -258,9 +258,9 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     (direct_product(cycle(4), prism(cycle(3))).base, 27, 72),
     (direct_product(complete(3), wheel(6)).base, 1115, 230),
     # the only pinned product whose cover bounds scan long undecided lists;
-    # vertex-transitive, so its proof starts from a 2 at vertex 0, and the
-    # orbital rule then splits it on one neighbour of vertex 0
-    (direct_product(cycle(5), cycle(4)).base, 1739, 60),
+    # vertex-transitive, so its proof starts from a 2 at vertex 0, which the
+    # orbital rule splits on one neighbour of vertex 0 before any node
+    (direct_product(cycle(5), cycle(4)).base, 715, 60),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,579 and 384 nodes)
     (direct_product(fan(6), cycle(4)).base, 2154, 300),
@@ -539,7 +539,7 @@ def _random_circulants(count, seed, low, high):
 
 
 def _components(g):
-    return [induced_subgraph(g, comp) for comp in connected_components(g)]
+    return [induced_subgraph(g, bits_of(comp)) for comp in connected_components(g)]
 
 
 # cubic, 12 vertices, and its only automorphism is the identity: a 12-cycle
@@ -660,9 +660,11 @@ def test_a_colouring_that_breaks_the_symmetry_gives_no_fix():
 
 
 def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
-    # C5 x C5's proof from a 2 at vertex 0 outlasts its first chunk, so the
-    # orbital rule drops it for two reduced searches. The clock then reads
-    # far past the deadline, and the first reduced search times out.
+    # C5 x C5's proof splits its root, a 2 at vertex 0, before any node, and
+    # its two parts end without a fix. The first lex probe to outlast its
+    # first chunk, vertices 0-4 all 0, is dropped for two reduced searches.
+    # The clock then reads far past the deadline, and the first reduced
+    # search times out.
     nodes = [0]
     fixes = []
     kernel = _kernels.bnb_min_weight
@@ -679,15 +681,112 @@ def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
         fixes.append((nodes[0], fixed, parts))
         return parts
 
+    def dropped():
+        return any(chunk and parts for chunk, _, parts in fixes)
+
     monkeypatch.setattr(_kernels, "bnb_min_weight", counting)
     monkeypatch.setattr(solve, "_orbital_fix", recording)
     monkeypatch.setattr(solve, "time", SimpleNamespace(
-        monotonic=lambda: time.monotonic() + (1e6 if fixes else 0)))
+        monotonic=lambda: time.monotonic() + (1e6 if dropped() else 0)))
     with pytest.raises(SolverTimeout) as err:
         gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=60)
-    assert fixes == [(solve._FIRST_CHUNK, {0: 2}, [{0: 2, 6: 2}, {0: 2, 6: 1}])]
-    assert err.value.nodes == nodes[0] > solve._FIRST_CHUNK
+    assert fixes[0] == (0, {0: 2}, [{0: 2, 6: 2}, {0: 2, 6: 1}])
+    chunk, fixed, parts = fixes[-1]
+    assert fixed == {v: 0 for v in range(5)} and len(parts) == 2
+    assert chunk >= solve._FIRST_CHUNK
+    assert err.value.nodes == nodes[0] > chunk
+    # the proof had ended, so only the witness was pending
+    assert err.value.lower_bound == err.value.upper_bound == 15
+
+
+def test_a_timeout_in_a_part_of_the_split_proof_root_carries_the_floor(monkeypatch):
+    # the first part of C5 x C5's split root runs one chunk and then finds
+    # the clock far past the deadline
+    chunks = []
+    kernel = _kernels.bnb_min_weight
+
+    def counting(*args):
+        chunks.append(True)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "bnb_min_weight", counting)
+    monkeypatch.setattr(solve, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + (1e6 if chunks else 0)))
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=60)
+    assert len(chunks) == 1 and err.value.nodes == solve._FIRST_CHUNK
     assert err.value.lower_bound == 13 and err.value.upper_bound >= 15
+
+
+def _catalog_products(max_n):
+    graphs = enumerate_catalog(max_n).graphs
+    return [direct_product(g, h).base for i, g in enumerate(graphs) for h in graphs[i:]]
+
+
+# bipartite factors, so each product has two components
+_DISCONNECTED_PRODUCTS = [
+    direct_product(g, h).base for g, h in [
+        (cycle(6), cycle(6)), (cycle(4), cycle(8)), (path(6), path(6)),
+        (complete_bipartite(3, 3), cycle(6)), (cycle(6), cycle(8))]]
+
+
+@pytest.mark.parametrize("g", _catalog_products(4) + _DISCONNECTED_PRODUCTS,
+                         ids=lambda g: f"{g.name}-{g.n}")
+def test_components_solved_in_place_match_solves_of_their_copies(monkeypatch, g):
+    # A component is solved as a vertex mask of the whole graph. Solving an
+    # induced copy of each component on its own and stitching the labels
+    # back by index must give the same value, 2-count and witness, after
+    # the same kernel nodes.
+    seen = {"bnb_min_weight": 0, "bnb_max_twos": 0}
+    for name in seen:
+        def counting(*args, kernel=getattr(_kernels, name), name=name):
+            before = args[11][4]
+            status = kernel(*args)
+            seen[name] += args[11][4] - before
+            return status
+
+        monkeypatch.setattr(_kernels, name, counting)
+
+    def nodes_of(solves):
+        start = dict(seen)
+        out = solves()
+        return out, {name: seen[name] - start[name] for name in seen}
+
+    for solver in (gamma_tr_exact, gamma_tr_max_v2):
+        whole, whole_nodes = nodes_of(lambda: solver(g, budget=60))
+
+        def copies():
+            value = twos = 0
+            labels = [-1] * g.n
+            for comp in connected_components(g):
+                vertices = bits_of(comp)
+                part = solver(induced_subgraph(g, vertices), budget=60)
+                value += part.value
+                twos += part.max_v2 or 0
+                for i, v in enumerate(vertices):
+                    labels[v] = part.witness.labels[i]
+            return value, twos, tuple(labels)
+
+        stitched, copies_nodes = nodes_of(copies)
+        assert (whole.value, whole.max_v2 or 0, whole.witness.labels) == stitched
+        assert whole_nodes == copies_nodes
+
+
+def test_orbits_are_found_inside_one_component():
+    g = direct_product(cycle(6), cycle(6)).base
+    pair = _SearchGraph(g).pair
+    even, odd = connected_components(g)
+    assert even & 1 and odd >> 1 & 1
+    for comp in (even, odd):
+        assert in_one_orbit(g, pair, [0] * g.n, bits_of(comp))
+    # a target in the other component is in no orbit of the first one's
+    assert not in_one_orbit(g, pair, [0] * g.n, [0, 2, 7, 1])
+    assert not in_one_orbit(g, pair, [0] * g.n, [1, 0])
+    # the other component is fixed pointwise, so its colours constrain nothing
+    colour = [0] * g.n
+    colour[1] = 1
+    assert in_one_orbit(g, pair, colour, bits_of(even))
+    assert not is_vertex_transitive(g)
 
 
 def _symmetric_fixed_cases(count, seed):
