@@ -31,14 +31,14 @@ d+1 only when the child survives, so backtracking only resets a label.
 A child is dead when some unsatisfied vertex (in un0 or unp) has no
 undecided neighbour left. No live node holds such a vertex, so only the
 vertices the new label touched, the branch vertex and its neighbours, need
-the test. Otherwise two lower bounds on the weight still to come decide,
-each evaluated lazily: the cover bound on the unsatisfied decided vertices,
-and the Roman cover bound, in its knapsack form (see _bnb), on every
-vertex not yet positive or dominated by a 2. Each is first tried where it
-needs no loop, and only then scans the undecided vertices order[d+1:k],
-stopping once the bound fits. Every child gets the same verdict as from
-the fully evaluated bounds, so the nodes visited and the witnesses found
-do not depend on where a scan stops.
+the test. Otherwise two lower bounds on the weight still to come decide:
+a constant-time cover test on the unsatisfied decided vertices, then the
+Roman cover bound, in its knapsack form (see _bnb), on every vertex not
+yet positive or dominated by a 2. The knapsack bound is first tried where
+it needs no loop, and only then scans the undecided vertices
+order[d+1:k], stopping once the bound fits. Every child gets the same
+verdict as from the fully evaluated bound, so the nodes visited and the
+witnesses found do not depend on where a scan stops.
 
 On entering depth d, the search picks its branch vertex fail-first. The
 unsatisfied vertex with the fewest undecided neighbours (lowest index on
@@ -89,15 +89,9 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
     room is the weight a child may still add; a child is pruned when either
     lower bound on that weight exceeds it.
 
-    The cover bound counts unsatisfied decided vertices: each 0 in un0 needs
-    a future 2 among its undecided neighbours and each positive in unp a
-    future positive. One undecided vertex serves at most cmax0 of un0 and
-    cmaxp of unp, so at least a = ceil(|un0|/cmax0) twos and
-    b = ceil(|unp|/cmaxp) positives are still to come; twos may double as
-    positives, hence 2a + max(0, b - a). The bound only grows as a cmax
-    falls, and 1 <= cmax <= |un0| (or |unp|), so it is first tried at those
-    limits. The undecided vertices are scanned only when the two disagree,
-    and only until the running maxima make the bound fit.
+    The cover test needs no scan: an unsatisfied 0 (in un0) needs a future
+    2 and an unsatisfied positive (in unp) a future positive, so at least 2
+    is still to come when un0 is not empty, and 1 when unp is not.
 
     The Roman cover bound counts S, the vertices neither positive nor in
     cov: un0 plus Q, the undecided vertices outside cov. In any completion
@@ -260,32 +254,8 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
                 break
         if dead:
             continue
-        nu = _popcount(u0)
-        np_ = _popcount(up)
-        a = 1 if nu > 0 else 0
-        b = 1 if np_ > 0 else 0
-        if 2 * a + (b - a if b > a else 0) > room:
+        if room < (2 if u0 else 1 if up else 0):
             continue
-        if 2 * nu + (np_ - nu if np_ > nu else 0) > room:
-            fits = False
-            cmax0 = 1
-            cmaxp = 1
-            for i in range(e, k):
-                m = adj_mask[order[i]]
-                c0 = _popcount(m & u0)
-                cp = _popcount(m & up)
-                if c0 > cmax0 or cp > cmaxp:
-                    if c0 > cmax0:
-                        cmax0 = c0
-                    if cp > cmaxp:
-                        cmaxp = cp
-                    a = (nu + cmax0 - 1) // cmax0
-                    b = (np_ + cmaxp - 1) // cmaxp
-                    if 2 * a + (b - a if b > a else 0) <= room:
-                        fits = True
-                        break
-            if not fits:
-                continue
         q = ud & ~cv
         s = q | u0
         gap = _popcount(s) - room

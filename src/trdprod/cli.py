@@ -34,6 +34,8 @@ def _load_graph(token: str) -> Graph:
             except json.JSONDecodeError as exc:
                 raise GraphInputError(f"bad edge-list JSON in {token}: {exc}") from None
             return from_json_dict(data)
+        if not text:
+            raise GraphInputError(f"graph file {token} is empty")
         g = graph6.parse_graph6(text.splitlines()[0])
         return g.relabeled(os.path.basename(token))
     return families.parse_graph_token(token)

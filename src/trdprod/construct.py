@@ -26,8 +26,8 @@ SMALL_CASES = {"ii": 4, "iii_universal": 6, "iii_k2": 6, "iii_triangle": 6, "iv"
 def _product_for(g: Graph, h: Graph, product: ProductGraph | None) -> ProductGraph:
     if product is None:
         return direct_product(g, h)
-    if product.gn != g.n or product.hn != h.n:
-        raise PreconditionError("provided product does not match the factor orders")
+    if product.g_adj != g.adj or product.h_adj != h.adj:
+        raise PreconditionError("provided product is not the direct product of the factors")
     return product
 
 

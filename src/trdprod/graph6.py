@@ -48,10 +48,10 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
-    if not s:
-        raise Graph6ParseError("empty graph6 string", 0)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6ParseError("empty graph6 string", 0)
     data = []
     for i, ch in enumerate(s):
         code = ord(ch)

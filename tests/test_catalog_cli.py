@@ -154,6 +154,19 @@ def test_cli_malformed_graph_json_is_a_json_error(capsys, tmp_path):
     assert doc["type"] == "GraphInputError" and "bad.json" in doc["error"]
 
 
+@pytest.mark.parametrize("text,kind", [("", "GraphInputError"),
+                                       ("  \n\n", "GraphInputError"),
+                                       (">>graph6<<\n", "Graph6ParseError")])
+def test_cli_empty_graph_file_is_a_json_error(capsys, tmp_path, text, kind):
+    path = tmp_path / "empty.g6"
+    path.write_text(text)
+    # a graph6 header with no data after it is an empty graph6 string
+    code, out, err = run_cli(capsys, "gammatr", str(path))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == kind and "empty" in doc["error"]
+
+
 def test_cli_timeout_reports_its_certified_bounds(capsys, monkeypatch):
     def timeout(g, budget=None):
         raise SolverTimeout("x", lower_bound=18, upper_bound=21, nodes=5)

@@ -39,6 +39,16 @@ def test_factor_combination_rejects_invalid_input():
         product_trdf_from_factors(bad, good)
 
 
+@pytest.mark.parametrize("factor,other", [(path(4), cycle(4)), (star(3), complete(4))])
+def test_factor_combination_rejects_a_product_of_other_factors(factor, other):
+    # same orders, other edges: the given product is not factor x factor
+    opt = gamma_tr_exact(factor, budget=60).witness
+    own = product_trdf_from_factors(opt, opt, direct_product(factor, factor))
+    assert own.labels == product_trdf_from_factors(opt, opt).labels
+    with pytest.raises(PreconditionError, match="not the direct product"):
+        product_trdf_from_factors(opt, opt, direct_product(other, other))
+
+
 def test_factor_combination_weight_formula_over_frontiers():
     graphs = [complete(2), path(3), complete(3), path(4), cycle(4), star(3)]
     for g in graphs:
