@@ -3,7 +3,11 @@
 Two resumable loops live here: a base-3 odometer that scans every labeling,
 and one explicit-stack branch-and-bound search with two objectives, chosen by
 state slot 10: MIN_WEIGHT (a labeling lighter than the incumbent) and
-MAX_TWOS (the most 2-labels at a fixed weight). Both run over Python lists
+MAX_TWOS (the most 2-labels at a fixed weight). The solver's optimality
+proof is the one MIN_WEIGHT search. MAX_TWOS serves the max-2s pass, the
+weight-constrained and frontier searches, and every lexicographic witness
+probe, which asks with the early-exit flag for a completion of the optimal
+weight with at least a given number of 2s. Both loops run over Python lists
 of ints, and every vertex set is a Python-int mask, so a graph may have any
 number of vertices.
 

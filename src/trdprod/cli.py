@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import bounds, catalog, classify, construct, families, graph6, solve
-from .errors import GraphInputError, SolverTimeout, TrdError
+from .errors import GraphInputError, PreconditionError, SolverTimeout, TrdError
 from .graph import Graph, direct_product, from_json_dict
 
 
@@ -108,7 +108,7 @@ def _cmd_construct(args) -> int:
         sg = classify.is_eod_graph(g)
         sh = classify.is_eod_graph(h)
         if sg is None or sh is None:
-            raise TrdError("both factors need an efficient open dominating set")
+            raise PreconditionError("both factors need an efficient open dominating set")
         out = construct.product_eod_set(sg, sh)
         doc = out.to_json_dict()
         doc["size"] = out.size

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 from .errors import GraphInputError, HypothesisError
 
+# the largest order graph6 encodes; every report names its graphs in graph6
+GRAPH6_MAX_ORDER = 258047
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -108,11 +111,23 @@ def from_edge_list(n: int, edges, name: str = "") -> Graph:
 
 
 def from_json_dict(data: dict) -> Graph:
+    """A graph from edge-list JSON: {"n": order, "edges": [[u, v], ...], "name": text}.
+
+    n and every edge end must be JSON integers, and n at most
+    GRAPH6_MAX_ORDER; anything else is a GraphInputError.
+    """
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        n = data["n"]
+        edges = [(u, v) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphInputError(f"bad edge-list JSON: {exc}") from exc
+    if type(n) is not int or not 0 <= n <= GRAPH6_MAX_ORDER:
+        raise GraphInputError(f"bad edge-list JSON: n must be an integer from 0 to "
+                              f"{GRAPH6_MAX_ORDER}, got {n!r}")
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise GraphInputError(f"bad edge-list JSON: edge [{u!r}, {v!r}] has a "
+                                  f"non-integer end")
     return from_edge_list(n, edges, str(data.get("name", "")))
 
 

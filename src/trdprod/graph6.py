@@ -11,7 +11,7 @@ ignored on input.
 from __future__ import annotations
 
 from .errors import Graph6ParseError
-from .graph import Graph
+from .graph import GRAPH6_MAX_ORDER, Graph
 
 _OFF = 63
 _MAXC = 126
@@ -22,7 +22,7 @@ def emit_graph6(g: Graph) -> str:
     out = []
     if n <= 62:
         out.append(chr(n + _OFF))
-    elif n <= 258047:
+    elif n <= GRAPH6_MAX_ORDER:
         out.append(chr(_MAXC))
         out.append(chr(((n >> 12) & 0x3F) + _OFF))
         out.append(chr(((n >> 6) & 0x3F) + _OFF))
@@ -61,7 +61,7 @@ def parse_graph6(text: str) -> Graph:
     pos = 0
     if data[0] == _MAXC - _OFF:
         if len(data) >= 2 and data[1] == _MAXC - _OFF:
-            raise Graph6ParseError("orders above 258047 not supported", 1)
+            raise Graph6ParseError(f"orders above {GRAPH6_MAX_ORDER} not supported", 1)
         if len(data) < 4:
             raise Graph6ParseError("truncated multi-byte order field", len(s))
         n = (data[1] << 12) | (data[2] << 6) | data[3]

@@ -20,15 +20,17 @@ labeling lighter than n is not all-positive, and a vertex labeled 0 needs a
 to v turns it into a valid labeling of the same weight with a 2 at r. That
 root goes through the orbital rule below before its first node.
 
-Every search starts from a fixed-label state: the masks of the kernels'
+Fixed labels only ever take one form, a state: the masks of the kernels'
 slot 0 and the label list. _fix extends a state by one label with the
-kernels' child rule, and is the one Python copy of that rule; a dict of
-fixed labels becomes a state by folding _fix over it. The lexicographic
-witness rebuild extends the state of its prefix by one label per probe, and
-a probe whose new label leaves a vertex unsatisfied with no undecided
-neighbour is answered there, without a search.
+kernels' child rule, and is the one Python copy of that rule; every state
+grows from _SearchGraph.root, the state of no fixed label, through _fix. The
+lexicographic witness rebuild extends the state of its prefix by one label
+per probe, and a probe whose new label leaves a vertex unsatisfied with no
+undecided neighbour is answered there, without a search. Every other probe
+asks one question under MAX_TWOS: is there a completion of weight exactly
+the optimum with at least the best 2-count (0 when 2s are not counted)?
 
-Every search (the proof, each lexicographic probe, under either objective)
+Every search (the proof, the max-2s pass and each lexicographic probe)
 also applies an orbital rule below that root. A search still running after
 its first chunk takes v, the fixed vertex that is not yet satisfied with
 the fewest undecided neighbours, and asks whether automorphisms that keep
@@ -131,7 +133,8 @@ class _SearchGraph:
     a regular component's proof and the orbital rule read pair
     (graph.pair_table of g), which is built on first use and shared by
     every component of a solve through whole, so a solve that runs neither
-    never builds it and one that does builds it once.
+    never builds it and one that does builds it once. root is the state
+    (see _fix) of no fixed label, from which every search's state grows.
     """
 
     def __init__(self, g: Graph, free: int | None = None, whole: _SearchGraph | None = None):
@@ -145,6 +148,7 @@ class _SearchGraph:
             self.free = free
             self.bit = whole.bit
             self.max_degree = max(g.adj[v].bit_count() for v in bits_of(free))
+        self.root = (0, 0, 0, 0, 0, 0, self.free, [-1] * g.n)
 
     @cached_property
     def pair(self) -> list[list[int]]:
@@ -212,7 +216,8 @@ def _fix(adj, state, v: int, lab: int):
 
     A state is (weight, 2-count, cov, pos, un0, unp, und, labels), the
     kernels' slot 0 (see _kernels) with -1 for an undecided label; it is
-    never changed in place.
+    never changed in place. A vertex outside the free set of the searches
+    from it keeps the label -1 throughout.
     """
     weight, twos, cov, pos, un0, unp, und, labels = state
     vb = 1 << v
@@ -241,25 +246,8 @@ def _fix(adj, state, v: int, lab: int):
     return weight + lab, twos, cov, pos, un0, unp, und, labels
 
 
-def _fixed_state(adj, fixed: dict[int, int], free: int | None = None):
-    """The state of a set of fixed labels (_fix folded over them), or None when dead.
-
-    free is the mask of the vertices the searches from it may label, every
-    vertex by default; a vertex outside it keeps the label -1 throughout.
-    """
-    n = len(adj)
-    if free is None:
-        free = (1 << n) - 1
-    state = (0, 0, 0, 0, 0, 0, free, [-1] * n)
-    for v, lab in fixed.items():
-        state = _fix(adj, state, v, lab)
-        if state is None:
-            break
-    return state
-
-
 def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
-            early: bool, deadline: _Deadline | None):
+            early: bool, deadline: _Deadline):
     """The best completion of a fixed-label state under one objective, from incumbent best.
 
     Returns (found, best, labels_or_None). With mode MIN_WEIGHT, found means
@@ -271,11 +259,11 @@ def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
 
     The kernel runs in chunks of nodes, and the clock is read after each. A
     search still running after its first chunk of _FIRST_CHUNK nodes asks
-    _orbital_fix for reduced fixed sets. When there are some, the search is
-    dropped, keeping any incumbent it found, and _search_parts searches
-    each reduced set in turn (by this function, so the rule can apply
-    again) from the incumbent so far; an early search stops at the first
-    that finds one.
+    _orbital_fix for reduced states of its own state. When there are some,
+    the search is dropped, keeping any incumbent it found, and _search_parts
+    searches each reduced state in turn (by this function, so the rule can
+    apply again) from the incumbent so far; an early search stops at the
+    first that finds one.
     Any completion maps onto one of theirs with the same weight and 2-count
     (module docstring), so found and best are those of a search over every
     completion; labels is some completion that reaches best. Otherwise the
@@ -284,8 +272,6 @@ def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
     """
     if state is None:
         return False, best, None
-    if deadline is None:  # a search outside any solve: no budget, no total
-        deadline = _Deadline(0)
     adj = sg.g.adj
     weight, twos, cov, pos, un0, unp, und, fixed_labels = state
     labels = fixed_labels[:]
@@ -320,8 +306,7 @@ def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
                 exc.upper_bound = st[3]
             raise exc
         if parts is None:
-            parts = _orbital_fix(sg, {v: lab for v, lab in enumerate(fixed_labels)
-                                      if lab >= 0})
+            parts = _orbital_fix(sg, state)
             if parts:
                 break
         fit = int(size * _SLICE_S / max(t1 - t0, 1e-6))
@@ -336,9 +321,9 @@ def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
     return found, best, witness
 
 
-def _search_parts(sg: _SearchGraph, parts: list[dict[int, int]], mode: int, best: int,
-                  cap: int, early: bool, deadline: _Deadline | None):
-    """_search over each fixed set in turn, from the incumbent so far.
+def _search_parts(sg: _SearchGraph, parts: list, mode: int, best: int, cap: int, early: bool,
+                  deadline: _Deadline):
+    """_search from each state in turn, from the incumbent so far.
 
     Returns (found, best, labels_or_None) as _search does, found meaning
     that some part beat the incumbent it started from; an early search
@@ -347,8 +332,7 @@ def _search_parts(sg: _SearchGraph, parts: list[dict[int, int]], mode: int, best
     found = False
     witness = None
     for part in parts:
-        ok, best, labels = _search(sg, _fixed_state(sg.g.adj, part, sg.free), mode, best, cap,
-                                   early, deadline)
+        ok, best, labels = _search(sg, part, mode, best, cap, early, deadline)
         if ok:
             found, witness = True, labels
             if early:
@@ -356,22 +340,22 @@ def _search_parts(sg: _SearchGraph, parts: list[dict[int, int]], mode: int, best
     return found, best, witness
 
 
-def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]]:
-    """The fixed sets whose searches replace the search of fixed, or [] for none.
+def _orbital_fix(sg: _SearchGraph, state) -> list:
+    """The states whose searches replace the search of state, or [] for none.
 
-    Takes v, the unsatisfied fixed vertex with the fewest undecided
+    Takes v, the unsatisfied fixed vertex of state with the fewest undecided
     neighbours (lowest index on ties), and asks whether automorphisms that
     keep every fixed label carry all of v's undecided neighbours onto u0,
     the lowest-index one. If so, a 0 at v gets u0 = 2 and the rule repeats
-    on the larger set; a positive v gives the two sets with u0 = 2 and
-    u0 = 1. The module docstring gives the argument.
+    on the extended state; a positive v gives the two states with u0 = 2
+    and u0 = 1. A state may come back as None, which _fix found dead. The
+    module docstring gives the argument.
     """
     g = sg.g
     adj = g.adj
-    out = dict(fixed)
-    state = _fixed_state(adj, fixed, sg.free)
-    while state is not None:
-        *_, un0, unp, und, colour = state
+    out = state
+    while out is not None:
+        *_, un0, unp, und, colour = out
         tight = -1
         fewest = g.n + 1
         for v in bits_of(un0 | unp):
@@ -383,24 +367,26 @@ def _orbital_fix(sg: _SearchGraph, fixed: dict[int, int]) -> list[dict[int, int]
         nbrs = bits_of(adj[tight] & und)
         if len(nbrs) > 1 and not in_one_orbit(g, sg.pair, colour, nbrs):
             break
-        if out[tight]:
-            return [{**out, nbrs[0]: 2}, {**out, nbrs[0]: 1}]
-        out[nbrs[0]] = 2
-        state = _fix(adj, state, nbrs[0], 2)
-    return [out] if len(out) > len(fixed) else []
+        if colour[tight]:
+            return [_fix(adj, out, nbrs[0], 2), _fix(adj, out, nbrs[0], 1)]
+        out = _fix(adj, out, nbrs[0], 2)
+    return [] if out is state else [out]
 
 
-def _lex_smallest(sg: _SearchGraph, feasible, seed: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Fix the free labels vertex by vertex, smallest first, keeping a known completion as witness.
+def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...] | None,
+                  deadline: _Deadline) -> tuple[int, ...]:
+    """The lexicographically smallest optimal labeling of sg's free set with at least twos 2s.
 
-    Each probe extends the state of the labels fixed so far by one label. A
-    probe that _fix finds dead is infeasible and never reaches
-    feasible(state), which must return (ok, completion); completions are
-    reused so a vertex whose cheapest label matches the cached witness costs
-    nothing. Labels outside sg.free come back as -1.
+    value is the optimal weight, and twos the most 2s a labeling of that
+    weight has, or 0 to allow any count. Labels are fixed vertex by vertex,
+    smallest first. Each probe extends the state of the labels fixed so far
+    by one label; _fix answers a dead one, and _search under MAX_TWOS any
+    other. seed (a labeling that qualifies, or None) and each completion
+    found are kept as the witness, so a vertex whose cheapest label matches
+    it costs nothing. Labels outside sg.free come back as -1.
     """
     adj = sg.g.adj
-    state = _fixed_state(adj, {}, sg.free)
+    state = sg.root
     witness = seed
     for v in bits_of(sg.free):
         for lab in (0, 1, 2):
@@ -413,7 +399,8 @@ def _lex_smallest(sg: _SearchGraph, feasible, seed: tuple[int, ...] | None) -> t
             child = _fix(adj, state, v, lab)
             if child is None:
                 continue
-            ok, completion = feasible(child)
+            ok, _, completion = _search(sg, child, _kernels.MAX_TWOS, twos - 1, value, True,
+                                        deadline)
             if ok:
                 state, witness = child, completion
                 break
@@ -449,7 +436,7 @@ def gamma_tr_bruteforce(g: Graph) -> SolveResult:
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline | None,
+def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline,
                     upper_bound_hint: int | None):
     """Optimal weight of sg's free set plus, when the search improved on the seeds, a witness.
 
@@ -480,12 +467,12 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline | None,
     floor = _floor(size, sg.max_degree)
     if floor >= ub:
         return ub, seed_labels
-    parts = [{}]
+    parts = [sg.root]
     if ub <= size:
         comp = bits_of(free)
         if (all(g.adj[v].bit_count() == sg.max_degree for v in comp)
                 and in_one_orbit(g, sg.pair, [0] * g.n, comp)):
-            root = {comp[0]: 2}
+            root = _fix(g.adj, sg.root, comp[0], 2)
             parts = _orbital_fix(sg, root) or [root]
     try:
         found, value, labels = _search_parts(sg, parts, _kernels.MIN_WEIGHT, ub, 0, False,
@@ -498,7 +485,7 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline | None,
     return ub, seed_labels
 
 
-def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline | None,
+def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline,
                      upper_bound_hint: int | None, max_twos: bool):
     """Optimal weight, best 2-count and witness labels of sg's free set.
 
@@ -509,23 +496,13 @@ def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline | None,
     """
     value, witness = _gamma_tr_value(sg, seed, deadline, upper_bound_hint)
     twos = 0
-
-    def feasible(state):
-        if max_twos:
-            ok, _, labels = _search(sg, state, _kernels.MAX_TWOS, twos - 1, value, True,
-                                    deadline)
-        else:
-            ok, _, labels = _search(sg, state, _kernels.MIN_WEIGHT, value + 1, 0, True,
-                                    deadline)
-        return ok, labels
-
     try:
         if max_twos:
-            found, twos, witness = _search(sg, _fixed_state(sg.g.adj, {}, sg.free),
-                                          _kernels.MAX_TWOS, -1, value, False, deadline)
+            found, twos, witness = _search(sg, sg.root, _kernels.MAX_TWOS, -1, value, False,
+                                          deadline)
             if not found:
                 raise ConsistencyError("no labeling found at the proven optimal weight")
-        labels = _lex_smallest(sg, feasible, witness)
+        labels = _lex_smallest(sg, value, twos, witness, deadline)
     except SolverTimeout as exc:
         exc.upper_bound = value
         exc.lower_bound = value  # value itself is proven; only the witness was pending
@@ -684,8 +661,7 @@ def trdf_with_weight_max_v2(g: Graph, weight: int,
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
     sg = _SearchGraph(g)
-    found, _, labels = _search(sg, _fixed_state(g.adj, {}, sg.free), _kernels.MAX_TWOS, -1,
-                               weight, False, deadline)
+    found, _, labels = _search(sg, sg.root, _kernels.MAX_TWOS, -1, weight, False, deadline)
     if not found:
         return None
     witness = LabelFunction(g, labels)
@@ -698,20 +674,23 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
                          budget: float | None = None) -> list[ParetoPoint]:
     """For each achievable weight from gamma_tR up to the cap, the best 2-count.
 
-    The default cap 2*gamma_t is always reachable (all-2 on a minimum total
-    dominating set); pass a larger cap to explore further. No labeling weighs
-    more than 2n, so no weight above that is searched.
+    The default cap is 2*gamma_t, the first weight whose best labeling has
+    no 1: a labeling of only 0s and 2s is valid exactly when its 2s form a
+    total dominating set. Every weight from gamma_tR to 2n is reachable
+    (turn a 0 into a 1, or a 1 into a 2), so the search stops at that first
+    point, and no subset search runs. Pass a larger cap to explore further.
+    No labeling weighs more than 2n, so no weight above that is searched.
     """
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
-    if weight_cap is None:
-        weight_cap = 2 * gamma_t_exact(g).value
     sg = _SearchGraph(g)
     value, _ = _gamma_tr_value(sg, greedy_total_dominating_set(g).members, deadline, None)
-    root = _fixed_state(g.adj, {}, sg.free)
+    top = 2 * g.n if weight_cap is None else min(weight_cap, 2 * g.n)
     points = []
-    for w in range(value, min(weight_cap, 2 * g.n) + 1):
-        found, v2max, _ = _search(sg, root, _kernels.MAX_TWOS, -1, w, False, deadline)
+    for w in range(value, top + 1):
+        found, v2max, _ = _search(sg, sg.root, _kernels.MAX_TWOS, -1, w, False, deadline)
         if found:
             points.append(ParetoPoint(w, v2max))
+            if weight_cap is None and w == 2 * v2max:
+                break
     return points

@@ -154,6 +154,34 @@ def test_cli_malformed_graph_json_is_a_json_error(capsys, tmp_path):
     assert doc["type"] == "GraphInputError" and "bad.json" in doc["error"]
 
 
+@pytest.mark.parametrize("data,needle", [
+    # far past the largest graph6 order, which once ended in a MemoryError
+    ({"n": 10 ** 15, "edges": []}, "1000000000000000"),
+    # a fraction once read as a 2-vertex graph
+    ({"n": 2.7, "edges": [[0, 1]]}, "2.7"),
+    ({"n": 258048, "edges": []}, "258048"),
+    ({"n": True, "edges": []}, "True"),
+    ({"n": 3, "edges": [[0, 1.0], [1, 2]]}, "1.0"),
+    ({"n": 3, "edges": [[0, "1"], [1, 2]]}, "'1'"),
+], ids=["huge", "fraction", "beyond-graph6", "bool", "float-end", "string-end"])
+def test_cli_graph_json_takes_only_integers_up_to_the_graph6_order(capsys, tmp_path, data,
+                                                                   needle):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "gammatr", str(path))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "GraphInputError" and needle in doc["error"]
+
+
+def test_cli_eod_construction_without_eod_factors_is_a_precondition_error(capsys):
+    # C5 has no efficient open dominating set
+    code, out, err = run_cli(capsys, "construct", "eod", "C5", "C4")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "PreconditionError" and "efficient open" in doc["error"]
+
+
 @pytest.mark.parametrize("text,kind", [("", "GraphInputError"),
                                        ("  \n\n", "GraphInputError"),
                                        (">>graph6<<\n", "Graph6ParseError")])

@@ -16,16 +16,31 @@ from trdprod.graph import (bits_of, connected_components, direct_product, from_e
                            in_one_orbit, induced_subgraph, is_vertex_transitive)
 from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _fixed_state, _orbital_fix,
-                           _search, gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact,
-                           gamma_tr_max_v2, greedy_total_dominating_set, maximum_open_packings,
-                           rho_exact, rho_o_exact,
-                           rho_o_set_inducing_perfect_matching,
+from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _orbital_fix, _search,
+                           gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
+                           greedy_total_dominating_set, maximum_open_packings, rho_exact,
+                           rho_o_exact, rho_o_set_inducing_perfect_matching,
                            trdf_pareto_frontier, trdf_with_weight_max_v2,
                            trivial_lower_bound)
 
 TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
 MIN, TWOS = _kernels.MIN_WEIGHT, _kernels.MAX_TWOS
+
+
+def _fixed_state(adj, fixed):
+    """The state of a dict of fixed labels, _fix folded over it from no label; None when dead."""
+    n = len(adj)
+    state = (0, 0, 0, 0, 0, 0, (1 << n) - 1, [-1] * n)
+    for v, lab in fixed.items():
+        state = _fix(adj, state, v, lab)
+        if state is None:
+            break
+    return state
+
+
+def _fixed_labels(state):
+    """The fixed labels of a state as a dict."""
+    return {v: lab for v, lab in enumerate(state[7]) if lab >= 0}
 
 
 # values frozen from the exhaustive 3^n scan
@@ -160,6 +175,25 @@ def test_pareto_frontier_examples():
     assert [(p.weight, p.max_v2) for p in trdf_pareto_frontier(cycle(4))] == [(4, 2)]
 
 
+def test_pareto_frontier_needs_no_subset_search():
+    # 24 vertices, past the subset enumeration's limit; gamma_tR = 2 gamma_t = 8
+    g = direct_product(fan(6), cycle(4)).base
+    assert g.n > solve.SUBSET_LIMIT
+    assert [(p.weight, p.max_v2) for p in trdf_pareto_frontier(g, budget=60)] == [(8, 4)]
+
+
+def test_pareto_frontier_stops_at_twice_gamma_t():
+    graphs = (list(enumerate_catalog(4).graphs) + [cycle(n) for n in range(3, 12)]
+              + [path(n) for n in range(2, 12)]
+              + [fan(6), wheel(6), prism(cycle(4)), direct_product(cycle(4), cycle(4)).base])
+    for g in graphs:
+        if not all(g.adj):
+            continue
+        cap = 2 * gamma_t_exact(g).value
+        assert trdf_pareto_frontier(g, budget=60) == \
+            trdf_pareto_frontier(g, weight_cap=cap, budget=60), g.name
+
+
 def test_pareto_frontier_matches_weight_constrained_search():
     for g in [path(4), cycle(5), star(3)]:
         for point in trdf_pareto_frontier(g):
@@ -266,7 +300,9 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
 ], ids=["C4xprismC3", "K3xW6", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
-    # between clock reads
+    # between clock reads; min_nodes counts every node of the exact solve
+    # (its proof under MIN_WEIGHT, its lex probes under MAX_TWOS), and
+    # twos_nodes the max-2s pass and lex probes of the max-2s solve
     seen = {"bnb_min_weight": 0, "bnb_max_twos": 0}
     for name in seen:
         def counting(*args, kernel=getattr(_kernels, name), name=name):
@@ -277,7 +313,8 @@ def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_n
 
         monkeypatch.setattr(_kernels, name, counting)
     gamma_tr_exact(g, budget=60)
-    assert seen["bnb_min_weight"] == min_nodes
+    assert seen["bnb_min_weight"] + seen["bnb_max_twos"] == min_nodes
+    seen.update(bnb_min_weight=0, bnb_max_twos=0)
     gamma_tr_max_v2(g, budget=60)
     assert seen["bnb_max_twos"] == twos_nodes
 
@@ -288,19 +325,18 @@ def test_a_timeout_reports_the_nodes_of_every_search_of_the_solve(monkeypatch):
     # from the probe and must count the proof's nodes too.
     proof_nodes = [0]
     late = []
-    kernel = _kernels.bnb_min_weight
+    for name in ("bnb_min_weight", "bnb_max_twos"):
+        def stepping(*args, kernel=getattr(_kernels, name)):
+            st = args[11]
+            if st[9]:
+                late.append(True)
+                return kernel(*args[:-1], 1)
+            before = st[4]
+            status = kernel(*args)
+            proof_nodes[0] += st[4] - before
+            return status
 
-    def stepping(*args):
-        st = args[11]
-        if st[9]:
-            late.append(True)
-            return kernel(*args[:-1], 1)
-        before = st[4]
-        status = kernel(*args)
-        proof_nodes[0] += st[4] - before
-        return status
-
-    monkeypatch.setattr(_kernels, "bnb_min_weight", stepping)
+        monkeypatch.setattr(_kernels, name, stepping)
     monkeypatch.setattr(solve, "time", SimpleNamespace(
         monotonic=lambda: time.monotonic() + (1e6 if late else 0)))
     with pytest.raises(SolverTimeout) as err:
@@ -419,27 +455,28 @@ def _assert_searches_agree_with_a_scan_of_completions(g, fixed):
 
     sg = _SearchGraph(g)
     state = _fixed_state(g.adj, fixed)
-    found, best, labels = _search(sg, state, MIN, 2 * g.n + 1, 0, False, None)
+    deadline = solve._Deadline(0)
+    found, best, labels = _search(sg, state, MIN, 2 * g.n + 1, 0, False, deadline)
     assert found == bool(valid)
     if not valid:
         return
     low = min(w for w, _ in valid)
     assert best == low and completes(labels) and sum(labels) == low
     for init_best in (low, low + 1):
-        found, _, labels = _search(sg, state, MIN, init_best, 0, True, None)
+        found, _, labels = _search(sg, state, MIN, init_best, 0, True, deadline)
         assert found == (low < init_best)
         if found:
             assert completes(labels) and sum(labels) < init_best
     for cap in sorted({w for w, _ in valid} | {low - 1}):
         twos = max((t for w, t in valid if w == cap), default=None)
-        found, best, labels = _search(sg, state, TWOS, -1, cap, False, None)
+        found, best, labels = _search(sg, state, TWOS, -1, cap, False, deadline)
         assert found == (twos is not None)
         if not found:
             continue
         assert best == twos and completes(labels)
         assert sum(labels) == cap and labels.count(2) == twos
-        assert _search(sg, state, TWOS, twos - 1, cap, True, None)[0]
-        assert not _search(sg, state, TWOS, twos, cap, True, None)[0]
+        assert _search(sg, state, TWOS, twos - 1, cap, True, deadline)[0]
+        assert not _search(sg, state, TWOS, twos, cap, True, deadline)[0]
 
 
 @pytest.mark.parametrize("g", _random_isolate_free_graphs(40, seed=2026),
@@ -483,7 +520,7 @@ def test_eod_product_certificate_case():
 
 def _run_pair(g):
     found, best, _ = _search(_SearchGraph(g), _fixed_state(g.adj, {}), MIN, 2 * g.n + 1, 0,
-                             False, None)
+                             False, solve._Deadline(0))
     assert found
     table = [-1] * (2 * g.n + 1)
     bst = [2 * g.n + 1, 0, 0, 0, 0, 0]
@@ -589,7 +626,7 @@ def test_a_regular_graph_that_is_not_vertex_transitive_keeps_its_optimum(
     # Every optimal labeling here leaves vertex 0 below 2, so a proof started
     # from a 2 at vertex 0 would report a heavier optimum.
     assert _search(_SearchGraph(g), _fixed_state(g.adj, {0: 2}), MIN, 2 * g.n + 1, 0, False,
-                   None)[1] == with_two_at_0
+                   solve._Deadline(0))[1] == with_two_at_0
     best, labels, _ = _brute_scan(g)
     assert best == optimum
     result = gamma_tr_exact(g, budget=60)
@@ -647,15 +684,18 @@ def test_a_colouring_that_breaks_the_symmetry_gives_no_fix():
     # A lone 0 at vertex 0 gets a 2 at vertex 6. Vertex 6 then needs a
     # positive neighbour among {2, 10, 12}, and the maps that fix both
     # vertices keep 12 = (2,2) and swap 2 and 10, so the rule stops there.
-    assert _orbital_fix(sg, {0: 0}) == [{0: 0, 6: 2}]
+    def fixes(fixed):
+        return [_fixed_labels(part) for part in _orbital_fix(sg, _fixed_state(g.adj, fixed))]
+
+    assert fixes({0: 0}) == [{0: 0, 6: 2}]
     # With vertex 6 labeled 1, vertex 0's undecided neighbours fall into two
     # orbits, {9, 21} and {24}, so the rule fixes nothing.
     colour = [{0: 0, 6: 1}.get(v, -1) for v in range(g.n)]
     assert in_one_orbit(g, sg.pair, colour, [9, 21])
     assert not in_one_orbit(g, sg.pair, colour, [9, 21, 24])
-    assert _orbital_fix(sg, {0: 0, 6: 1}) == []
+    assert fixes({0: 0, 6: 1}) == []
     # a positive vertex with no positive neighbour splits the search
-    assert _orbital_fix(sg, {0: 2}) == [{0: 2, 6: 2}, {0: 2, 6: 1}]
+    assert fixes({0: 2}) == [{0: 2, 6: 2}, {0: 2, 6: 1}]
 
 
 def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
@@ -666,24 +706,24 @@ def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
     # search times out.
     nodes = [0]
     fixes = []
-    kernel = _kernels.bnb_min_weight
     orbital_fix = solve._orbital_fix
+    for name in ("bnb_min_weight", "bnb_max_twos"):
+        def counting(*args, kernel=getattr(_kernels, name)):
+            before = args[11][4]
+            status = kernel(*args)
+            nodes[0] += args[11][4] - before
+            return status
 
-    def counting(*args):
-        before = args[11][4]
-        status = kernel(*args)
-        nodes[0] += args[11][4] - before
-        return status
+        monkeypatch.setattr(_kernels, name, counting)
 
-    def recording(sg, fixed):
-        parts = orbital_fix(sg, fixed)
-        fixes.append((nodes[0], fixed, parts))
+    def recording(sg, state):
+        parts = orbital_fix(sg, state)
+        fixes.append((nodes[0], _fixed_labels(state), [_fixed_labels(p) for p in parts]))
         return parts
 
     def dropped():
         return any(chunk and parts for chunk, _, parts in fixes)
 
-    monkeypatch.setattr(_kernels, "bnb_min_weight", counting)
     monkeypatch.setattr(solve, "_orbital_fix", recording)
     monkeypatch.setattr(solve, "time", SimpleNamespace(
         monotonic=lambda: time.monotonic() + (1e6 if dropped() else 0)))
