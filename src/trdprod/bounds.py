@@ -342,7 +342,8 @@ def _verify_pair(args) -> dict:
     rep = pair_bounds(pg, ph)
     product = direct_product(pg.graph, ph.graph)
 
-    # Constructions first: certified weights double as upper-bound seeds.
+    # Constructions first: each certified weight is checked against its
+    # bound here and against the exact value below.
     cons: dict[str, int] = {}
     c_factors = construct.product_trdf_from_factors(
         pg.gamma_tr_function, ph.gamma_tr_function, product)
@@ -375,10 +376,9 @@ def _verify_pair(args) -> dict:
     # One solve proves the value and finds the max-2s witness the checks
     # below read. A timeout after the proof still carries the value, and
     # only the witness checks are skipped.
-    hint = min(cons[k] for k in cons if k != "eod_box_size")
     best2 = None
     try:
-        best2 = gamma_tr_max_v2(product.base, budget, upper_bound_hint=hint)
+        best2 = gamma_tr_max_v2(product.base, budget)
         exact = best2.value
     except SolverTimeout as exc:
         rec["skipped"] = True

@@ -20,7 +20,6 @@ ENUM_LIMIT = 5
 class Catalog:
     max_order: int
     graphs: tuple[Graph, ...]
-    provenance: str = "enumerated"
 
 
 def _canonical_key(n: int, pairs: frozenset[tuple[int, int]]) -> tuple:
@@ -32,8 +31,11 @@ def _canonical_key(n: int, pairs: frozenset[tuple[int, int]]) -> tuple:
     return (n, best)
 
 
-def enumerate_catalog(max_n: int, min_degree: int = 1) -> Catalog:
-    """All isomorphism classes with the given minimum degree on 2..max_n vertices."""
+def enumerate_catalog(max_n: int) -> Catalog:
+    """All isomorphism classes of graphs without isolated vertices on 2..max_n vertices.
+
+    These are the graphs the paper's bounds are stated for.
+    """
     if max_n > ENUM_LIMIT:
         raise SizeLimitError(f"exhaustive enumeration limited to {ENUM_LIMIT} vertices;"
                              " load an external graph6 catalog instead")
@@ -47,7 +49,7 @@ def enumerate_catalog(max_n: int, min_degree: int = 1) -> Catalog:
             for u, v in pairs:
                 deg[u] += 1
                 deg[v] += 1
-            if any(d < min_degree for d in deg):
+            if 0 in deg:
                 continue
             key = _canonical_key(n, pairs)
             if key in seen:

@@ -26,8 +26,11 @@ from .graph import Graph, direct_product, from_json_dict
 
 def _load_graph(token: str) -> Graph:
     if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        try:
+            with open(token, "r", encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphInputError(f"cannot read graph file {token}: {exc}") from None
         if text.startswith("{"):
             try:
                 data = json.loads(text)

@@ -12,6 +12,9 @@ Canonical labelings:
                     stays unmatched when n is odd
     prism(g)        copies interleaved: v -> 2v and 2v+1, rung edges (2v, 2v+1)
     join(g, h)      g first, h shifted by g.n, all cross edges added
+
+Every builder refuses an order above graph.GRAPH6_MAX_ORDER, the largest
+order graph6 encodes, before it builds any edge.
 """
 
 from __future__ import annotations
@@ -20,31 +23,41 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import GraphInputError
-from .graph import Graph, from_edge_list
+from .graph import GRAPH6_MAX_ORDER, Graph, from_edge_list
 from . import graph6
+
+
+def _check_order(n: int, family: str) -> None:
+    if n > GRAPH6_MAX_ORDER:
+        raise GraphInputError(f"{family} of {n} vertices exceeds the largest order graph6 "
+                              f"encodes, {GRAPH6_MAX_ORDER}")
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphInputError("path requires n >= 1")
+    _check_order(n, "path")
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)], f"P{n}")
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphInputError("cycle requires n >= 3")
+    _check_order(n, "cycle")
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)], f"C{n}")
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphInputError("complete graph requires n >= 1")
+    _check_order(n, "complete graph")
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)], f"K{n}")
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise GraphInputError("complete bipartite requires p, q >= 1")
+    _check_order(p + q, "complete bipartite")
     edges = [(i, p + j) for i in range(p) for j in range(q)]
     return from_edge_list(p + q, edges, f"K{p},{q}")
 
@@ -56,6 +69,7 @@ def star(s: int) -> Graph:
 
 
 def join(g: Graph, h: Graph, name: str = "") -> Graph:
+    _check_order(g.n + h.n, "join")
     edges = g.edges()
     edges += [(g.n + u, g.n + v) for u, v in h.edges()]
     edges += [(u, g.n + w) for u in range(g.n) for w in range(h.n)]
@@ -65,18 +79,21 @@ def join(g: Graph, h: Graph, name: str = "") -> Graph:
 def wheel(n: int) -> Graph:
     if n < 4:
         raise GraphInputError("wheel requires n >= 4")
+    _check_order(n, "wheel")
     return join(complete(1), cycle(n - 1), f"W{n}")
 
 
 def fan(n: int) -> Graph:
     if n < 2:
         raise GraphInputError("fan requires n >= 2")
+    _check_order(n, "fan")
     return join(complete(1), path(n - 1), f"F{n}")
 
 
 def complete_minus_matching(n: int) -> Graph:
     if n < 2:
         raise GraphInputError("complete minus matching requires n >= 2")
+    _check_order(n, "complete minus matching")
     matched = {(2 * i, 2 * i + 1) for i in range(n // 2)}
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in matched]
     return from_edge_list(n, edges, f"K{n}-M")
@@ -85,6 +102,7 @@ def complete_minus_matching(n: int) -> Graph:
 def prism(g: Graph, name: str = "") -> Graph:
     if g.n < 1:
         raise GraphInputError("prism requires a nonempty base graph")
+    _check_order(2 * g.n, "prism")
     edges = []
     for u, v in g.edges():
         edges.append((2 * u, 2 * v))

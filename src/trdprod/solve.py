@@ -174,7 +174,7 @@ class _Deadline:
 
 
 def trivial_lower_bound(g: Graph) -> int:
-    """Cheap certified floor: ceil(2n/Delta) once Delta >= 2, n below that, and >= 3 once n >= 3.
+    """Cheap certified floor: ceil(2n/Delta) once Delta >= 2, else n; never below min(n, 3).
 
     It is the kernels' Roman cover bound at the root. Every vertex is
     positive or has a 2-neighbour. A 1 serves only itself. A 2 serves its
@@ -188,7 +188,7 @@ def trivial_lower_bound(g: Graph) -> int:
 def _floor(n: int, delta: int) -> int:
     """trivial_lower_bound of a graph or component of n vertices and largest degree delta."""
     lb = -(-2 * n // delta) if delta >= 2 else n
-    return max(lb, 3 if n >= 3 else 2)
+    return max(lb, min(n, 3))
 
 
 def greedy_total_dominating_set(g: Graph) -> VertexSet:
@@ -373,29 +373,25 @@ def _orbital_fix(sg: _SearchGraph, state) -> list:
     return [] if out is state else [out]
 
 
-def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...] | None,
+def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...],
                   deadline: _Deadline) -> tuple[int, ...]:
     """The lexicographically smallest optimal labeling of sg's free set with at least twos 2s.
 
     value is the optimal weight, and twos the most 2s a labeling of that
-    weight has, or 0 to allow any count. Labels are fixed vertex by vertex,
-    smallest first. Each probe extends the state of the labels fixed so far
-    by one label; _fix answers a dead one, and _search under MAX_TWOS any
-    other. seed (a labeling that qualifies, or None) and each completion
-    found are kept as the witness, so a vertex whose cheapest label matches
-    it costs nothing. Labels outside sg.free come back as -1.
+    weight has, or 0 to allow any count. seed is a labeling that qualifies,
+    and it and each completion found are kept as the witness. Labels are
+    fixed vertex by vertex: each label below the witness's is probed,
+    smallest first, and the witness's own label is fixed when none has a
+    completion, so a vertex whose cheapest label matches it costs nothing.
+    Each probe extends the state of the labels fixed so far by one label;
+    _fix answers a dead one, and _search under MAX_TWOS any other. Labels
+    outside sg.free come back as -1.
     """
     adj = sg.g.adj
     state = sg.root
     witness = seed
     for v in bits_of(sg.free):
-        for lab in (0, 1, 2):
-            if witness is not None:
-                if witness[v] == lab:
-                    state = _fix(adj, state, v, lab)
-                    break
-                if witness[v] < lab:
-                    raise ConsistencyError("witness cache out of sync")
+        for lab in range(witness[v]):
             child = _fix(adj, state, v, lab)
             if child is None:
                 continue
@@ -405,7 +401,9 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
                 state, witness = child, completion
                 break
         else:
-            raise ConsistencyError("no completion under proven-achievable constraints")
+            state = _fix(adj, state, v, witness[v])
+            if state is None:
+                raise ConsistencyError("the witness does not complete the fixed labels")
     return tuple(state[7])
 
 
@@ -436,33 +434,30 @@ def gamma_tr_bruteforce(g: Graph) -> SolveResult:
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline,
-                    upper_bound_hint: int | None):
-    """Optimal weight of sg's free set plus, when the search improved on the seeds, a witness.
+def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline):
+    """Optimal weight of sg's free set plus a witness of that weight.
 
     seed is a greedy total dominating set of the whole graph as a mask, and
     its restriction to the free set is that component's own greedy set: the
     gains of its vertices depend only on their component, and ties break by
-    index either way. ub, the lighter of twice that set and the hint, is a
-    valid labeling's weight. When the trivial floor of the free set reaches
-    it, it is the optimum and no search runs. Otherwise the proof searches
-    for a labeling lighter than ub. When ub <= |free| and the component is
-    vertex-transitive, the proof searches only labelings with a 2 at r, its
-    lowest vertex, which loses nothing: a labeling lighter than |free| has
-    a 0 somewhere, so a 2 at some vertex v (the 0 needs a 2-neighbour), and
-    composing it with an automorphism that sends r to v gives a valid
-    labeling of the same weight with a 2 at r. That root goes through the
-    orbital rule (module docstring) before any node is searched, and its
-    parts are searched in turn, each from the incumbent so far.
+    index either way. ub, twice that set's size, is the weight of the
+    labeling with a 2 on each of its vertices, which is the witness unless
+    the search finds a lighter one. When the trivial floor of the free set
+    reaches ub, it is the optimum and no search runs. Otherwise the proof
+    searches for a labeling lighter than ub. When ub <= |free| and the
+    component is vertex-transitive, the proof searches only labelings with a
+    2 at r, its lowest vertex, which loses nothing: a labeling lighter than
+    |free| has a 0 somewhere, so a 2 at some vertex v (the 0 needs a
+    2-neighbour), and composing it with an automorphism that sends r to v
+    gives a valid labeling of the same weight with a 2 at r. That root goes
+    through the orbital rule (module docstring) before any node is searched,
+    and its parts are searched in turn, each from the incumbent so far.
     """
     g = sg.g
     free = sg.free
     seed &= free
     seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
     ub = 2 * seed.bit_count()
-    if upper_bound_hint is not None and upper_bound_hint < ub:
-        ub = upper_bound_hint
-        seed_labels = None
     size = free.bit_count()
     floor = _floor(size, sg.max_degree)
     if floor >= ub:
@@ -485,8 +480,7 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline,
     return ub, seed_labels
 
 
-def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline,
-                     upper_bound_hint: int | None, max_twos: bool):
+def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline, max_twos: bool):
     """Optimal weight, best 2-count and witness labels of sg's free set.
 
     The witness is the lexicographically smallest optimal labeling of the
@@ -494,7 +488,7 @@ def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline,
     smallest among those with the most 2s, and the 2-count is their number
     of 2s (0 otherwise). seed is as for _gamma_tr_value.
     """
-    value, witness = _gamma_tr_value(sg, seed, deadline, upper_bound_hint)
+    value, witness = _gamma_tr_value(sg, seed, deadline)
     twos = 0
     try:
         if max_twos:
@@ -510,7 +504,7 @@ def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline,
     return value, twos, labels
 
 
-def _solve(g: Graph, budget: float | None, upper_bound_hint: int | None, max_twos: bool):
+def _solve(g: Graph, budget: float | None, max_twos: bool):
     """Value, 2-count and verified witness under one budget; see _solve_component.
 
     Each connected component is solved on its own, as a vertex mask that
@@ -518,22 +512,19 @@ def _solve(g: Graph, budget: float | None, upper_bound_hint: int | None, max_two
     own indices and the stitch is a plain copy. The objective and the
     lexicographic tie-break both decompose over components because label
     choices in different components never interact. One greedy total
-    dominating set of g seeds every component, and the hint bounds the
-    whole graph, so only a graph of one component gets it.
+    dominating set of g seeds every component.
     """
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
     whole = _SearchGraph(g)
     comps = connected_components(g)
     seed = greedy_total_dominating_set(g).members
-    hint = upper_bound_hint if len(comps) == 1 else None
     value = twos = 0
     labels = [0] * g.n
     for idx, comp in enumerate(comps):
         sg = whole if len(comps) == 1 else _SearchGraph(g, comp, whole)
         try:
-            sub_value, sub_twos, sub_labels = _solve_component(sg, seed, deadline, hint,
-                                                               max_twos)
+            sub_value, sub_twos, sub_labels = _solve_component(sg, seed, deadline, max_twos)
         except SolverTimeout as exc:
             # Solved components count exactly; a pending one is at least its
             # trivial floor and at most twice its greedy seed.
@@ -554,25 +545,21 @@ def _solve(g: Graph, budget: float | None, upper_bound_hint: int | None, max_two
     return value, twos, witness
 
 
-def gamma_tr_exact(g: Graph, budget: float | None = None,
-                   upper_bound_hint: int | None = None) -> SolveResult:
+def gamma_tr_exact(g: Graph, budget: float | None = None) -> SolveResult:
     """Provably optimal gamma_tR by branch-and-bound.
 
     Disconnected graphs are solved component by component (the invariant is
-    additive). upper_bound_hint, when given, must be the weight of a labeling
-    already verified valid (e.g. a certified construction); it only tightens
-    pruning. The returned witness is the lexicographically smallest optimal
-    labeling.
+    additive). Each search starts from the solve's own greedy seed. The
+    returned witness is the lexicographically smallest optimal labeling.
     """
-    value, _, witness = _solve(g, budget, upper_bound_hint, max_twos=False)
+    value, _, witness = _solve(g, budget, max_twos=False)
     return SolveResult("gamma_tR", value, witness, "branch_and_bound",
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def gamma_tr_max_v2(g: Graph, budget: float | None = None,
-                    upper_bound_hint: int | None = None) -> SolveResult:
+def gamma_tr_max_v2(g: Graph, budget: float | None = None) -> SolveResult:
     """gamma_tR plus the secondary objective: most 2-labels among optimal labelings."""
-    value, twos, witness = _solve(g, budget, upper_bound_hint, max_twos=True)
+    value, twos, witness = _solve(g, budget, max_twos=True)
     return SolveResult("gamma_tR", value, witness, "branch_and_bound",
                        tie_break_note="maximum 2-count, then lexicographically smallest",
                        max_v2=twos)
@@ -588,7 +575,7 @@ def gamma_t_exact(g: Graph) -> SolveResult:
     require_no_isolated(g, "total domination")
     if g.n > SUBSET_LIMIT:
         raise SizeLimitError(f"subset enumeration limited to {SUBSET_LIMIT} vertices, got {g.n}")
-    for k in range(max(1, -(-g.n // max(1, g.max_degree()))), g.n + 1):
+    for k in range(-(-g.n // max(1, g.max_degree())), g.n + 1):
         for comb in combinations(range(g.n), k):
             mask = mask_of(comb)
             if all(g.adj[v] & mask for v in range(g.n)):
@@ -684,7 +671,7 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
     sg = _SearchGraph(g)
-    value, _ = _gamma_tr_value(sg, greedy_total_dominating_set(g).members, deadline, None)
+    value, _ = _gamma_tr_value(sg, greedy_total_dominating_set(g).members, deadline)
     top = 2 * g.n if weight_cap is None else min(weight_cap, 2 * g.n)
     points = []
     for w in range(value, top + 1):

@@ -26,9 +26,8 @@ from trdprod.solve import (gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact,
                            trdf_pareto_frontier, trdf_with_weight_max_v2)
 
 
-def _exact(g, h, budget=60.0, hint=None):
-    return gamma_tr_exact(direct_product(g, h).base, budget,
-                          upper_bound_hint=hint).value
+def _exact(g, h, budget=60.0):
+    return gamma_tr_exact(direct_product(g, h).base, budget).value
 
 
 def test_criterion_1_regression_table_of_known_product_values():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from trdprod import cli, solve
+from trdprod import cli, families, solve
 from trdprod.catalog import connected_count, enumerate_catalog
 from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import cycle
@@ -152,6 +152,49 @@ def test_cli_malformed_graph_json_is_a_json_error(capsys, tmp_path):
     assert code == 1 and out == ""
     doc = json.loads(err)
     assert doc["type"] == "GraphInputError" and "bad.json" in doc["error"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_cli_unreadable_graph_file_is_a_json_error(capsys, tmp_path, kind):
+    # a directory once ended in an IsADirectoryError traceback, and bytes
+    # that are not UTF-8 in a UnicodeDecodeError one
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "graph.g6"
+        path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "gammatr", str(path))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "GraphInputError" and str(path) in doc["error"]
+
+
+def test_cli_zero_vertex_graph_has_its_invariants_and_no_product(capsys, tmp_path):
+    # these once reported a ConsistencyError, which is kept for internal faults
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    code, out, _ = run_cli(capsys, "invariants", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["gamma_t"] == 0 and doc["gamma_tr"] == 0 and doc["order"] == 0
+    for command in ("bounds", "classify"):
+        code, out, err = run_cli(capsys, command, str(path), str(path))
+        assert code == 0 and err == "", command
+    for case in ("tdsets", "eod"):
+        code, out, err = run_cli(capsys, "construct", case, str(path), str(path))
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "GraphInputError" and "nonempty" in doc["error"], case
+
+
+@pytest.mark.parametrize("params", [("family", "cycle", "{order}"), ("gammatr", "C{order}"),
+                                    ("gammatr", "C100000000000")])
+def test_cli_family_order_past_graph6_is_a_json_error(capsys, params):
+    # the shorthand once ran for minutes without output
+    order = families.GRAPH6_MAX_ORDER + 1
+    code, out, err = run_cli(capsys, *(p.format(order=order) for p in params))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "GraphInputError" and "graph6" in doc["error"]
 
 
 @pytest.mark.parametrize("data,needle", [

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from trdprod import families
 from trdprod.errors import Graph6ParseError, GraphInputError
 from trdprod.families import (complete, complete_bipartite, complete_minus_matching,
                               cycle, fan, join, parse_graph_token, path, prism,
                               star, wheel)
-from trdprod.graph import (direct_product, from_edge_list, has_isolated_vertex,
+from trdprod.graph import (GRAPH6_MAX_ORDER, direct_product, from_edge_list, has_isolated_vertex,
                            is_bipartite, is_connected, is_regular,
                            is_triangle_free, mask_of)
 from trdprod.graph6 import emit_graph6, parse_graph6
@@ -168,6 +169,24 @@ def test_join_counts():
 def test_family_parameter_errors(build, arg):
     with pytest.raises(GraphInputError):
         build(arg)
+
+
+def test_family_orders_past_graph6_are_input_errors():
+    # each builder checks the order of its graph before it builds an edge,
+    # so none of these allocates; C100000000000 once ran for minutes
+    cap = families.GRAPH6_MAX_ORDER
+    assert cap == GRAPH6_MAX_ORDER
+    calls = [(path, (cap + 1,)), (cycle, (cap + 1,)), (complete, (cap + 1,)),
+             (complete_bipartite, (1, cap)), (star, (cap,)), (wheel, (cap + 1,)),
+             (fan, (cap + 1,)), (complete_minus_matching, (cap + 1,)),
+             (prism, (from_edge_list((cap + 1) // 2, []),)),
+             (join, (from_edge_list(cap, []), complete(1)))]
+    for build, args in calls:
+        with pytest.raises(GraphInputError, match=str(cap + 1)):
+            build(*args)
+    for token in (f"C{cap + 1}", f"K{cap + 1}", "C100000000000"):
+        with pytest.raises(GraphInputError, match="graph6"):
+            parse_graph_token(token)
 
 
 def test_structural_predicates():

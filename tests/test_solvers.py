@@ -117,14 +117,6 @@ def test_max_v2_agrees_with_scan_table():
             [(w, table[w]) for w in range(best, 2 * g.n + 1) if table[w] >= 0], g.name
 
 
-def test_upper_bound_hint_does_not_change_result():
-    g = direct_product(cycle(4), cycle(4)).base
-    plain = gamma_tr_exact(g, budget=60)
-    hinted = gamma_tr_exact(g, budget=60, upper_bound_hint=8)
-    assert plain.value == hinted.value == 8
-    assert plain.witness.labels == hinted.witness.labels
-
-
 def test_gamma_t_rho_examples():
     assert gamma_t_exact(cycle(4)).value == 2
     assert rho_exact(cycle(4)).value == 1
@@ -262,6 +254,14 @@ def test_trivial_lower_bound_is_below_the_oracle_on_the_catalog():
         assert trivial_lower_bound(g) <= gamma_tr_bruteforce(g).value, g.name
 
 
+def test_the_zero_vertex_graph_has_gamma_t_and_floor_zero():
+    # gamma_t once skipped the empty set and raised ConsistencyError, and the
+    # floor was 2, above gamma_tR = 0
+    g = from_edge_list(0, [])
+    assert gamma_t_exact(g).value == 0
+    assert trivial_lower_bound(g) == 0 == gamma_tr_exact(g).value
+
+
 def test_timeout_on_a_disconnected_product_bounds_every_component():
     # C8 x C10 is two 40-vertex components, far beyond the budget
     g = direct_product(cycle(8), cycle(10)).base
@@ -364,6 +364,43 @@ def _random_isolate_free_graphs(count, seed):
 def test_search_agrees_with_the_scan_on_random_graphs(g):
     # guards the kernels and the lexicographic probes, which start from fixed labels
     _assert_search_agrees_with_the_scan(g)
+
+
+def _optimal_labelings(g):
+    """gamma_tR of g and every optimal labeling in lexicographic order, by a scan of all 3^n."""
+    best, optima = 2 * g.n + 1, []
+    for labels in itertools.product((0, 1, 2), repeat=g.n):
+        weight = sum(labels)
+        if weight > best or not is_total_roman_dominating(LabelFunction(g, labels)):
+            continue
+        if weight < best:
+            best, optima = weight, []
+        optima.append(labels)
+    return best, optima
+
+
+@pytest.mark.parametrize("g", [g for g in _random_isolate_free_graphs(60, seed=2027)
+                               if g.n <= 8][:30], ids=lambda g: g.name)
+def test_the_lex_rebuild_does_not_depend_on_its_seed(g):
+    # a solve seeds the rebuild with its own witness only; here every optimum
+    # is a seed, and every max-2s optimum a seed of the max-2s rebuild
+    value, optima = _optimal_labelings(g)
+    sg = _SearchGraph(g)
+    deadline = solve._Deadline(0)
+    for seed in optima:
+        assert solve._lex_smallest(sg, value, 0, seed, deadline) == optima[0]
+    twos = max(labels.count(2) for labels in optima)
+    most = [labels for labels in optima if labels.count(2) == twos]
+    for seed in most:
+        assert solve._lex_smallest(sg, value, twos, seed, deadline) == most[0]
+
+
+def test_a_seed_that_is_not_a_labeling_is_a_consistency_error():
+    # fixing the seed's 0 at the second vertex of K2 leaves it with no
+    # 2-neighbour and no undecided one
+    g = complete(2)
+    with pytest.raises(ConsistencyError):
+        solve._lex_smallest(_SearchGraph(g), 2, 0, (0, 0), solve._Deadline(0))
 
 
 def _relabeling_cases(count, seed):
