@@ -14,9 +14,8 @@ from .graph import (Graph, ProductGraph, direct_product, from_edge_list,
 from .graph6 import emit_graph6, parse_graph6
 from .families import FamilySpec, generate, parse_graph_token
 from .labeling import (LabelFunction, VertexSet, is_efficient_open_dominating,
-                       is_open_packing, is_packing, is_roman_dominating,
-                       is_total_dominating, is_total_roman_dominating,
-                       trdf_from_total_dominating_set)
+                       is_open_packing, is_packing, is_total_dominating,
+                       is_total_roman_dominating, trdf_from_total_dominating_set)
 from .solve import (ParetoPoint, SolveResult, gamma_t_exact,
                     gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                     rho_exact, rho_o_exact, trdf_pareto_frontier)
@@ -26,8 +25,8 @@ from .construct import (product_eod_set, product_trdf_from_factors,
 from .classify import (SmallVerdict, TriangleCenteredWitness,
                        certify_regular_eod, certify_regular_eod_product,
                        classify_small_product, is_eod_graph,
-                       is_total_roman_graph, small_case_witnesses,
-                       triangle_centered, universal_vertices)
+                       small_case_witnesses, triangle_centered,
+                       universal_vertices)
 from .bounds import (FactorProfile, PairReport, factor_profile, genlower_check,
                      pair_bounds, verify_theorems)
 from .catalog import Catalog, enumerate_catalog

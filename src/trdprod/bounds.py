@@ -456,7 +456,13 @@ def _verify_pair(args) -> dict:
 def verify_theorems(catalog: list[Graph], budget: float | None = 60.0,
                     jobs: int = 1) -> VerificationReport:
     """Exhaustively audit all bounds, verdicts and constructions on every
-    unordered factor pair from the catalog (pairs with itself included)."""
+    unordered factor pair from the catalog (pairs with itself included).
+
+    jobs must be at least 1; above 1, the pairs run in a pool of that many
+    processes.
+    """
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be at least 1, got {jobs}")
     profiles = [factor_profile(g, budget) for g in catalog]
     tasks = []
     for i, pg in enumerate(profiles):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import SizeLimitError
-from .graph import Graph, from_edge_list, is_connected
+from .graph import Graph, from_edge_list
 from .graph6 import emit_graph6
 
 ENUM_LIMIT = 5
@@ -58,7 +58,3 @@ def enumerate_catalog(max_n: int) -> Catalog:
             g = from_edge_list(n, sorted(pairs))
             graphs.append(g.relabeled(emit_graph6(g)))
     return Catalog(max_n, tuple(graphs))
-
-
-def connected_count(cat: Catalog, n: int) -> int:
-    return sum(1 for g in cat.graphs if g.n == n and is_connected(g))

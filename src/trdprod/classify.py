@@ -1,6 +1,6 @@
 """Structural classifiers: universal vertices, triangle-centered detection,
-total Roman graphs, efficient open domination, the small-value decision
-procedure for products, and regularity-based exactness certificates.
+efficient open domination, the small-value decision procedure for
+products, and regularity-based exactness certificates.
 
 This is the one module that decides a small-value clause and picks its
 witnesses: classify_small_product tries the clauses in order, and
@@ -27,8 +27,7 @@ from .graph import (Graph, direct_product, is_central_triangle, is_k2,
                     is_regular, mask_of, require_no_isolated,
                     universal_vertex_list)
 from .labeling import VertexSet, is_total_dominating, trdf_from_total_dominating_set
-from .solve import (SUBSET_LIMIT, SolveResult, gamma_t_exact, gamma_tr_exact,
-                    maximum_open_packings)
+from .solve import SUBSET_LIMIT, SolveResult, gamma_t_exact, maximum_open_packings
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,6 @@ def triangle_centered(g: Graph) -> TriangleCenteredWitness | None:
                 if x < y < z and is_central_triangle(g, x, y, z):
                     return TriangleCenteredWitness((x, y, z))
     return None
-
-
-def is_total_roman_graph(g: Graph, budget: float | None = None) -> bool:
-    """Whether the optimal labeling weight equals twice the total domination number."""
-    return gamma_tr_exact(g, budget).value == 2 * gamma_t_exact(g).value
 
 
 def is_eod_graph(g: Graph) -> VertexSet | None:

@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def budget_opt(p):
         p.add_argument("--budget", type=float, default=None,
-                       help="solver budget in seconds (default: TRD_BUDGET_SECS or 60)")
+                       help="solver budget in seconds (default: 60)")
 
     p = sub.add_parser("invariants", help="exact invariant profile of one graph")
     p.add_argument("graph")

@@ -37,9 +37,8 @@ class Graph:
         if len(self.adj) != self.n:
             raise GraphInputError(f"adjacency length {len(self.adj)} != n={self.n}")
         adj = self.adj
-        full = (1 << self.n) - 1
         for v, mask in enumerate(adj):
-            if mask & ~full:
+            if mask >> self.n:
                 raise GraphInputError(f"adjacency of vertex {v} references vertices >= n")
             if mask >> v & 1:
                 raise GraphInputError(f"self-loop at vertex {v}")
@@ -148,14 +147,6 @@ class ProductGraph:
     def vertex_id(self, g: int, h: int) -> int:
         return g * self.hn + h
 
-    def g_layer(self, h: int) -> list[int]:
-        """All product vertices projecting to h (an independent set)."""
-        return [g * self.hn + h for g in range(self.gn)]
-
-    def h_layer(self, g: int) -> list[int]:
-        """All product vertices projecting to g (an independent set)."""
-        return [g * self.hn + h for h in range(self.hn)]
-
 
 def direct_product(g: Graph, h: Graph) -> ProductGraph:
     """Direct (tensor) product: (a,b)~(a',b') iff aa' in E(G) and bb' in E(H)."""
@@ -217,17 +208,6 @@ def pair_table(g: Graph) -> list[list[int]]:
     adj = g.adj
     return [[(adj[u] & adj[w]).bit_count() << 1 | adj[u] >> w & 1 for w in range(g.n)]
             for u in range(g.n)]
-
-
-def is_vertex_transitive(g: Graph) -> bool:
-    """Whether verified automorphisms carry vertex 0 to every vertex.
-
-    True is a proof (see in_one_orbit). False means not vertex-transitive
-    or not shown to be: the answer is False before any automorphism search
-    for a graph that is not regular or not connected, and also when a
-    capped search for an automorphism gives up.
-    """
-    return g.n < 2 or is_regular(g) and in_one_orbit(g, pair_table(g), [0] * g.n, range(g.n))
 
 
 def in_one_orbit(g: Graph, pair: list[list[int]], colour, targets) -> bool:
@@ -345,19 +325,6 @@ def _is_automorphism(g: Graph, image: list[int]) -> bool:
         if mapped != g.adj[image[v]]:
             return False
     return True
-
-
-def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
-    """Subgraph on the given vertices, relabeled 0..k-1 in list order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    keep = mask_of(vertices)
-    adj = []
-    for v in vertices:
-        mask = 0
-        for u in bits_of(g.adj[v] & keep):
-            mask |= 1 << index[u]
-        adj.append(mask)
-    return Graph(len(vertices), tuple(adj), g.name)
 
 
 def is_connected(g: Graph) -> bool:

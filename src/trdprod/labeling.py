@@ -97,13 +97,6 @@ class VertexSet:
                 "members": list(self.vertices()), "role": self.role}
 
 
-def is_roman_dominating(f: LabelFunction) -> bool:
-    """Every 0-labeled vertex must see a 2-labeled neighbor."""
-    require_no_isolated(f.graph, "Roman domination")
-    two = f.mask(2)
-    return all(f.graph.adj[v] & two for v in f.v0)
-
-
 def is_total_roman_dominating(f: LabelFunction) -> bool:
     """Roman domination plus: positive labels induce a subgraph without isolated vertices."""
     require_no_isolated(f.graph, "total Roman domination")

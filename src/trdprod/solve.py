@@ -5,8 +5,8 @@ _packings, given closed or open neighbourhoods.
 
 Budgets are wall-clock seconds; running out raises SolverTimeout with the
 best certified bounds rather than returning an approximation, and with the
-nodes every search of the solve visited. The environment variable
-TRD_BUDGET_SECS sets the default budget.
+nodes every search of the solve visited. A budget of None means
+DEFAULT_BUDGET_S.
 
 Each connected component is solved on its own, as a vertex mask of one
 search graph on the whole graph: the mask is the free set of the
@@ -56,7 +56,6 @@ automorphism search at all.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,22 +69,12 @@ from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
 SUBSET_LIMIT = 20     # subset enumeration for gamma_t / rho / rho_o
-BUDGET_ENV = "TRD_BUDGET_SECS"
+DEFAULT_BUDGET_S = 60.0
 
 # A search reads the clock after its first _FIRST_CHUNK nodes, then about
 # every _SLICE_S seconds; a budget is therefore kept within a slice or so.
 _FIRST_CHUNK = 1 << 10
 _SLICE_S = 0.02
-
-
-def default_budget() -> float:
-    """TRD_BUDGET_SECS as seconds, 60 when unset; 0 or less means no deadline."""
-    text = os.environ.get(BUDGET_ENV, "60")
-    try:
-        return float(text)
-    except ValueError:
-        raise PreconditionError(
-            f"{BUDGET_ENV} must be a number of seconds, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -161,12 +150,12 @@ class _Deadline:
     Every search of a solve (the proof, each lex probe, the max-2s pass, in
     every component) shares one, so a timeout reports the nodes of the
     whole solve, not only those of the search that ran out. A budget of
-    None means the default budget, and one of 0 or less means no deadline.
+    None means DEFAULT_BUDGET_S, and one of 0 or less means no deadline.
     """
 
     def __init__(self, budget: float | None):
         if budget is None:
-            budget = default_budget()
+            budget = DEFAULT_BUDGET_S
         if math.isnan(budget):
             raise PreconditionError("a budget must be a number of seconds, not NaN")
         self.at = time.monotonic() + budget if budget > 0 else math.inf

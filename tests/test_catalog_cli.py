@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from trdprod import cli, families, solve
-from trdprod.catalog import connected_count, enumerate_catalog
+from trdprod import bounds, cli, families, solve
+from trdprod.catalog import enumerate_catalog
 from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import cycle
 from trdprod.graph import direct_product, is_connected
@@ -26,7 +26,7 @@ def test_enumerate_four_includes_disconnected():
 
 def test_enumerate_five_connected_count():
     cat = enumerate_catalog(5)
-    assert connected_count(cat, 5) == 21
+    assert sum(1 for g in cat.graphs if g.n == 5 and is_connected(g)) == 21
     assert all(all(g.degree(v) >= 1 for v in range(g.n)) for g in cat.graphs)
 
 
@@ -249,14 +249,23 @@ def test_cli_timeout_reports_its_certified_bounds(capsys, monkeypatch):
                                "lower_bound": 18, "upper_bound": 21, "nodes": 5}
 
 
-@pytest.mark.parametrize("env,flags", [("abc", []), ("nan", []), ("", []),
-                                       ("60", ["--budget", "nan"])])
-def test_cli_malformed_budget_is_a_json_error(capsys, monkeypatch, env, flags):
-    monkeypatch.setenv(solve.BUDGET_ENV, env)
-    code, _, err = run_cli(capsys, "gammatr", "K3", *flags)
+def test_cli_malformed_budget_is_a_json_error(capsys):
+    code, _, err = run_cli(capsys, "gammatr", "K3", "--budget", "nan")
     assert code == 1
     doc = json.loads(err)
     assert doc["type"] == "PreconditionError" and "budget" in doc["error"].lower()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_verify_with_fewer_than_one_job_is_a_json_error(capsys, monkeypatch, jobs):
+    def profile(g, budget=None):
+        raise AssertionError("a factor profile was built")
+
+    monkeypatch.setattr(bounds, "factor_profile", profile)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "2", "--jobs", jobs)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["type"] == "PreconditionError" and "jobs" in doc["error"]
 
 
 def test_cli_usage_error_exit_code():

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
+from trdprod.bounds import factor_profile
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import (certify_regular_eod, certify_regular_eod_product,
                               classify_small_product, is_eod_graph, is_k2,
-                              is_total_roman_graph, triangle_centered,
-                              universal_vertices)
+                              triangle_centered, universal_vertices)
 from trdprod.errors import HypothesisError, SizeLimitError
 from trdprod.families import (complete, complete_bipartite,
                               complete_minus_matching, cycle, fan, path, prism,
@@ -46,11 +46,11 @@ def test_central_triangle_gives_small_total_domination():
 
 
 def test_total_roman_graph_examples():
-    assert is_total_roman_graph(cycle(4))
-    assert not is_total_roman_graph(path(3))
+    assert factor_profile(cycle(4)).total_roman
+    assert not factor_profile(path(3)).total_roman
     # gamma_t of a single edge is 2 while the optimal labeling weighs 2, so
     # the doubling identity fails on K2
-    assert not is_total_roman_graph(complete(2))
+    assert not factor_profile(complete(2)).total_roman
 
 
 def test_eod_search_examples():

@@ -7,8 +7,8 @@ from trdprod.errors import Graph6ParseError, GraphInputError
 from trdprod.families import (complete, complete_bipartite, complete_minus_matching,
                               cycle, fan, join, parse_graph_token, path, prism,
                               star, wheel)
-from trdprod.graph import (GRAPH6_MAX_ORDER, direct_product, from_edge_list, has_isolated_vertex,
-                           is_bipartite, is_connected, is_regular,
+from trdprod.graph import (GRAPH6_MAX_ORDER, Graph, direct_product, from_edge_list,
+                           has_isolated_vertex, is_bipartite, is_connected, is_regular,
                            is_triangle_free, mask_of)
 from trdprod.graph6 import emit_graph6, parse_graph6
 
@@ -17,6 +17,18 @@ def test_from_edge_list_k2():
     g = from_edge_list(2, [(0, 1)])
     assert g.max_degree() == 1
     assert g.num_edges() == 1
+
+
+@pytest.mark.parametrize("n,adj,match", [
+    (2, (0b110, 0b001), "vertices >= n"),
+    (2, (-1, 0b01), "vertices >= n"),
+    (2, (0b11, 0b01), "self-loop"),
+    (3, (0b010, 0b000, 0b000), "asymmetric"),
+    (3, (0b10, 0b01), "adjacency length"),
+], ids=["out-of-range", "negative", "self-loop", "asymmetric", "length"])
+def test_bad_adjacency_is_an_input_error(n, adj, match):
+    with pytest.raises(GraphInputError, match=match):
+        Graph(n, adj)
 
 
 def test_from_edge_list_path_degrees():
@@ -122,12 +134,11 @@ def test_direct_product_neighborhood_identity():
 
 def test_layers_are_independent_sets():
     pg = direct_product(complete(3), complete(4))
-    for b in range(4):
-        layer = mask_of(pg.g_layer(b))
-        assert all(pg.base.adj[v] & layer == 0 for v in pg.g_layer(b))
-    for a in range(3):
-        layer = mask_of(pg.h_layer(a))
-        assert all(pg.base.adj[v] & layer == 0 for v in pg.h_layer(a))
+    # the vertices over one vertex of either factor
+    layers = ([[pg.vertex_id(a, b) for a in range(3)] for b in range(4)]
+              + [[pg.vertex_id(a, b) for b in range(4)] for a in range(3)])
+    for layer in layers:
+        assert all(pg.base.adj[v] & mask_of(layer) == 0 for v in layer)
 
 
 def test_generator_counts():

@@ -8,8 +8,7 @@ from trdprod.graph import from_edge_list
 from trdprod.graph6 import parse_graph6
 from trdprod.labeling import (LabelFunction, VertexSet, eod_by_unit_neighbor_count,
                               is_efficient_open_dominating, is_open_packing,
-                              is_packing, is_roman_dominating,
-                              is_total_dominating, is_total_roman_dominating,
+                              is_packing, is_total_dominating, is_total_roman_dominating,
                               trdf_from_total_dominating_set)
 
 
@@ -19,12 +18,6 @@ def lf(g, labels):
 
 def vs(g, vertices):
     return VertexSet.from_vertices(g, vertices)
-
-
-def test_roman_domination_examples():
-    assert is_roman_dominating(lf(complete(2), (1, 1)))  # no 0-labels at all
-    assert is_roman_dominating(lf(path(3), (0, 2, 1)))
-    assert not is_roman_dominating(lf(path(3), (0, 1, 2)))
 
 
 def test_total_roman_examples():
@@ -98,7 +91,9 @@ def test_total_roman_implies_roman_on_random_labelings():
             labels = tuple(rng.choice((0, 1, 2)) for _ in range(g.n))
             f = lf(g, labels)
             if is_total_roman_dominating(f):
-                assert is_roman_dominating(f)
+                # Roman dominating: every 0 has a 2-neighbour
+                two = f.mask(2)
+                assert all(g.adj[v] & two for v in f.v0)
 
 
 def test_raising_labels_preserves_validity():

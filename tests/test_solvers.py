@@ -12,8 +12,8 @@ from trdprod.catalog import enumerate_catalog
 from trdprod.errors import ConsistencyError, SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, fan, path,
                               prism, star, wheel)
-from trdprod.graph import (bits_of, connected_components, direct_product, from_edge_list,
-                           in_one_orbit, induced_subgraph, is_vertex_transitive)
+from trdprod.graph import (Graph, bits_of, connected_components, direct_product,
+                           from_edge_list, in_one_orbit, is_regular, mask_of, pair_table)
 from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
 from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _orbital_fix, _search,
@@ -611,8 +611,22 @@ def _random_circulants(count, seed, low, high):
             for n, jumps in sorted(picked)]
 
 
+def _induced_subgraph(g, vertices):
+    """Subgraph on the given vertices, relabeled 0..k-1 in list order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    keep = mask_of(vertices)
+    adj = [mask_of(index[u] for u in bits_of(g.adj[v] & keep)) for v in vertices]
+    return Graph(len(vertices), tuple(adj), g.name)
+
+
 def _components(g):
-    return [induced_subgraph(g, bits_of(comp)) for comp in connected_components(g)]
+    return [_induced_subgraph(g, bits_of(comp)) for comp in connected_components(g)]
+
+
+def _is_vertex_transitive(g):
+    """Whether verified automorphisms carry vertex 0 to every vertex: the
+    regularity test and orbit query of the solver's symmetric proof."""
+    return g.n < 2 or is_regular(g) and in_one_orbit(g, pair_table(g), [0] * g.n, range(g.n))
 
 
 # cubic, 12 vertices, and its only automorphism is the identity: a 12-cycle
@@ -639,7 +653,7 @@ REGULAR_8 = from_edge_list(8, [(int(e[0]), int(e[1])) for e in
     direct_product(prism(cycle(5)), cycle(5)).base,
 ] + _random_circulants(12, seed=2024, low=6, high=30), ids=lambda g: g.name)
 def test_vertex_transitive_graphs_are_recognised(g):
-    assert is_vertex_transitive(g)
+    assert _is_vertex_transitive(g)
 
 
 @pytest.mark.parametrize("g", [
@@ -653,7 +667,7 @@ def test_vertex_transitive_graphs_are_recognised(g):
                                complete_bipartite(2, 3)).base)[0],
 ], ids=lambda g: f"{g.name}-{g.n}")
 def test_other_graphs_are_refused(g):
-    assert not is_vertex_transitive(g)
+    assert not _is_vertex_transitive(g)
 
 
 @pytest.mark.parametrize("g,optimum,with_two_at_0", [(FRUCHT, 8, 9), (REGULAR_8, 4, 5)],
@@ -836,7 +850,7 @@ def test_components_solved_in_place_match_solves_of_their_copies(monkeypatch, g)
             labels = [-1] * g.n
             for comp in connected_components(g):
                 vertices = bits_of(comp)
-                part = solver(induced_subgraph(g, vertices), budget=60)
+                part = solver(_induced_subgraph(g, vertices), budget=60)
                 value += part.value
                 twos += part.max_v2 or 0
                 for i, v in enumerate(vertices):
@@ -862,7 +876,7 @@ def test_orbits_are_found_inside_one_component():
     colour = [0] * g.n
     colour[1] = 1
     assert in_one_orbit(g, pair, colour, bits_of(even))
-    assert not is_vertex_transitive(g)
+    assert not _is_vertex_transitive(g)
 
 
 def _symmetric_fixed_cases(count, seed):
