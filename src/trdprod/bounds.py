@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 from . import classify, construct
 from .errors import PreconditionError, SolverTimeout
-from .graph import (Graph, direct_product, is_bipartite, is_regular,
-                    is_triangle_free, require_no_isolated)
+from .graph import (Graph, central_triangle, direct_product, is_bipartite,
+                    is_regular, is_triangle_free, require_no_isolated,
+                    universal_vertex_list)
 from .graph6 import emit_graph6
 from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
 # gamma_tr_exact is unused here, but perfbench/tracer.py wraps bounds.gamma_tr_exact
@@ -45,7 +46,7 @@ class FactorProfile:
     eod: VertexSet | None
     total_roman: bool
     universal_count: int
-    triangle_witness: classify.TriangleCenteredWitness | None
+    triangle_witness: tuple[int, int, int] | None
     rho_o_matching_set: VertexSet | None
     gamma_t_set: VertexSet
     gamma_tr_function: LabelFunction
@@ -68,7 +69,7 @@ class FactorProfile:
             "eod": list(self.eod.vertices()) if self.eod else None,
             "total_roman": self.total_roman,
             "universal_count": self.universal_count,
-            "triangle_centered": list(self.triangle_witness.triangle)
+            "triangle_centered": list(self.triangle_witness)
                                  if self.triangle_witness else None,
             "rho_o_induces_matching": self.rho_o_matching_set is not None,
         }
@@ -99,8 +100,8 @@ def factor_profile(g: Graph, budget: float | None = None) -> FactorProfile:
         regular=is_regular(g),
         eod=eod,
         total_roman=tr.value == 2 * gt.value,
-        universal_count=classify.universal_vertices(g).size,
-        triangle_witness=classify.triangle_centered(g),
+        universal_count=len(universal_vertex_list(g)),
+        triangle_witness=central_triangle(g),
         rho_o_matching_set=rho_o_set_inducing_perfect_matching(g),
         gamma_t_set=gt.witness,
         gamma_tr_function=tr.witness,
@@ -366,8 +367,8 @@ def _verify_pair(args) -> dict:
     verdict = classify.classify_small_product(pg.graph, ph.graph)
     rec["verdict"] = verdict.to_json_dict()
     if verdict.value is not None and verdict.rule in construct.SMALL_CASES:
-        c_small = construct.small_value_construction(
-            verdict.rule, pg.graph, ph.graph, dict(verdict.witnesses), product)
+        c_small = construct.small_value_construction(verdict.rule, pg.graph, ph.graph,
+                                                     product)
         cons[f"small_{verdict.rule}"] = c_small.weight
         if c_small.weight != verdict.value:
             bad(f"{name}: small construction weight {c_small.weight} != verdict {verdict.value}")

@@ -1,11 +1,11 @@
-"""Structural classifiers: universal vertices, triangle-centered detection,
-efficient open domination, the small-value decision procedure for
-products, and regularity-based exactness certificates.
+"""Structural classifiers: efficient open domination, the small-value
+decision procedure for products, and regularity-based exactness
+certificates.
 
-This is the one module that decides a small-value clause and picks its
-witnesses: classify_small_product tries the clauses in order, and
-small_case_witnesses names one clause. construct builds the labeling from
-those witnesses; SMALL_CASES there holds each clause's weight.
+classify_small_product reports the first SMALL_CASES clause whose
+construct.small_clause holds, with that clause's witnesses, so the verdict
+and the labeling construct lays come from the same definition; the
+sufficient weight-8 clause is decided here.
 
 The small-value verdicts are certificates in the mathematical sense; the
 verification harness still audits every verdict against the exact solver on
@@ -21,20 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .construct import SMALL_CASES, product_eod_set
-from .errors import ConsistencyError, PreconditionError
-from .graph import (Graph, direct_product, is_central_triangle, is_k2,
-                    is_regular, mask_of, require_no_isolated,
+from .construct import SMALL_CASES, product_eod_set, small_clause
+from .errors import ConsistencyError
+from .graph import (Graph, direct_product, is_regular, require_no_isolated,
                     universal_vertex_list)
 from .labeling import VertexSet, is_total_dominating, trdf_from_total_dominating_set
-from .solve import SUBSET_LIMIT, SolveResult, gamma_t_exact, maximum_open_packings
-
-
-@dataclass(frozen=True)
-class TriangleCenteredWitness:
-    """A triangle every vertex of the graph is adjacent to at least twice."""
-
-    triangle: tuple[int, int, int]
+from .solve import SolveResult, gamma_t_exact, maximum_open_packings
 
 
 @dataclass(frozen=True)
@@ -53,24 +45,6 @@ class SmallVerdict:
         wit = {k: list(v) if isinstance(v, tuple) else v for k, v in self.witnesses.items()}
         return {"value": self.value if self.value is not None else "unknown",
                 "rule": self.rule, "witnesses": wit}
-
-
-def universal_vertices(g: Graph) -> VertexSet:
-    return VertexSet(g, mask_of(universal_vertex_list(g)))
-
-
-def triangle_centered(g: Graph) -> TriangleCenteredWitness | None:
-    """First central triangle in lexicographic order, if any.
-
-    A triangle is central when every vertex of the graph is adjacent to at
-    least two of its corners; corners qualify automatically.
-    """
-    for x in range(g.n):
-        for y in g.neighbors(x):
-            for z in g.neighbors(y):
-                if x < y < z and is_central_triangle(g, x, y, z):
-                    return TriangleCenteredWitness((x, y, z))
-    return None
 
 
 def is_eod_graph(g: Graph) -> VertexSet | None:
@@ -97,75 +71,15 @@ def is_eod_graph(g: Graph) -> VertexSet | None:
     return None
 
 
-def weight_seven_hypothesis(g: Graph, h: Graph) -> bool:
-    """Literal weight-7 clause: both factors carry a universal vertex, some
-    factor has exactly one universal vertex while the other factor is not K2,
-    and the factors are not both triangle centered.
-    """
-    ug = universal_vertices(g).size
-    uh = universal_vertices(h).size
-    if ug == 0 or uh == 0:
-        return False
-    oriented = (ug == 1 and not is_k2(h)) or (uh == 1 and not is_k2(g))
-    if not oriented:
-        return False
-    return not (triangle_centered(g) is not None and triangle_centered(h) is not None)
-
-
-_CLAUSE_FAILURE = {
-    "ii": "case ii needs both factors isomorphic to K2",
-    "iii_universal": "case iii_universal needs two universal vertices per factor",
-    "iii_k2": "case iii_k2 needs one K2 factor and one factor of order at least three"
-              " with a universal vertex",
-    "iii_triangle": "case iii_triangle needs both factors triangle centered",
-    "iv": "case iv hypothesis failed: needs a universal vertex in each factor, exactly one"
-          " universal vertex in some factor whose partner is not K2, and at most one"
-          " triangle centered factor",
-}
-
-
-def _clause_witnesses(case: str, g: Graph, h: Graph) -> dict | None:
-    """Lexicographically least witnesses of one SMALL_CASES clause, or None
-    when its hypothesis fails."""
-    if case == "ii":
-        return {} if is_k2(g) and is_k2(h) else None
-    ug, uh = universal_vertex_list(g), universal_vertex_list(h)
-    if case == "iii_universal":
-        if len(ug) >= 2 and len(uh) >= 2 and (g.n >= 3 or h.n >= 3):
-            return {"g_pair": tuple(ug[:2]), "h_pair": tuple(uh[:2])}
-    elif case == "iii_k2":
-        for k2_factor, (a, b, ub) in enumerate(((g, h, uh), (h, g, ug))):
-            if is_k2(a) and b.n >= 3 and ub:
-                return {"k2_factor": k2_factor, "universal": ub[0],
-                        "neighbor": min(b.neighbors(ub[0]))}
-    elif case == "iii_triangle":
-        tcg, tch = triangle_centered(g), triangle_centered(h)
-        if tcg is not None and tch is not None:
-            return {"g_triangle": tcg.triangle, "h_triangle": tch.triangle}
-    elif case == "iv" and weight_seven_hypothesis(g, h):
-        return {"g_universal": ug[0], "g_neighbor": min(g.neighbors(ug[0])),
-                "h_universal": uh[0], "h_neighbor": min(h.neighbors(uh[0]))}
+def _total_dominating_pair(g: Graph) -> tuple[int, int] | None:
+    """The lexicographically first total dominating set of two vertices, or
+    None when gamma_t(g) > 2. Each member must be the other's neighbor, so
+    the pair is an edge."""
+    full = (1 << g.n) - 1
+    for u, v in g.edges():
+        if g.adj[u] | g.adj[v] == full:
+            return u, v
     return None
-
-
-def small_case_witnesses(case: str, g: Graph, h: Graph) -> dict:
-    """Lexicographically least witnesses of one small-value clause, for
-    construct.small_value_construction; PreconditionError names the clause
-    when its hypothesis fails.
-
-    A factor with an isolated vertex raises HypothesisError, as in
-    classify_small_product: the product then has no total Roman labeling.
-    """
-    if case not in SMALL_CASES:
-        raise PreconditionError(f"unknown construction case {case!r}; valid: {tuple(SMALL_CASES)}")
-    require_no_isolated(g, "small-value construction")
-    require_no_isolated(h, "small-value construction")
-    found = _clause_witnesses(case, g, h)
-    if found is not None:
-        return found
-    if case == "iii_universal" and is_k2(g) and is_k2(h):
-        raise PreconditionError("case iii_universal needs one factor of order at least three")
-    raise PreconditionError(_CLAUSE_FAILURE[case])
 
 
 def classify_small_product(g: Graph, h: Graph) -> SmallVerdict:
@@ -173,24 +87,22 @@ def classify_small_product(g: Graph, h: Graph) -> SmallVerdict:
 
     The SMALL_CASES clauses are tried in order: both-K2 (4), the three
     weight-6 cases, the weight-7 case; then the sufficient weight-8 case;
-    anything else is unknown. Clause iv is the literal conjunction documented
-    in weight_seven_hypothesis; the harness audits every verdict empirically.
+    anything else is unknown. Each clause, iv's literal conjunction
+    included, is construct.small_clause; the harness audits every verdict
+    empirically.
     """
     require_no_isolated(g, "small-value classification")
     require_no_isolated(h, "small-value classification")
     for case, weight in SMALL_CASES.items():
-        found = _clause_witnesses(case, g, h)
+        found = small_clause(case, g, h)
         if found is not None:
-            return SmallVerdict(weight, case, found)
+            return SmallVerdict(weight, case, found[0])
     # clause iii_triangle failed, so the factors are not both triangle centered
     if not (universal_vertex_list(g) and universal_vertex_list(h)):
-        if g.n <= SUBSET_LIMIT and h.n <= SUBSET_LIMIT:
-            dg = gamma_t_exact(g)
-            dh = gamma_t_exact(h)
-            if dg.value == 2 and dh.value == 2:
-                return SmallVerdict(8, "v",
-                                    {"d_g": dg.witness.vertices(),
-                                     "d_h": dh.witness.vertices()})
+        dg = _total_dominating_pair(g)
+        dh = _total_dominating_pair(h)
+        if dg is not None and dh is not None:
+            return SmallVerdict(8, "v", {"d_g": dg, "d_h": dh})
     return SmallVerdict(None, "unknown")
 
 

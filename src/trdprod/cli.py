@@ -118,8 +118,7 @@ def _cmd_construct(args) -> int:
         _emit(doc)
         return 0
     else:
-        out = construct.small_value_construction(
-            args.case, g, h, classify.small_case_witnesses(args.case, g, h))
+        out = construct.small_value_construction(args.case, g, h)
     doc = out.to_json_dict()
     doc["weight"] = out.weight
     _emit(doc)

@@ -5,17 +5,18 @@ object is always valid; a verification failure raises ConsistencyError and
 means a bug here, not bad input. Bad input raises PreconditionError naming
 the violated clause.
 
-This module builds from what it is given and decides nothing: the factor
-labelings and sets come from the solvers, and the small-value witnesses
-from classify, which alone decides whether a clause holds and picks its
-witnesses. SMALL_CASES is the one table of the clauses and their weights.
+The factor labelings and sets come from the solvers. The small-value
+clauses are the exception: small_clause is the one definition of each,
+deciding whether its hypothesis holds, picking its witnesses and laying its
+labeling, and classify reports the same witnesses in its verdicts.
+SMALL_CASES is the one table of the clauses and their weights.
 """
 
 from __future__ import annotations
 
 from .errors import ConsistencyError, PreconditionError
-from .graph import (Graph, ProductGraph, direct_product, is_central_triangle,
-                    is_k2)
+from .graph import (Graph, ProductGraph, central_triangle, direct_product,
+                    is_k2, require_no_isolated, universal_vertex_list)
 from .labeling import (LabelFunction, VertexSet, is_efficient_open_dominating,
                        is_total_dominating, is_total_roman_dominating)
 
@@ -100,91 +101,86 @@ def product_eod_set(s_g: VertexSet, s_h: VertexSet,
     return VertexSet(pg.base, members, "efficient_open_dominating")
 
 
-def _vertex_witness(witnesses: dict, key: str, g: Graph, count: int = 1):
-    """The witness under key: one vertex id of g, or a tuple of count of them."""
-    if key not in witnesses:
-        raise PreconditionError(f"missing witness {key!r}")
-    value = witnesses[key]
-    ids = (value,) if count == 1 else tuple(value) if isinstance(value, (tuple, list)) else ()
-    if len(ids) != count or not all(type(v) is int and 0 <= v < g.n for v in ids):
-        raise PreconditionError(f"witness {key}={value!r} needs {count} vertex id(s)"
-                                f" in range({g.n})")
-    return ids[0] if count == 1 else ids
+_CLAUSE_FAILURE = {
+    "ii": "case ii needs both factors isomorphic to K2",
+    "iii_universal": "case iii_universal needs two universal vertices per factor",
+    "iii_k2": "case iii_k2 needs one K2 factor and one factor of order at least three"
+              " with a universal vertex",
+    "iii_triangle": "case iii_triangle needs both factors triangle centered",
+    "iv": "case iv hypothesis failed: needs a universal vertex in each factor, exactly one"
+          " universal vertex in some factor whose partner is not K2, and at most one"
+          " triangle centered factor",
+}
 
 
-def small_value_construction(case: str, g: Graph, h: Graph, witnesses: dict,
+def small_clause(case: str, g: Graph, h: Graph) -> tuple[dict, dict] | None:
+    """One SMALL_CASES clause: its lexicographically least witnesses and the
+    cells its labeling lays, or None when its hypothesis fails.
+
+    cells maps each (G vertex, H vertex) of positive label to that label;
+    every other product vertex is labeled 0. The factors must have no
+    isolated vertex.
+    """
+    if case == "ii":
+        if is_k2(g) and is_k2(h):
+            return {}, {(a, b): 1 for a in (0, 1) for b in (0, 1)}
+        return None
+    ug, uh = universal_vertex_list(g), universal_vertex_list(h)
+    if case == "iii_universal":
+        if len(ug) >= 2 and len(uh) >= 2 and (g.n >= 3 or h.n >= 3):
+            (ga, gb), (ha, hb) = ug[:2], uh[:2]
+            return ({"g_pair": (ga, gb), "h_pair": (ha, hb)},
+                    {(ga, ha): 2, (gb, hb): 2, (ga, hb): 1, (gb, ha): 1})
+    elif case == "iii_k2":
+        for k2_factor, (a, b, ub) in enumerate(((g, h, uh), (h, g, ug))):
+            if is_k2(a) and b.n >= 3 and ub:
+                u = ub[0]
+                u2 = min(b.neighbors(u))
+                cells = {(x, v): label for x in (0, 1) for v, label in ((u, 2), (u2, 1))}
+                if k2_factor == 1:
+                    cells = {(v, x): label for (x, v), label in cells.items()}
+                return {"k2_factor": k2_factor, "universal": u, "neighbor": u2}, cells
+    elif case == "iii_triangle":
+        tg, th = central_triangle(g), central_triangle(h)
+        if tg is not None and th is not None:
+            return {"g_triangle": tg, "h_triangle": th}, dict.fromkeys(zip(tg, th), 2)
+    # clause iv, literally: both factors carry a universal vertex, some factor
+    # has exactly one while the other is not K2, and the factors are not both
+    # triangle centered
+    elif (case == "iv" and ug and uh
+          and ((len(ug) == 1 and not is_k2(h)) or (len(uh) == 1 and not is_k2(g)))
+          and (central_triangle(g) is None or central_triangle(h) is None)):
+        gu, hu = ug[0], uh[0]
+        gn, hn = min(g.neighbors(gu)), min(h.neighbors(hu))
+        return ({"g_universal": gu, "g_neighbor": gn, "h_universal": hu, "h_neighbor": hn},
+                {(gu, hu): 2, (gu, hn): 2, (gn, hu): 2, (gn, hn): 1})
+    return None
+
+
+def small_value_construction(case: str, g: Graph, h: Graph,
                              product: ProductGraph | None = None) -> LabelFunction:
-    """Low-weight labeling of the product for one small-value clause, built
-    from the given witnesses; its weight is SMALL_CASES[case].
+    """Low-weight labeling of the product for one small-value clause, laid
+    on the cells small_clause picks; its weight is SMALL_CASES[case].
 
-    The witnesses are those of classify.small_case_witnesses or of a
-    SmallVerdict. They are validated locally (vertex ids in range,
-    universality, adjacency, central triangles), not against the clause's
-    whole hypothesis. Optimality of the weight is the classifier's claim,
-    not this function's.
+    PreconditionError names the clause when its hypothesis fails. A factor
+    with an isolated vertex raises HypothesisError, as in
+    classify.classify_small_product: the product then has no total Roman
+    labeling. Optimality of the weight is the classifier's claim, not this
+    function's.
     """
     if case not in SMALL_CASES:
         raise PreconditionError(f"unknown construction case {case!r}; valid: {tuple(SMALL_CASES)}")
+    require_no_isolated(g, "small-value construction")
+    require_no_isolated(h, "small-value construction")
+    found = small_clause(case, g, h)
+    if found is None:
+        if case == "iii_universal" and is_k2(g) and is_k2(h):
+            raise PreconditionError("case iii_universal needs one factor of order at least three")
+        raise PreconditionError(_CLAUSE_FAILURE[case])
     pg = _product_for(g, h, product)
     labels = [0] * pg.base.n
-    if case == "ii":
-        if not (is_k2(g) and is_k2(h)):
-            raise PreconditionError("case ii needs both factors isomorphic to K2")
-        labels = [1] * pg.base.n
-    elif case == "iii_universal":
-        ga, gb = _vertex_witness(witnesses, "g_pair", g, 2)
-        ha, hb = _vertex_witness(witnesses, "h_pair", h, 2)
-        for v, side in ((ga, g), (gb, g), (ha, h), (hb, h)):
-            if side.degree(v) != side.n - 1:
-                raise PreconditionError(f"vertex {v} is not universal in its factor")
-        if ga == gb or ha == hb:
-            raise PreconditionError("universal vertex pairs must be distinct")
-        labels[pg.vertex_id(ga, ha)] = labels[pg.vertex_id(gb, hb)] = 2
-        labels[pg.vertex_id(ga, hb)] = labels[pg.vertex_id(gb, ha)] = 1
-    elif case == "iii_k2":
-        k2_factor = witnesses.get("k2_factor")
-        if k2_factor not in (0, 1):
-            raise PreconditionError(f"witness k2_factor={k2_factor!r} must be 0 or 1")
-        k2, other = (g, h) if k2_factor == 0 else (h, g)
-        if not is_k2(k2):
-            raise PreconditionError("designated factor is not K2")
-        if other.n < 3:
-            raise PreconditionError("the non-K2 factor must have order at least three")
-        u = _vertex_witness(witnesses, "universal", other)
-        u2 = _vertex_witness(witnesses, "neighbor", other)
-        if other.degree(u) != other.n - 1:
-            raise PreconditionError(f"vertex {u} is not universal in the non-K2 factor")
-        if not other.has_edge(u, u2):
-            raise PreconditionError(f"{u2} is not a neighbor of {u}")
-        for b in (0, 1):
-            if k2_factor == 0:
-                labels[pg.vertex_id(b, u)] = 2
-                labels[pg.vertex_id(b, u2)] = 1
-            else:
-                labels[pg.vertex_id(u, b)] = 2
-                labels[pg.vertex_id(u2, b)] = 1
-    elif case == "iii_triangle":
-        tg = _vertex_witness(witnesses, "g_triangle", g, 3)
-        th = _vertex_witness(witnesses, "h_triangle", h, 3)
-        for tri, side in ((tg, g), (th, h)):
-            if not is_central_triangle(side, *tri):
-                raise PreconditionError(f"{tri} is not a central triangle of its factor")
-        for a, b in zip(tg, th):
-            labels[pg.vertex_id(a, b)] = 2
-    else:  # case iv
-        gu = _vertex_witness(witnesses, "g_universal", g)
-        gn = _vertex_witness(witnesses, "g_neighbor", g)
-        hu = _vertex_witness(witnesses, "h_universal", h)
-        hn = _vertex_witness(witnesses, "h_neighbor", h)
-        if g.degree(gu) != g.n - 1 or h.degree(hu) != h.n - 1:
-            raise PreconditionError("case iv witnesses must be universal vertices")
-        if not g.has_edge(gu, gn) or not h.has_edge(hu, hn):
-            raise PreconditionError("case iv neighbor witnesses must be adjacent to"
-                                    " the universal vertices")
-        labels[pg.vertex_id(gu, hu)] = 2
-        labels[pg.vertex_id(gu, hn)] = 2
-        labels[pg.vertex_id(gn, hu)] = 2
-        labels[pg.vertex_id(gn, hn)] = 1
+    for (a, b), label in found[1].items():
+        labels[pg.vertex_id(a, b)] = label
     out = LabelFunction(pg.base, tuple(labels))
     if out.weight != SMALL_CASES[case] or not is_total_roman_dominating(out):
         raise ConsistencyError(f"case {case} labeling failed verification")

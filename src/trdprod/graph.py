@@ -384,6 +384,17 @@ def is_central_triangle(g: Graph, x: int, y: int, z: int) -> bool:
     return not others & ~seen_twice
 
 
+def central_triangle(g: Graph) -> tuple[int, int, int] | None:
+    """The first central triangle in lexicographic order, or None when g is
+    not triangle centered."""
+    for x in range(g.n):
+        for y in g.neighbors(x):
+            for z in g.neighbors(y):
+                if x < y < z and is_central_triangle(g, x, y, z):
+                    return x, y, z
+    return None
+
+
 def has_isolated_vertex(g: Graph) -> bool:
     return 0 in g.adj
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .graph import Graph, bits_of, mask_of, require_no_isolated
 from . import graph6
 
@@ -166,5 +166,6 @@ def trdf_from_total_dominating_set(d: VertexSet) -> LabelFunction:
         raise PreconditionError("input set is not total dominating")
     labels = tuple(2 if d.members >> v & 1 else 0 for v in range(d.graph.n))
     f = LabelFunction(d.graph, labels)
-    assert is_total_roman_dominating(f)
+    if not is_total_roman_dominating(f):
+        raise ConsistencyError("total-dominating-set labeling failed verification")
     return f

@@ -10,8 +10,7 @@ from trdprod.bounds import (factor_profile, genlower_check, pair_bounds,
                             verify_theorems)
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import (certify_regular_eod_product,
-                              classify_small_product, is_eod_graph,
-                              small_case_witnesses)
+                              classify_small_product, is_eod_graph)
 from trdprod.construct import (product_eod_set, product_trdf_from_factors,
                                product_trdf_from_total_dom_sets,
                                small_value_construction)
@@ -52,7 +51,7 @@ def test_criterion_1_regression_table_of_known_product_values():
     assert km.n >= 3
     verdict = classify_small_product(km, km)
     assert verdict.value == 6 and verdict.rule == "iii_triangle"
-    built = small_value_construction(verdict.rule, km, km, dict(verdict.witnesses))
+    built = small_value_construction(verdict.rule, km, km)
     assert built.weight == 6 and is_total_roman_dominating(built)
 
     # 32-vertex product settled by the regularity certificate, cross-checked
@@ -134,8 +133,7 @@ def test_criterion_4_constructions_verify_and_weight_formula():
                        ("iii_k2", complete(2), path(3)),
                        ("iii_triangle", complete(3), complete(3)),
                        ("iv", star(2), star(3))]:
-        assert is_total_roman_dominating(small_value_construction(
-            case, g, h, small_case_witnesses(case, g, h)))
+        assert is_total_roman_dominating(small_value_construction(case, g, h))
     print(f"\n[criterion 4] PASS: every construction re-verified; combination"
           f" weight formula exact on {count} factor labeling pairs")
 

@@ -5,13 +5,13 @@ import pytest
 from trdprod.bounds import factor_profile
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import (certify_regular_eod, certify_regular_eod_product,
-                              classify_small_product, is_eod_graph, is_k2,
-                              triangle_centered, universal_vertices)
+                              classify_small_product, is_eod_graph)
 from trdprod.errors import HypothesisError, SizeLimitError
 from trdprod.families import (complete, complete_bipartite,
                               complete_minus_matching, cycle, fan, path, prism,
                               star, wheel)
-from trdprod.graph import direct_product, from_edge_list
+from trdprod.graph import (central_triangle, direct_product, from_edge_list,
+                           is_k2, universal_vertex_list)
 from trdprod.labeling import VertexSet, eod_by_unit_neighbor_count, is_total_dominating
 from trdprod.solve import gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact
 
@@ -19,27 +19,27 @@ TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
 
 
 def test_universal_vertices():
-    assert universal_vertices(complete(4)).size == 4
-    assert universal_vertices(wheel(6)).vertices() == (0,)
-    assert universal_vertices(cycle(4)).size == 0
+    assert universal_vertex_list(complete(4)) == [0, 1, 2, 3]
+    assert universal_vertex_list(wheel(6)) == [0]
+    assert universal_vertex_list(cycle(4)) == []
 
 
 def test_triangle_centered_detection():
-    assert triangle_centered(complete(3)).triangle == (0, 1, 2)
-    assert triangle_centered(wheel(4)) is not None
-    assert triangle_centered(wheel(5)) is not None
-    assert triangle_centered(wheel(6)) is None
-    assert triangle_centered(fan(5)) is not None
-    assert triangle_centered(fan(6)) is None
-    assert triangle_centered(cycle(5)) is None
-    assert triangle_centered(complete_minus_matching(7)) is not None
+    assert central_triangle(complete(3)) == (0, 1, 2)
+    assert central_triangle(wheel(4)) is not None
+    assert central_triangle(wheel(5)) is not None
+    assert central_triangle(wheel(6)) is None
+    assert central_triangle(fan(5)) is not None
+    assert central_triangle(fan(6)) is None
+    assert central_triangle(cycle(5)) is None
+    assert central_triangle(complete_minus_matching(7)) is not None
 
 
 def test_central_triangle_gives_small_total_domination():
     for g in [complete(3), complete(5), wheel(5), fan(4), complete_minus_matching(5)]:
-        wit = triangle_centered(g)
+        wit = central_triangle(g)
         assert wit is not None
-        x, y, z = wit.triangle
+        x, y, z = wit
         for pair in [(x, y), (x, z), (y, z)]:
             assert is_total_dominating(VertexSet.from_vertices(g, pair))
         assert gamma_t_exact(g).value == 2
@@ -104,6 +104,10 @@ VERDICTS = [
     (complete_bipartite(2, 2), complete_bipartite(2, 3), 8, "v"),
     (complete(3), complete_bipartite(2, 2), 8, "v"),
     (path(4), path(4), 8, "v"),
+    # clause v needs only a total dominating edge per factor, so factors past
+    # the subset-enumeration limit keep their verdict (gamma_tr_exact gives 8)
+    (cycle(4), complete_bipartite(2, 19), 8, "v"),
+    (cycle(4), complete_minus_matching(22), 8, "v"),
     # wheels keep their universal hub, so two big wheels land on the
     # weight-7 case (cross-checked against the exact solver on W6xW6)
     (wheel(6), wheel(7), 7, "iv"),

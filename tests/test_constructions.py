@@ -1,11 +1,10 @@
 import pytest
 
 from trdprod.catalog import enumerate_catalog
-from trdprod.classify import (classify_small_product, is_eod_graph,
-                              small_case_witnesses)
+from trdprod.classify import classify_small_product, is_eod_graph
 from trdprod.construct import (SMALL_CASES, product_eod_set,
                                product_trdf_from_factors,
-                               product_trdf_from_total_dom_sets,
+                               product_trdf_from_total_dom_sets, small_clause,
                                small_value_construction)
 from trdprod.errors import HypothesisError, PreconditionError
 from trdprod.families import complete, complete_bipartite, cycle, path, star
@@ -105,69 +104,41 @@ def test_eod_product_rejects_non_eod():
                         is_eod_graph(cycle(4)))
 
 
-def _small(case, g, h):
-    return small_value_construction(case, g, h, small_case_witnesses(case, g, h))
-
-
 def test_small_value_cases():
-    out = _small("iii_triangle", complete(3), complete(3))
-    assert out.weight == 6
-    assert gamma_tr_bruteforce(out.graph).value == 6
-
-    out = _small("iv", star(2), star(3))
-    assert out.weight == 7
-
-    out = _small("ii", complete(2), complete(2))
-    assert out.weight == 4
-
-    out = _small("iii_universal", complete(3), complete(4))
-    assert out.weight == 6
-
-    out = _small("iii_k2", complete(2), path(3))
-    assert out.weight == 6
-    assert gamma_tr_bruteforce(out.graph).value == 6
+    # the labels each clause lays, row-major over (G vertex, H vertex)
+    cases = [("ii", complete(2), complete(2), 4, [1, 1, 1, 1]),
+             ("iii_universal", complete(3), complete(4), 6,
+              [2, 1, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0]),
+             ("iii_k2", complete(2), path(3), 6, [1, 2, 0, 1, 2, 0]),
+             ("iii_k2", path(3), complete(2), 6, [1, 1, 2, 2, 0, 0]),
+             ("iii_triangle", complete(3), complete(3), 6, [2, 0, 0, 0, 2, 0, 0, 0, 2]),
+             ("iv", star(2), star(3), 7, [2, 2, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0]),
+             ("iv", star(3), star(2), 7, [2, 2, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0])]
+    for case, g, h, weight, labels in cases:
+        out = small_value_construction(case, g, h)
+        assert out.weight == weight and list(out.labels) == labels, (case, g, h)
+    assert gamma_tr_bruteforce(small_value_construction(
+        "iii_triangle", complete(3), complete(3)).graph).value == 6
+    assert gamma_tr_bruteforce(small_value_construction(
+        "iii_k2", complete(2), path(3)).graph).value == 6
 
 
 def test_small_value_hypothesis_errors_name_the_clause():
     with pytest.raises(PreconditionError, match="K2"):
-        small_case_witnesses("ii", complete(3), complete(2))
+        small_value_construction("ii", complete(3), complete(2))
     with pytest.raises(PreconditionError, match="universal"):
-        small_case_witnesses("iii_universal", path(4), complete(3))
+        small_value_construction("iii_universal", path(4), complete(3))
     with pytest.raises(PreconditionError, match="triangle"):
-        small_case_witnesses("iii_triangle", path(3), complete(3))
+        small_value_construction("iii_triangle", path(3), complete(3))
     with pytest.raises(PreconditionError, match="iv"):
-        small_case_witnesses("iv", complete_bipartite(2, 2), path(3))
+        small_value_construction("iv", complete_bipartite(2, 2), path(3))
 
 
 def test_small_case_witnesses_reject_isolated_vertices():
     # K1 x K1,3 meets clause iv's literal hypothesis, but K1's vertex has no
     # neighbor to serve as a witness and the product has no total Roman labeling
     with pytest.raises(HypothesisError):
-        small_case_witnesses("iv", complete(1), star(3))
-
-
-def test_explicit_witnesses_validated():
-    with pytest.raises(PreconditionError):
-        small_value_construction("iii_triangle", complete(4), complete(4),
-                                 {"g_triangle": (0, 1, 2), "h_triangle": (0, 1, 5)})
-    with pytest.raises(PreconditionError):
-        small_value_construction("iv", star(2), star(3),
-                                 {"g_universal": 0, "g_neighbor": 1,
-                                  "h_universal": 1, "h_neighbor": 0})
-    # missing keys, short tuples and ids outside range(n) of their factor
-    iv = {"g_universal": 0, "g_neighbor": 1, "h_universal": 0, "h_neighbor": 1}
-    bad = [("iv", star(2), star(3), {}),
-           ("iii_triangle", complete(3), complete(3),
-            {"g_triangle": (0, 1), "h_triangle": (0, 1, 2)}),
-           ("iii_universal", complete(3), complete(4),
-            {"g_pair": (0, 7), "h_pair": (0, 1)}),
-           ("iii_triangle", complete(3), complete(3),
-            {"g_triangle": (0, 1, -1), "h_triangle": (0, 1, 2)}),
-           ("iv", star(2), star(3), {**iv, "g_universal": -3})]
-    for case, g, h, witnesses in bad:
-        with pytest.raises(PreconditionError):
-            small_value_construction(case, g, h, witnesses)
-    assert small_value_construction("iv", star(2), star(3), iv).weight == 7
+        small_value_construction("iv", complete(1), star(3))
 
 
 def test_classify_and_construct_agree_on_the_catalog():
@@ -176,15 +147,16 @@ def test_classify_and_construct_agree_on_the_catalog():
         for h in graphs[i:]:
             verdict = classify_small_product(g, h)
             for case, weight in SMALL_CASES.items():
-                try:
-                    witnesses = small_case_witnesses(case, g, h)
-                except PreconditionError:
+                found = small_clause(case, g, h)
+                if found is None:
                     assert verdict.rule != case
+                    with pytest.raises(PreconditionError):
+                        small_value_construction(case, g, h)
                     continue
-                built = small_value_construction(case, g, h, witnesses)
+                built = small_value_construction(case, g, h)
                 assert built.weight == weight and is_total_roman_dominating(built)
                 if verdict.rule == case:
-                    assert witnesses == verdict.witnesses
+                    assert found[0] == verdict.witnesses
                     assert weight == verdict.value
 
 

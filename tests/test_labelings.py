@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from trdprod.errors import HypothesisError, PreconditionError
+from trdprod import labeling
+from trdprod.errors import ConsistencyError, HypothesisError, PreconditionError
 from trdprod.families import complete, cycle, path, prism, star
 from trdprod.graph import from_edge_list
 from trdprod.graph6 import parse_graph6
@@ -75,6 +76,14 @@ def test_trdf_from_total_dominating_set():
 def test_trdf_from_non_dominating_set_rejected():
     with pytest.raises(PreconditionError):
         trdf_from_total_dominating_set(VertexSet.from_vertices(path(4), [0, 1]))
+
+
+def test_trdf_from_total_dominating_set_verifies_its_output(monkeypatch):
+    # the re-check raises, so it holds under python -O as well
+    monkeypatch.setattr(labeling, "is_total_roman_dominating", lambda f: False)
+    with pytest.raises(ConsistencyError):
+        trdf_from_total_dominating_set(
+            VertexSet.from_vertices(cycle(4), [0, 1], "total_dominating"))
 
 
 def test_role_tag_is_verified_at_construction():
