@@ -57,7 +57,7 @@ def _round(loads, nodes):
         else:
             value = gamma_tr_exact(g, budget=600).value
         elapsed = time.perf_counter() - start
-        results.append({"label": label, "value": value, "seconds": elapsed,
+        results.append({"label": label, "kind": kind, "value": value, "seconds": elapsed,
                         "nodes": nodes[0]})
     return results
 
@@ -87,7 +87,9 @@ def main() -> int:
         seconds = statistics.median(r["seconds"] for r in same)
         # a stronger bound makes each node dearer, so the rate alone can fall
         # while the search gets faster; the node total shows which happened
-        rate = f"{row['nodes']:,} nodes, {row['nodes'] / seconds:,.0f}/s" if row["nodes"] else ""
+        # a solve whose seed is already its answer searches no node
+        rate = ("" if row["kind"] == "brute" else "0 nodes" if not row["nodes"]
+                else f"{row['nodes']:,} nodes, {row['nodes'] / seconds:,.0f}/s")
         print(f"{row['label']:<28} {seconds:>8.3f} s  {rate}".rstrip())
     return 0
 

@@ -30,6 +30,18 @@ undecided neighbour is answered there, without a search. Every other probe
 asks one question under MAX_TWOS: is there a completion of weight exactly
 the optimum with at least the best 2-count (0 when 2s are not counted)?
 
+No max-2s search that a solve or a frontier runs starts without an
+incumbent: each starts from the 2-count of a labeling already in hand of
+the weight it searches. The max-2s pass of a solve starts from the proof's
+witness, which it keeps when nothing beats it; the frontier starts its
+first weight from that witness and each later weight from the previous
+point, since turning a 0 into a 1 (or, with no 0 left, a 1 into a 2)
+keeps a labeling valid. The greedy seed breaks gain ties toward the
+highest index, where the lexicographically first optimum puts its 2s, so
+fewer probes succeed in moving them. Each incumbent is a real labeling
+and the lexicographic witness is unique, so values, 2-counts and
+witnesses are those of searches that start from none.
+
 Every search (the proof, the max-2s pass and each lexicographic probe)
 also applies an orbital rule below that root. A search still running after
 its first chunk takes v, the fixed vertex that is not yet satisfied with
@@ -181,7 +193,12 @@ def _floor(n: int, delta: int) -> int:
 
 
 def greedy_total_dominating_set(g: Graph) -> VertexSet:
-    """Deterministic max-coverage greedy; used only to seed upper bounds."""
+    """Deterministic max-coverage greedy; used only to seed upper bounds.
+
+    Gain ties break toward the highest index: the lexicographically first
+    optimum puts its 0s at the low indices, so a seed with its 2s at the
+    high ones leaves the lexicographic rebuild less to move.
+    """
     require_no_isolated(g, "total domination")
     undominated = (1 << g.n) - 1
     members = 0
@@ -191,7 +208,7 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
             if members >> v & 1:
                 continue
             gain = (g.adj[v] & undominated).bit_count()
-            if gain > best_gain:
+            if gain >= best_gain:
                 best_v, best_gain = v, gain
         members |= 1 << best_v
         undominated &= ~g.adj[best_v]
@@ -475,16 +492,20 @@ def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline, max_twos:
     The witness is the lexicographically smallest optimal labeling of the
     free set, with -1 at every other vertex; with max_twos it is the
     smallest among those with the most 2s, and the 2-count is their number
-    of 2s (0 otherwise). seed is as for _gamma_tr_value.
+    of 2s (0 otherwise). seed is as for _gamma_tr_value. The max-2s pass
+    starts from the 2-count of the proof's witness, a labeling of the
+    optimal weight, and keeps that witness unless it finds more 2s, so it
+    always ends with a labeling in hand.
     """
     value, witness = _gamma_tr_value(sg, seed, deadline)
     twos = 0
     try:
         if max_twos:
-            found, twos, witness = _search(sg, sg.root, _kernels.MAX_TWOS, -1, value, False,
+            twos = sum(witness[v] == 2 for v in bits_of(sg.free))
+            found, twos, better = _search(sg, sg.root, _kernels.MAX_TWOS, twos, value, False,
                                           deadline)
-            if not found:
-                raise ConsistencyError("no labeling found at the proven optimal weight")
+            if found:
+                witness = better
         labels = _lex_smallest(sg, value, twos, witness, deadline)
     except SolverTimeout as exc:
         exc.upper_bound = value
@@ -656,17 +677,22 @@ def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
     (turn a 0 into a 1, or a 1 into a 2), so the search stops at that first
     point, and no subset search runs. Pass a larger cap to explore further.
     No labeling weighs more than 2n, so no weight above that is searched.
+    The first weight's search starts from the 2-count of the optimal
+    labeling the proof returns, and each later weight's from the previous
+    point's: a labeling of weight w gives one of weight w + 1 with at least
+    as many 2s (turn a 0 into a 1, or a 1 into a 2), so every search ends
+    at a real point and every point is kept.
     """
     require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
     sg = _SearchGraph(g)
-    value, _ = _gamma_tr_value(sg, greedy_total_dominating_set(g).members, deadline)
+    value, labels = _gamma_tr_value(sg, greedy_total_dominating_set(g).members, deadline)
     top = 2 * g.n if weight_cap is None else min(weight_cap, 2 * g.n)
+    v2max = labels.count(2)
     points = []
     for w in range(value, top + 1):
-        found, v2max, _ = _search(sg, sg.root, _kernels.MAX_TWOS, -1, w, False, deadline)
-        if found:
-            points.append(ParetoPoint(w, v2max))
-            if weight_cap is None and w == 2 * v2max:
-                break
+        _, v2max, _ = _search(sg, sg.root, _kernels.MAX_TWOS, v2max, w, False, deadline)
+        points.append(ParetoPoint(w, v2max))
+        if weight_cap is None and w == 2 * v2max:
+            break
     return points

@@ -187,7 +187,10 @@ def test_pareto_frontier_stops_at_twice_gamma_t():
 
 
 def test_pareto_frontier_matches_weight_constrained_search():
-    for g in [path(4), cycle(5), star(3)]:
+    # each frontier search starts from the previous point's 2-count, and
+    # trdf_with_weight_max_v2 from none
+    for g in [path(4), cycle(5), star(3), fan(6), wheel(6), complete_bipartite(2, 3),
+              prism(cycle(4)), direct_product(cycle(4), cycle(4)).base]:
         for point in trdf_pareto_frontier(g):
             f = trdf_with_weight_max_v2(g, point.weight)
             assert f is not None
@@ -206,6 +209,10 @@ def test_greedy_total_dominating_set_is_valid():
     for g in [path(5), cycle(7), wheel(6), prism(cycle(4)), TWO_K2]:
         d = greedy_total_dominating_set(g)
         assert is_total_dominating(d)
+    # gain ties break toward the highest index, leaving the low vertices,
+    # where the lexicographically first optimum puts its 0s, out of the seed
+    assert greedy_total_dominating_set(cycle(4)).vertices() == (2, 3)
+    assert greedy_total_dominating_set(cycle(6)).vertices() == (2, 3, 4, 5)
 
 
 def test_maximum_open_packings_and_matching_flag():
@@ -288,15 +295,16 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
 
 
 @pytest.mark.parametrize("g,min_nodes,twos_nodes", [
-    # the trivial floor equals the greedy seed, so only the lex probes search
-    (direct_product(cycle(4), prism(cycle(3))).base, 27, 72),
-    (direct_product(complete(3), wheel(6)).base, 1142, 239),
+    # the trivial floor equals the greedy seed, which is the lexicographically
+    # first optimum, so only the max-2s pass searches
+    (direct_product(cycle(4), prism(cycle(3))).base, 0, 3),
+    (direct_product(complete(3), wheel(6)).base, 1142, 86),
     # vertex-transitive, so its proof starts from a 2 at vertex 0, which the
     # orbital rule splits on one neighbour of vertex 0 before any node
-    (direct_product(cycle(5), cycle(4)).base, 790, 60),
+    (direct_product(cycle(5), cycle(4)).base, 765, 3),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes)
-    (direct_product(fan(6), cycle(4)).base, 2214, 300),
+    (direct_product(fan(6), cycle(4)).base, 2085, 129),
 ], ids=["C4xprismC3", "K3xW6", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
@@ -339,11 +347,13 @@ def test_a_timeout_reports_the_nodes_of_every_search_of_the_solve(monkeypatch):
         monkeypatch.setattr(_kernels, name, stepping)
     monkeypatch.setattr(solve, "time", SimpleNamespace(
         monotonic=lambda: time.monotonic() + (1e6 if late else 0)))
+    # K3 x W6 still probes after its proof (C5 x C4's proof witness is
+    # already the lexicographically first optimum, so no probe searches).
     with pytest.raises(SolverTimeout) as err:
-        gamma_tr_exact(direct_product(cycle(5), cycle(4)).base, budget=60)
+        gamma_tr_exact(direct_product(complete(3), wheel(6)).base, budget=60)
     assert late and proof_nodes[0] > 0
     assert err.value.nodes > proof_nodes[0]
-    assert err.value.lower_bound == err.value.upper_bound == 12
+    assert err.value.lower_bound == err.value.upper_bound == 7
 
 
 def _random_isolate_free_graphs(count, seed):
@@ -364,6 +374,38 @@ def _random_isolate_free_graphs(count, seed):
 def test_search_agrees_with_the_scan_on_random_graphs(g):
     # guards the kernels and the lexicographic probes, which start from fixed labels
     _assert_search_agrees_with_the_scan(g)
+
+
+# the products of the benchmark's solve workload
+SOLVE_PRODUCTS = [
+    direct_product(complete(3), wheel(6)).base,
+    direct_product(complete(3), fan(6)).base,
+    direct_product(cycle(4), prism(cycle(3))).base,
+    direct_product(cycle(4), cycle(4)).base,
+    direct_product(path(4), path(4)).base,
+    direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base,
+    direct_product(cycle(5), cycle(4)).base,
+]
+
+
+@pytest.mark.parametrize("g", _random_isolate_free_graphs(40, seed=2020) + SOLVE_PRODUCTS,
+                         ids=lambda g: g.name)
+def test_the_seeded_max_twos_pass_agrees_with_the_unseeded_one(g):
+    # the max-2s pass starts from the 2-count of the proof's witness, a real
+    # labeling of the optimal weight, so it finds the same best 2-count and
+    # only prunes more than a pass that starts from none
+    whole = _SearchGraph(g)
+    comps = connected_components(g)
+    seed = greedy_total_dominating_set(g).members
+    for comp in comps:
+        sg = whole if len(comps) == 1 else _SearchGraph(g, comp, whole)
+        value, witness = solve._gamma_tr_value(sg, seed, solve._Deadline(0))
+        t0 = sum(witness[v] == 2 for v in bits_of(comp))
+        seeded, unseeded = solve._Deadline(0), solve._Deadline(0)
+        _, best, _ = _search(sg, sg.root, TWOS, t0, value, False, seeded)
+        found, best_unseeded, _ = _search(sg, sg.root, TWOS, -1, value, False, unseeded)
+        assert found and best == best_unseeded >= t0
+        assert seeded.nodes <= unseeded.nodes
 
 
 def _optimal_labelings(g):
