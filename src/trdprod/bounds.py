@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import classify, construct
-from .errors import PreconditionError, SolverTimeout
+from .errors import ConsistencyError, PreconditionError, SolverTimeout
 from .graph import (Graph, central_triangle, direct_product, is_bipartite,
                     is_regular, is_triangle_free, require_no_isolated,
                     universal_vertex_list)
@@ -28,7 +28,11 @@ from .solve import (ORACLE_LIMIT, ParetoPoint, gamma_t_exact,
 
 @dataclass(frozen=True)
 class FactorProfile:
-    """Everything the pair bounds need to know about one factor, all exact."""
+    """Everything the pair bounds need to know about one factor, all exact.
+
+    frontier runs from gamma_tR to 2*gamma_t, and its first point gives
+    gamma_tr, max_v2 and gamma_tr_function.
+    """
 
     graph: Graph
     order: int
@@ -39,7 +43,6 @@ class FactorProfile:
     rho_o: int
     max_v2: int
     frontier: tuple[ParetoPoint, ...]
-    frontier_complete: bool
     bipartite: bool
     triangle_free: bool
     regular: bool
@@ -62,7 +65,11 @@ class FactorProfile:
             "rho": self.rho,
             "rho_o": self.rho_o,
             "max_v2": self.max_v2,
-            "frontier": [[p.weight, p.max_v2] for p in self.frontier],
+            # past 2*gamma_t the best 2-count at weight w is w // 2
+            # (trdf_pareto_frontier); the list goes on to 2n
+            "frontier": [[p.weight, p.max_v2] for p in self.frontier]
+                        + [[w, w // 2] for w in range(self.frontier[-1].weight + 1,
+                                                      2 * self.order + 1)],
             "bipartite": self.bipartite,
             "triangle_free": self.triangle_free,
             "regular": self.regular,
@@ -76,35 +83,39 @@ class FactorProfile:
 
 
 def factor_profile(g: Graph, budget: float | None = None) -> FactorProfile:
-    """Exact invariants and structural flags for one factor graph."""
+    """Exact invariants and structural flags for one factor graph.
+
+    The frontier's last weight must be twice gamma_t, so the branch-and-bound
+    and the subset enumeration check each other.
+    """
     require_no_isolated(g, "factor profiling")
-    tr = gamma_tr_max_v2(g, budget)
+    frontier = tuple(trdf_pareto_frontier(g, budget))
     gt = gamma_t_exact(g)
-    complete = g.n <= ORACLE_LIMIT
-    cap = 2 * g.n if complete else 2 * gt.value
-    frontier = tuple(trdf_pareto_frontier(g, weight_cap=cap, budget=budget))
+    if frontier[-1].weight != 2 * gt.value:
+        raise ConsistencyError(f"frontier ends at weight {frontier[-1].weight},"
+                               f" not twice gamma_t {gt.value}")
+    first = frontier[0]
     eod = classify.is_eod_graph(g)
     return FactorProfile(
         graph=g,
         order=g.n,
         max_degree=g.max_degree(),
         gamma_t=gt.value,
-        gamma_tr=tr.value,
+        gamma_tr=first.weight,
         rho=rho_exact(g).value,
         rho_o=rho_o_exact(g).value,
-        max_v2=tr.max_v2,
+        max_v2=first.max_v2,
         frontier=frontier,
-        frontier_complete=complete,
         bipartite=is_bipartite(g),
         triangle_free=is_triangle_free(g),
         regular=is_regular(g),
         eod=eod,
-        total_roman=tr.value == 2 * gt.value,
+        total_roman=first.weight == 2 * gt.value,
         universal_count=len(universal_vertex_list(g)),
         triangle_witness=central_triangle(g),
         rho_o_matching_set=rho_o_set_inducing_perfect_matching(g),
         gamma_t_set=gt.witness,
-        gamma_tr_function=tr.witness,
+        gamma_tr_function=first.witness,
     )
 
 
@@ -159,19 +170,16 @@ class PairReport:
         return out
 
 
-def _remark_minimum(fg: tuple[ParetoPoint, ...], fh: tuple[ParetoPoint, ...],
-                    cap_g: int | None, cap_h: int | None) -> int | None:
-    best = None
-    for a in fg:
-        if cap_g is not None and a.weight > cap_g:
-            continue
-        for b in fh:
-            if cap_h is not None and b.weight > cap_h:
-                continue
-            val = a.weight * b.weight - 2 * a.max_v2 * b.max_v2
-            if best is None or val < best:
-                best = val
-    return best
+def _remark_minimum(fg: tuple[ParetoPoint, ...], fh: tuple[ParetoPoint, ...]) -> int:
+    """Minimum of a.weight * b.weight - 2 * a.max_v2 * b.max_v2 over two frontiers.
+
+    Each frontier ends at 2*gamma_t, and going on to 2n would not lower the
+    minimum. Past the last point a of fg, weight a.weight + k has best
+    2-count (a.weight + k) // 2 (trdf_pareto_frontier), and a.weight is
+    2 * a.max_v2, so against any point b the value is at least that of a
+    plus k * (b.weight - b.max_v2) >= 0; the same holds with the roles swapped.
+    """
+    return min(a.weight * b.weight - 2 * a.max_v2 * b.max_v2 for a in fg for b in fh)
 
 
 def pair_bounds(pg: FactorProfile, ph: FactorProfile) -> PairReport:
@@ -235,8 +243,7 @@ def pair_bounds(pg: FactorProfile, ph: FactorProfile) -> PairReport:
                    " labeling using a 2"))
 
     add(BoundEntry("UB_remark", "upper",
-                   _remark_minimum(pg.frontier, ph.frontier,
-                                   2 * pg.gamma_t, 2 * ph.gamma_t), True,
+                   _remark_minimum(pg.frontier, ph.frontier), True,
                    "minimum of the combination formula over the weight/2-count frontiers,"
                    " weights capped at twice gamma_t"))
 
@@ -306,7 +313,6 @@ class VerificationReport:
     violations: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     eod_slack_min: int | None = None
-    remark_cap_notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -318,7 +324,10 @@ class VerificationReport:
             "violations": self.violations,
             "skipped": self.skipped,
             "eod_slack_min": self.eod_slack_min,
-            "remark_cap_notes": self.remark_cap_notes,
+            # capping the frontiers at 2*gamma_t loses nothing
+            # (_remark_minimum), so there is never a note; the key keeps
+            # the report's format
+            "remark_cap_notes": [],
             "pairs": self.pairs,
         }
 
@@ -419,13 +428,6 @@ def _verify_pair(args) -> dict:
     minus2 = rep.entry("UB_minus2")
     if minus2.applicable and maxa2 > minus2.value:
         bad(f"{name}: UB_maxA2 {maxa2} > UB_minus2 {minus2.value}")
-    if pg.frontier_complete and ph.frontier_complete:
-        full = _remark_minimum(pg.frontier, ph.frontier, None, None)
-        if full < remark:
-            rec["remark_cap_note"] = (f"uncapped frontiers improve UB_remark"
-                                      f" {remark} -> {full}")
-        if full < exact:
-            bad(f"{name}: uncapped combination bound {full} below exact {exact}")
 
     for k, w in cons.items():
         if k != "eod_box_size" and w < exact:
@@ -488,8 +490,5 @@ def verify_theorems(catalog: list[Graph], budget: float | None = 60.0,
             report.skipped.append(f"({rec['g_name']},{rec['h_name']})")
         if "eod_slack" in rec:
             slacks.append(rec["eod_slack"])
-        if "remark_cap_note" in rec:
-            report.remark_cap_notes.append(
-                f"({rec['g_name']},{rec['h_name']}): {rec['remark_cap_note']}")
     report.eod_slack_min = min(slacks) if slacks else None
     return report

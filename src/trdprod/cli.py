@@ -143,8 +143,6 @@ def _cmd_verify(args) -> int:
         print(f"skipped (budget): {', '.join(rep.skipped)}")
     if rep.eod_slack_min is not None:
         print(f"minimum open-packing lower bound slack observed: {rep.eod_slack_min}")
-    for note in rep.remark_cap_notes:
-        print(f"note: {note}")
     return 0 if rep.ok else 1
 
 

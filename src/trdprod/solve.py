@@ -1,5 +1,6 @@
 """Exact solvers: gamma_tR (branch-and-bound and brute force), gamma_t, the
-packing numbers, the max-2s tie-broken variant, and weight/2-count frontiers.
+packing numbers, the max-2s tie-broken variant, and the weight/2-count
+frontier from gamma_tR to 2*gamma_t, a verified witness at each point.
 rho, rho_o and the maximum open packings come from one subset enumeration,
 _packings, given closed or open neighbourhoods.
 
@@ -31,16 +32,17 @@ asks one question under MAX_TWOS: is there a completion of weight exactly
 the optimum with at least the best 2-count (0 when 2s are not counted)?
 
 No max-2s search that a solve or a frontier runs starts without an
-incumbent: each starts from the 2-count of a labeling already in hand of
-the weight it searches. The max-2s pass of a solve starts from the proof's
-witness, which it keeps when nothing beats it; the frontier starts its
-first weight from that witness and each later weight from the previous
-point, since turning a 0 into a 1 (or, with no 0 left, a 1 into a 2)
-keeps a labeling valid. The greedy seed breaks gain ties toward the
-highest index, where the lexicographically first optimum puts its 2s, so
-fewer probes succeed in moving them. Each incumbent is a real labeling
-and the lexicographic witness is unique, so values, 2-counts and
-witnesses are those of searches that start from none.
+incumbent. The max-2s pass of a solve starts from the 2-count of the
+proof's witness, a labeling of the weight it searches, which it keeps when
+nothing beats it; it does not run when that witness already has value // 2
+twos, the most a labeling of that weight can have. The frontier's first
+point is the max-2s solve, and each later weight starts from the previous
+point's 2-count, which that point's witness with a 1 raised to 2 beats.
+The greedy seed breaks gain ties toward the highest index, where the
+lexicographically first optimum puts its 2s, so fewer probes succeed in
+moving them. Each incumbent is at most the 2-count of a real labeling and
+the lexicographic witness is unique, so values, 2-counts and witnesses are
+those of searches that start from none.
 
 Every search (the proof, the max-2s pass and each lexicographic probe)
 also applies an orbital rule below that root. A search still running after
@@ -117,10 +119,12 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class ParetoPoint:
-    """For one labeling weight, the largest 2-count any valid labeling of that weight reaches."""
+    """For one labeling weight, the largest 2-count any valid labeling of that
+    weight reaches, and a verified labeling of that weight with that many 2s."""
 
     weight: int
     max_v2: int
+    witness: LabelFunction
 
 
 class _SearchGraph:
@@ -495,17 +499,19 @@ def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline, max_twos:
     of 2s (0 otherwise). seed is as for _gamma_tr_value. The max-2s pass
     starts from the 2-count of the proof's witness, a labeling of the
     optimal weight, and keeps that witness unless it finds more 2s, so it
-    always ends with a labeling in hand.
+    always ends with a labeling in hand. It runs only when that witness has
+    fewer than value // 2 twos, the most a labeling of that weight can have.
     """
     value, witness = _gamma_tr_value(sg, seed, deadline)
     twos = 0
     try:
         if max_twos:
             twos = sum(witness[v] == 2 for v in bits_of(sg.free))
-            found, twos, better = _search(sg, sg.root, _kernels.MAX_TWOS, twos, value, False,
-                                          deadline)
-            if found:
-                witness = better
+            if twos < value // 2:
+                found, twos, better = _search(sg, sg.root, _kernels.MAX_TWOS, twos, value,
+                                              False, deadline)
+                if found:
+                    witness = better
         labels = _lex_smallest(sg, value, twos, witness, deadline)
     except SolverTimeout as exc:
         exc.upper_bound = value
@@ -514,8 +520,8 @@ def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline, max_twos:
     return value, twos, labels
 
 
-def _solve(g: Graph, budget: float | None, max_twos: bool):
-    """Value, 2-count and verified witness under one budget; see _solve_component.
+def _solve(g: Graph, deadline: _Deadline, max_twos: bool):
+    """Value, 2-count and verified witness under one deadline; see _solve_component.
 
     Each connected component is solved on its own, as a vertex mask that
     is the free set of one search graph on g, so its labels sit at their
@@ -525,7 +531,6 @@ def _solve(g: Graph, budget: float | None, max_twos: bool):
     dominating set of g seeds every component.
     """
     require_no_isolated(g, "gamma_tR")
-    deadline = _Deadline(budget)
     whole = _SearchGraph(g)
     comps = connected_components(g)
     seed = greedy_total_dominating_set(g).members
@@ -562,14 +567,14 @@ def gamma_tr_exact(g: Graph, budget: float | None = None) -> SolveResult:
     additive). Each search starts from the solve's own greedy seed. The
     returned witness is the lexicographically smallest optimal labeling.
     """
-    value, _, witness = _solve(g, budget, max_twos=False)
+    value, _, witness = _solve(g, _Deadline(budget), max_twos=False)
     return SolveResult("gamma_tR", value, witness, "branch_and_bound",
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
 def gamma_tr_max_v2(g: Graph, budget: float | None = None) -> SolveResult:
     """gamma_tR plus the secondary objective: most 2-labels among optimal labelings."""
-    value, twos, witness = _solve(g, budget, max_twos=True)
+    value, twos, witness = _solve(g, _Deadline(budget), max_twos=True)
     return SolveResult("gamma_tR", value, witness, "branch_and_bound",
                        tie_break_note="maximum 2-count, then lexicographically smallest",
                        max_v2=twos)
@@ -652,47 +657,34 @@ def rho_o_set_inducing_perfect_matching(g: Graph) -> VertexSet | None:
     return None
 
 
-def trdf_with_weight_max_v2(g: Graph, weight: int,
-                            budget: float | None = None) -> LabelFunction | None:
-    """Some valid labeling of the exact given weight maximizing the 2-count, or None."""
-    require_no_isolated(g, "gamma_tR")
-    deadline = _Deadline(budget)
-    sg = _SearchGraph(g)
-    found, _, labels = _search(sg, sg.root, _kernels.MAX_TWOS, -1, weight, False, deadline)
-    if not found:
-        return None
-    witness = LabelFunction(g, labels)
-    if not is_total_roman_dominating(witness) or witness.weight != weight:
-        raise ConsistencyError("weight-constrained witness failed validation")
-    return witness
+def trdf_pareto_frontier(g: Graph, budget: float | None = None) -> list[ParetoPoint]:
+    """For each weight from gamma_tR to 2*gamma_t, the best 2-count and a verified witness.
 
+    The first point is the max-2s solve: gamma_tr_max_v2's value, 2-count
+    and witness. Each later weight w searches from the previous point's
+    2-count, and always finds more: the frontier goes on only while the
+    previous witness weighs more than twice its 2-count, so it has a 1, and
+    raising that 1 to 2 gives a labeling of weight w with one more 2. Every
+    witness is re-verified, and every point shares one deadline.
 
-def trdf_pareto_frontier(g: Graph, weight_cap: int | None = None,
-                         budget: float | None = None) -> list[ParetoPoint]:
-    """For each achievable weight from gamma_tR up to the cap, the best 2-count.
-
-    The default cap is 2*gamma_t, the first weight whose best labeling has
-    no 1: a labeling of only 0s and 2s is valid exactly when its 2s form a
-    total dominating set. Every weight from gamma_tR to 2n is reachable
-    (turn a 0 into a 1, or a 1 into a 2), so the search stops at that first
-    point, and no subset search runs. Pass a larger cap to explore further.
-    No labeling weighs more than 2n, so no weight above that is searched.
-    The first weight's search starts from the 2-count of the optimal
-    labeling the proof returns, and each later weight's from the previous
-    point's: a labeling of weight w gives one of weight w + 1 with at least
-    as many 2s (turn a 0 into a 1, or a 1 into a 2), so every search ends
-    at a real point and every point is kept.
+    The frontier stops at the first weight w whose best labeling has
+    w // 2 twos, so no 1: its 2s totally dominate, so w is 2*gamma_t. Past
+    it the best 2-count at weight w is w // 2, the most any labeling of
+    that weight has: the 2s of a minimum total dominating set plus
+    w // 2 - gamma_t other vertices still totally dominate, and for odd w a
+    1 on one more vertex keeps the labeling valid. So no subset search runs.
     """
-    require_no_isolated(g, "gamma_tR")
     deadline = _Deadline(budget)
+    weight, twos, witness = _solve(g, deadline, max_twos=True)
+    points = [ParetoPoint(weight, twos, witness)]
     sg = _SearchGraph(g)
-    value, labels = _gamma_tr_value(sg, greedy_total_dominating_set(g).members, deadline)
-    top = 2 * g.n if weight_cap is None else min(weight_cap, 2 * g.n)
-    v2max = labels.count(2)
-    points = []
-    for w in range(value, top + 1):
-        _, v2max, _ = _search(sg, sg.root, _kernels.MAX_TWOS, v2max, w, False, deadline)
-        points.append(ParetoPoint(w, v2max))
-        if weight_cap is None and w == 2 * v2max:
-            break
+    while weight > 2 * twos:
+        weight += 1
+        found, twos, labels = _search(sg, sg.root, _kernels.MAX_TWOS, twos, weight, False,
+                                      deadline)
+        witness = LabelFunction(g, labels) if found else None
+        if (witness is None or not is_total_roman_dominating(witness)
+                or witness.weight != weight or len(witness.v2) != twos):
+            raise ConsistencyError(f"no verified frontier witness at weight {weight}")
+        points.append(ParetoPoint(weight, twos, witness))
     return points

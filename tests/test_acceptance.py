@@ -22,7 +22,7 @@ from trdprod.graph6 import emit_graph6, parse_graph6
 from trdprod.labeling import (is_efficient_open_dominating,
                               is_total_roman_dominating)
 from trdprod.solve import (gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact,
-                           trdf_pareto_frontier, trdf_with_weight_max_v2)
+                           trdf_pareto_frontier)
 
 
 def _exact(g, h, budget=60.0):
@@ -114,9 +114,9 @@ def test_criterion_4_constructions_verify_and_weight_formula():
     for g in graphs:
         for h in graphs:
             for wp in trdf_pareto_frontier(g):
-                fg = trdf_with_weight_max_v2(g, wp.weight)
+                fg = wp.witness
                 for hp in trdf_pareto_frontier(h):
-                    fh = trdf_with_weight_max_v2(h, hp.weight)
+                    fh = hp.witness
                     out = product_trdf_from_factors(fg, fh)
                     assert out.weight == (fg.weight * fh.weight
                                           - 2 * len(fg.v2) * len(fh.v2))

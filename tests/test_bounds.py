@@ -1,6 +1,6 @@
 import pytest
 
-from trdprod import bounds
+from trdprod import bounds, solve
 from trdprod.bounds import (factor_profile, genlower_check, pair_bounds,
                             verify_theorems)
 from trdprod.catalog import enumerate_catalog
@@ -9,7 +9,7 @@ from trdprod.errors import PreconditionError, SolverTimeout
 from trdprod.families import complete, cycle, path, star
 from trdprod.graph import direct_product
 from trdprod.labeling import LabelFunction
-from trdprod.solve import gamma_tr_exact, gamma_tr_max_v2
+from trdprod.solve import ParetoPoint, gamma_tr_exact, gamma_tr_max_v2
 
 
 def test_factor_profile_p4():
@@ -82,6 +82,22 @@ def test_upper_bound_chain_on_catalog_pairs():
                 assert maxa2 <= minus2.value
 
 
+def test_remark_bound_loses_nothing_to_the_end_at_twice_gamma_t():
+    # past 2*gamma_t the best 2-count at weight w is w // 2; frontiers
+    # extended that way to 2n give the same minimum, and it stays at or above
+    # the exact value
+    def extended(p):
+        return p.frontier + tuple(ParetoPoint(w, w // 2, None)
+                                  for w in range(p.frontier[-1].weight + 1, 2 * p.order + 1))
+
+    profiles = [factor_profile(g) for g in enumerate_catalog(4).graphs]
+    for i, pg in enumerate(profiles):
+        for ph in profiles[i:]:
+            remark = pair_bounds(pg, ph).entry("UB_remark").value
+            assert remark == bounds._remark_minimum(extended(pg), extended(ph))
+            assert remark >= gamma_tr_exact(direct_product(pg.graph, ph.graph).base).value
+
+
 def test_genlower_on_c4_optimum():
     g = cycle(4)
     res = gamma_tr_max_v2(g)
@@ -141,18 +157,20 @@ def test_verify_parallel_matches_serial():
 
 
 def test_verify_solves_each_graph_once(monkeypatch):
-    calls = {"gamma_tr_exact": [], "gamma_tr_max_v2": []}
-    for name, log in calls.items():
-        def counting(g, *args, real=getattr(bounds, name), log=log, **kwargs):
-            log.append(g.n)
-            return real(g, *args, **kwargs)
+    # every optimality proof of the audit, one per connected component
+    proofs = []
+    real = solve._gamma_tr_value
 
-        monkeypatch.setattr(bounds, name, counting)
+    def counting(sg, *args):
+        proofs.append((sg.g.n, sg.free))
+        return real(sg, *args)
+
+    monkeypatch.setattr(solve, "_gamma_tr_value", counting)
     rep = verify_theorems([complete(2), path(3)], budget=60)
     assert rep.ok and not rep.skipped
-    assert calls["gamma_tr_exact"] == []
+    assert len(set(proofs)) == len(proofs)
     # the two factors, then the products K2xK2, K2xP3 and P3xP3
-    assert sorted(calls["gamma_tr_max_v2"]) == [2, 3, 4, 6, 9]
+    assert sorted({n for n, _ in proofs}) == [2, 3, 4, 6, 9]
 
 
 def _products_time_out(monkeypatch, gap):

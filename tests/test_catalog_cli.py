@@ -168,6 +168,15 @@ def test_cli_unreadable_graph_file_is_a_json_error(capsys, tmp_path, kind):
     assert doc["type"] == "GraphInputError" and str(path) in doc["error"]
 
 
+def test_cli_invariants_lists_the_frontier_up_to_2n(capsys):
+    # prism(C7) has 14 vertices, past the 3^n oracle; gamma_tR = 2 gamma_t = 10,
+    # so the frontier solve ends at its first point and the rest is w // 2
+    code, out, _ = run_cli(capsys, "invariants", "prismC7")
+    assert code == 0
+    frontier = json.loads(out)["frontier"]
+    assert len(frontier) == 19 and frontier[0] == [10, 5] and frontier[-1] == [28, 14]
+
+
 def test_cli_zero_vertex_graph_has_its_invariants_and_no_product(capsys, tmp_path):
     # these once reported a ConsistencyError, which is kept for internal faults
     path = tmp_path / "empty.json"

@@ -12,8 +12,7 @@ from trdprod.graph import direct_product
 from trdprod.labeling import (LabelFunction, VertexSet,
                               is_efficient_open_dominating,
                               is_total_roman_dominating)
-from trdprod.solve import (gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact,
-                           trdf_pareto_frontier, trdf_with_weight_max_v2)
+from trdprod.solve import gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact
 
 
 def test_factor_combination_examples():
@@ -46,21 +45,6 @@ def test_factor_combination_rejects_a_product_of_other_factors(factor, other):
     assert own.labels == product_trdf_from_factors(opt, opt).labels
     with pytest.raises(PreconditionError, match="not the direct product"):
         product_trdf_from_factors(opt, opt, direct_product(other, other))
-
-
-def test_factor_combination_weight_formula_over_frontiers():
-    graphs = [complete(2), path(3), complete(3), path(4), cycle(4), star(3)]
-    for g in graphs:
-        for h in graphs:
-            for pg_pt in trdf_pareto_frontier(g):
-                fg = trdf_with_weight_max_v2(g, pg_pt.weight)
-                for ph_pt in trdf_pareto_frontier(h):
-                    fh = trdf_with_weight_max_v2(h, ph_pt.weight)
-                    out = product_trdf_from_factors(fg, fh)
-                    expect = (fg.weight * fh.weight
-                              - 2 * len(fg.v2) * len(fh.v2))
-                    assert out.weight == expect
-                    assert is_total_roman_dominating(out)
 
 
 def test_total_dom_set_products():

@@ -20,8 +20,7 @@ from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _orbital_fix, _searc
                            gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                            greedy_total_dominating_set, maximum_open_packings, rho_exact,
                            rho_o_exact, rho_o_set_inducing_perfect_matching,
-                           trdf_pareto_frontier, trdf_with_weight_max_v2,
-                           trivial_lower_bound)
+                           trdf_pareto_frontier, trivial_lower_bound)
 
 TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
 MIN, TWOS = _kernels.MIN_WEIGHT, _kernels.MAX_TWOS
@@ -112,9 +111,12 @@ def test_max_v2_agrees_with_scan_table():
         best, _, table = _brute_scan(g)
         res = gamma_tr_max_v2(g, budget=60)
         assert res.value == best and res.max_v2 == table[best]
-        frontier = trdf_pareto_frontier(g, weight_cap=2 * g.n, budget=60)
+        frontier = trdf_pareto_frontier(g, budget=60)
+        last = frontier[-1].weight
         assert [(p.weight, p.max_v2) for p in frontier] == \
-            [(w, table[w]) for w in range(best, 2 * g.n + 1) if table[w] >= 0], g.name
+            [(w, table[w]) for w in range(best, last + 1)], g.name
+        # past the frontier's end the best labeling of weight w has w // 2 twos
+        assert table[last + 1:] == [w // 2 for w in range(last + 1, 2 * g.n + 1)], g.name
 
 
 def test_gamma_t_rho_examples():
@@ -179,30 +181,46 @@ def test_pareto_frontier_stops_at_twice_gamma_t():
               + [path(n) for n in range(2, 12)]
               + [fan(6), wheel(6), prism(cycle(4)), direct_product(cycle(4), cycle(4)).base])
     for g in graphs:
-        if not all(g.adj):
-            continue
-        cap = 2 * gamma_t_exact(g).value
-        assert trdf_pareto_frontier(g, budget=60) == \
-            trdf_pareto_frontier(g, weight_cap=cap, budget=60), g.name
+        frontier = trdf_pareto_frontier(g, budget=60)
+        assert frontier[-1].weight == 2 * gamma_t_exact(g).value, g.name
+        assert [p.weight for p in frontier] == list(range(frontier[0].weight,
+                                                          frontier[-1].weight + 1)), g.name
 
 
 def test_pareto_frontier_matches_weight_constrained_search():
     # each frontier search starts from the previous point's 2-count, and
-    # trdf_with_weight_max_v2 from none
+    # these searches from none; the first point is the max-2s solve
     for g in [path(4), cycle(5), star(3), fan(6), wheel(6), complete_bipartite(2, 3),
-              prism(cycle(4)), direct_product(cycle(4), cycle(4)).base]:
-        for point in trdf_pareto_frontier(g):
-            f = trdf_with_weight_max_v2(g, point.weight)
-            assert f is not None
+              prism(cycle(4)), TWO_K2, direct_product(cycle(4), cycle(4)).base]:
+        sg = _SearchGraph(g)
+        frontier = trdf_pareto_frontier(g)
+        assert frontier[0].witness == gamma_tr_max_v2(g).witness, g.name
+        for point in frontier:
+            found, twos, _ = _search(sg, sg.root, TWOS, -1, point.weight, False,
+                                     solve._Deadline(60))
+            assert found and twos == point.max_v2, (g.name, point.weight)
+            f = point.witness
+            assert is_total_roman_dominating(f)
             assert f.weight == point.weight and len(f.v2) == point.max_v2
 
 
-@pytest.mark.parametrize("labels", [(2, 2, 2), (0, 1, 2)])
-def test_weight_constrained_witness_is_reverified(monkeypatch, labels):
-    # a search answer of the wrong weight, or not total Roman dominating, is refused
-    monkeypatch.setattr(solve, "_search", lambda *args: (True, 0, labels))
+@pytest.mark.parametrize("answer", [(True, 2, (2, 2, 2)), (True, 2, (0, 1, 2)),
+                                    (False, 1, None)])
+def test_frontier_witness_is_reverified(monkeypatch, answer):
+    # a search answer of the wrong weight, or not total Roman dominating, is
+    # refused, and so is a search that finds no more 2s, which a witness with
+    # a 1 at the previous weight rules out; P3's weight-4 point is the first
+    # past its max-2s solve
+    real = solve._search
+
+    def wrong_at_4(sg, state, mode, best, cap, *args):
+        if cap == 4:
+            return answer
+        return real(sg, state, mode, best, cap, *args)
+
+    monkeypatch.setattr(solve, "_search", wrong_at_4)
     with pytest.raises(ConsistencyError):
-        trdf_with_weight_max_v2(path(3), 3)
+        trdf_pareto_frontier(path(3))
 
 
 def test_greedy_total_dominating_set_is_valid():
@@ -285,26 +303,27 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
         raise SolverTimeout("search budget exhausted")
 
     monkeypatch.setattr(_kernels, "bnb_max_twos", out_of_time)
+    # the proof's witness of C5xC5 has fewer than 15 // 2 twos, so the pass runs
     with pytest.raises(SolverTimeout) as err:
-        gamma_tr_max_v2(direct_product(complete(3), complete(3)).base, budget=60)
-    assert err.value.lower_bound == err.value.upper_bound == 6
+        gamma_tr_max_v2(direct_product(cycle(5), cycle(5)).base, budget=60)
+    assert err.value.lower_bound == err.value.upper_bound == 15
     # disconnected: the proven component plus floor and greedy bounds on the other
     with pytest.raises(SolverTimeout) as err:
-        gamma_tr_max_v2(direct_product(cycle(4), cycle(4)).base, budget=60)
-    assert err.value.lower_bound <= 8 <= err.value.upper_bound
+        gamma_tr_max_v2(direct_product(cycle(6), cycle(6)).base, budget=60)
+    assert err.value.lower_bound <= 20 <= err.value.upper_bound
 
 
 @pytest.mark.parametrize("g,min_nodes,twos_nodes", [
     # the trivial floor equals the greedy seed, which is the lexicographically
-    # first optimum, so only the max-2s pass searches
-    (direct_product(cycle(4), prism(cycle(3))).base, 0, 3),
-    (direct_product(complete(3), wheel(6)).base, 1142, 86),
+    # first optimum and has value // 2 twos, so nothing searches
+    (direct_product(cycle(4), prism(cycle(3))).base, 0, 0),
+    (direct_product(complete(3), wheel(6)).base, 1142, 83),
     # vertex-transitive, so its proof starts from a 2 at vertex 0, which the
     # orbital rule splits on one neighbour of vertex 0 before any node
-    (direct_product(cycle(5), cycle(4)).base, 765, 3),
+    (direct_product(cycle(5), cycle(4)).base, 765, 0),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes)
-    (direct_product(fan(6), cycle(4)).base, 2085, 129),
+    (direct_product(fan(6), cycle(4)).base, 2085, 126),
 ], ids=["C4xprismC3", "K3xW6", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
