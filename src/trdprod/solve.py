@@ -26,10 +26,14 @@ slot 0 and the label list. _fix extends a state by one label with the
 kernels' child rule, and is the one Python copy of that rule; every state
 grows from _SearchGraph.root, the state of no fixed label, through _fix. The
 lexicographic witness rebuild extends the state of its prefix by one label
-per probe, and a probe whose new label leaves a vertex unsatisfied with no
-undecided neighbour is answered there, without a search. Every other probe
-asks one question under MAX_TWOS: is there a completion of weight exactly
-the optimum with at least the best 2-count (0 when 2s are not counted)?
+per probe, and answers two kinds of probe without a search: one whose new
+label leaves a vertex unsatisfied with no undecided neighbour (_fix), and
+one whose new 0 leaves an undecided neighbour with no label it can take,
+having no undecided and no positive neighbour left (_strands, a look-ahead
+of one vertex that the probes run and the kernels do not). Every other
+probe asks one question under MAX_TWOS: is there a completion of weight
+exactly the optimum with at least the best 2-count (0 when 2s are not
+counted)?
 
 No max-2s search that a solve or a frontier runs starts without an
 incumbent. The max-2s pass of a solve starts from the 2-count of the
@@ -37,7 +41,7 @@ proof's witness, a labeling of the weight it searches, which it keeps when
 nothing beats it; it does not run when that witness already has value // 2
 twos, the most a labeling of that weight can have. The frontier's first
 point is the max-2s solve, and each later weight starts from the previous
-point's 2-count, which that point's witness with a 1 raised to 2 beats.
+point's witness with a 1 raised to 2, which it keeps when nothing beats it.
 The greedy seed breaks gain ties toward the highest index, where the
 lexicographically first optimum puts its 2s, so fewer probes succeed in
 moving them. Each incumbent is at most the 2-count of a real labeling and
@@ -133,9 +137,11 @@ class _SearchGraph:
     free is a vertex mask: every vertex, or one connected component of a
     disconnected graph, whose searches then run on g itself with every label
     at its own index. One is built per component solve and shared by the
-    proof, every lex probe and the max-2s pass. The kernels read bit and
-    max_degree, the largest degree in free. The vertex-transitivity test of
-    a regular component's proof and the orbital rule read pair
+    proof, every lex probe and the max-2s pass. verts lists free in
+    increasing order, built once for every walk over the free vertices. The
+    kernels read bit and max_degree, the largest degree in free. The
+    vertex-transitivity test of a regular component's proof and the
+    orbital rule read pair
     (graph.pair_table of g), which is built on first use and shared by
     every component of a solve through whole, so a solve that runs neither
     never builds it and one that does builds it once. root is the state
@@ -147,12 +153,14 @@ class _SearchGraph:
         self._whole = whole
         if free is None:
             self.free = (1 << g.n) - 1
-            self.bit = [1 << v for v in range(g.n)]
+            self.verts = list(range(g.n))
+            self.bit = [1 << v for v in self.verts]
             self.max_degree = g.max_degree()
         else:
             self.free = free
+            self.verts = bits_of(free)
             self.bit = whole.bit
-            self.max_degree = max(g.adj[v].bit_count() for v in bits_of(free))
+            self.max_degree = max(g.adj[v].bit_count() for v in self.verts)
         self.root = (0, 0, 0, 0, 0, 0, self.free, [-1] * g.n)
 
     @cached_property
@@ -179,13 +187,22 @@ class _Deadline:
 
 
 def trivial_lower_bound(g: Graph) -> int:
-    """Cheap certified floor: ceil(2n/Delta) once Delta >= 2, else n; never below min(n, 3).
+    """Cheap certified floor: ceil(2n/Delta), and at least 4 without a universal vertex.
 
-    It is the kernels' Roman cover bound at the root. Every vertex is
-    positive or has a 2-neighbour. A 1 serves only itself. A 2 serves its
-    closed neighbourhood, but one neighbour must be positive and so serves
-    itself, which leaves at most Delta vertices served per 2. The floor is
-    never below ceil(2n/(Delta+1)), the Roman domination floor.
+    The first term is n when Delta < 2. Every vertex is positive or has a
+    2-neighbour. A 1 serves only itself. A 2 serves its closed
+    neighbourhood, but one neighbour must be positive and so serves itself,
+    which leaves at most Delta vertices served per 2. The floor is never
+    below ceil(2n/(Delta+1)), the Roman domination floor.
+
+    The second term is min(n, 4), or min(n, 3) when some vertex is
+    universal (Delta = n - 1). A labeling with a 0 has a 2 beside that 0,
+    and the 2 has a positive neighbour, so it weighs at least 3; one with
+    no 0 weighs at least n. On n >= 4 vertices a labeling of weight 3 is
+    then a 2 and a 1 with a 0 everywhere else, and each 0 and the 1 are
+    neighbours of the 2, which is universal. No direct product of two
+    factors of order >= 2 has a universal vertex, so there the floor is
+    at least 4.
     """
     return _floor(g.n, g.max_degree())
 
@@ -193,7 +210,7 @@ def trivial_lower_bound(g: Graph) -> int:
 def _floor(n: int, delta: int) -> int:
     """trivial_lower_bound of a graph or component of n vertices and largest degree delta."""
     lb = -(-2 * n // delta) if delta >= 2 else n
-    return max(lb, min(n, 3))
+    return max(lb, min(n, 3 if delta == n - 1 else 4))
 
 
 def greedy_total_dominating_set(g: Graph) -> VertexSet:
@@ -201,21 +218,19 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
 
     Gain ties break toward the highest index: the lexicographically first
     optimum puts its 0s at the low indices, so a seed with its 2s at the
-    high ones leaves the lexicographic rebuild less to move.
+    high ones leaves the lexicographic rebuild less to move. Each pick reads
+    one list of gains over every vertex: a member has gain 0, since its
+    neighbours are dominated once it joins, and while a vertex is
+    undominated its neighbours have gain at least 1, so no member is picked.
     """
     require_no_isolated(g, "total domination")
     undominated = (1 << g.n) - 1
     members = 0
     while undominated:
-        best_v, best_gain = -1, -1
-        for v in range(g.n):
-            if members >> v & 1:
-                continue
-            gain = (g.adj[v] & undominated).bit_count()
-            if gain >= best_gain:
-                best_v, best_gain = v, gain
-        members |= 1 << best_v
-        undominated &= ~g.adj[best_v]
+        gains = [(a & undominated).bit_count() for a in g.adj]
+        best = len(gains) - 1 - gains[::-1].index(max(gains))
+        members |= 1 << best
+        undominated &= ~g.adj[best]
     return VertexSet(g, members, "total_dominating")
 
 
@@ -383,6 +398,27 @@ def _orbital_fix(sg: _SearchGraph, state) -> list:
     return [] if out is state else [out]
 
 
+def _strands(adj, state, v: int) -> bool:
+    """Whether state, which has just fixed a 0 at v, leaves an undecided
+    neighbour u of v that no label can satisfy.
+
+    Such a u has no undecided neighbour left and no positive neighbour, so
+    no 2-neighbour either (it is outside cov): a 0 at u would lack a
+    2-neighbour and a positive u a positive neighbour, in every completion.
+    A positive v is itself a positive neighbour, so only a 0 can strand u.
+    _fix stays the exact copy of the kernels' child rule; this test runs on
+    the lexicographic probes only.
+    """
+    _, _, cov, pos, _, _, und, _ = state
+    r = adj[v] & und & ~cov
+    while r:
+        low = r & -r
+        if not adj[low.bit_length() - 1] & (und | pos):
+            return True
+        r ^= low
+    return False
+
+
 def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...],
                   deadline: _Deadline) -> tuple[int, ...]:
     """The lexicographically smallest optimal labeling of sg's free set with at least twos 2s.
@@ -394,16 +430,17 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
     smallest first, and the witness's own label is fixed when none has a
     completion, so a vertex whose cheapest label matches it costs nothing.
     Each probe extends the state of the labels fixed so far by one label;
-    _fix answers a dead one, and _search under MAX_TWOS any other. Labels
-    outside sg.free come back as -1.
+    _fix answers a dead one, _strands a 0 that leaves a neighbour with no
+    label to take, and _search under MAX_TWOS any other. Labels outside
+    sg.free come back as -1.
     """
     adj = sg.g.adj
     state = sg.root
     witness = seed
-    for v in bits_of(sg.free):
+    for v in sg.verts:
         for lab in range(witness[v]):
             child = _fix(adj, state, v, lab)
-            if child is None:
+            if child is None or lab == 0 and _strands(adj, child, v):
                 continue
             ok, _, completion = _search(sg, child, _kernels.MAX_TWOS, twos - 1, value, True,
                                         deadline)
@@ -474,7 +511,7 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline):
         return ub, seed_labels
     parts = [sg.root]
     if ub <= size:
-        comp = bits_of(free)
+        comp = sg.verts
         if (all(g.adj[v].bit_count() == sg.max_degree for v in comp)
                 and in_one_orbit(g, sg.pair, [0] * g.n, comp)):
             root = _fix(g.adj, sg.root, comp[0], 2)
@@ -506,7 +543,7 @@ def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline, max_twos:
     twos = 0
     try:
         if max_twos:
-            twos = sum(witness[v] == 2 for v in bits_of(sg.free))
+            twos = sum(witness[v] == 2 for v in sg.verts)
             if twos < value // 2:
                 found, twos, better = _search(sg, sg.root, _kernels.MAX_TWOS, twos, value,
                                               False, deadline)
@@ -551,7 +588,7 @@ def _solve(g: Graph, deadline: _Deadline, max_twos: bool):
             raise
         value += sub_value
         twos += sub_twos
-        for v in bits_of(comp):
+        for v in sg.verts:
             labels[v] = sub_labels[v]
     witness = LabelFunction(g, tuple(labels))
     if (not is_total_roman_dominating(witness) or witness.weight != value
@@ -661,10 +698,11 @@ def trdf_pareto_frontier(g: Graph, budget: float | None = None) -> list[ParetoPo
     """For each weight from gamma_tR to 2*gamma_t, the best 2-count and a verified witness.
 
     The first point is the max-2s solve: gamma_tr_max_v2's value, 2-count
-    and witness. Each later weight w searches from the previous point's
-    2-count, and always finds more: the frontier goes on only while the
-    previous witness weighs more than twice its 2-count, so it has a 1, and
-    raising that 1 to 2 gives a labeling of weight w with one more 2. Every
+    and witness. The frontier goes on only while the previous witness
+    weighs more than twice its 2-count, so it has a 1, and raising its first
+    1 to 2 gives a labeling of the next weight w with one more 2. That
+    labeling is the fallback of weight w, and its search starts from its
+    2-count, so it looks only for labelings with more 2s still. Every
     witness is re-verified, and every point shares one deadline.
 
     The frontier stops at the first weight w whose best labeling has
@@ -680,10 +718,13 @@ def trdf_pareto_frontier(g: Graph, budget: float | None = None) -> list[ParetoPo
     sg = _SearchGraph(g)
     while weight > 2 * twos:
         weight += 1
-        found, twos, labels = _search(sg, sg.root, _kernels.MAX_TWOS, twos, weight, False,
+        found, twos, labels = _search(sg, sg.root, _kernels.MAX_TWOS, twos + 1, weight, False,
                                       deadline)
-        witness = LabelFunction(g, labels) if found else None
-        if (witness is None or not is_total_roman_dominating(witness)
+        if not found:
+            labels = list(witness.labels)
+            labels[labels.index(1)] = 2
+        witness = LabelFunction(g, tuple(labels))
+        if (not is_total_roman_dominating(witness)
                 or witness.weight != weight or len(witness.v2) != twos):
             raise ConsistencyError(f"no verified frontier witness at weight {weight}")
         points.append(ParetoPoint(weight, twos, witness))

@@ -16,7 +16,7 @@ from trdprod.graph import (Graph, bits_of, connected_components, direct_product,
                            from_edge_list, in_one_orbit, is_regular, mask_of, pair_table)
 from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _orbital_fix, _search,
+from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _orbital_fix, _search, _strands,
                            gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                            greedy_total_dominating_set, maximum_open_packings, rho_exact,
                            rho_o_exact, rho_o_set_inducing_perfect_matching,
@@ -40,6 +40,19 @@ def _fixed_state(adj, fixed):
 def _fixed_labels(state):
     """The fixed labels of a state as a dict."""
     return {v: lab for v, lab in enumerate(state[7]) if lab >= 0}
+
+
+def _random_isolate_free_graphs(count, seed):
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(4, 9)
+        p = rng.uniform(0.25, 0.7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, edges, f"R{len(graphs)}")
+        if all(g.adj):
+            graphs.append(g)
+    return graphs
 
 
 # values frozen from the exhaustive 3^n scan
@@ -188,8 +201,8 @@ def test_pareto_frontier_stops_at_twice_gamma_t():
 
 
 def test_pareto_frontier_matches_weight_constrained_search():
-    # each frontier search starts from the previous point's 2-count, and
-    # these searches from none; the first point is the max-2s solve
+    # each frontier search starts from the previous point's 2-count plus
+    # one, and these searches from none; the first point is the max-2s solve
     for g in [path(4), cycle(5), star(3), fan(6), wheel(6), complete_bipartite(2, 3),
               prism(cycle(4)), TWO_K2, direct_product(cycle(4), cycle(4)).base]:
         sg = _SearchGraph(g)
@@ -208,9 +221,9 @@ def test_pareto_frontier_matches_weight_constrained_search():
                                     (False, 1, None)])
 def test_frontier_witness_is_reverified(monkeypatch, answer):
     # a search answer of the wrong weight, or not total Roman dominating, is
-    # refused, and so is a search that finds no more 2s, which a witness with
-    # a 1 at the previous weight rules out; P3's weight-4 point is the first
-    # past its max-2s solve
+    # refused, and so is a 2-count below the fallback's, the previous witness
+    # with a 1 raised to 2; P3's weight-4 point is the first past its max-2s
+    # solve
     real = solve._search
 
     def wrong_at_4(sg, state, mode, best, cap, *args):
@@ -231,6 +244,40 @@ def test_greedy_total_dominating_set_is_valid():
     # where the lexicographically first optimum puts its 0s, out of the seed
     assert greedy_total_dominating_set(cycle(4)).vertices() == (2, 3)
     assert greedy_total_dominating_set(cycle(6)).vertices() == (2, 3, 4, 5)
+
+
+def _greedy_by_scan(g):
+    """The greedy set by a scan of the non-members at each pick, the last best gain winning."""
+    undominated = (1 << g.n) - 1
+    members = 0
+    while undominated:
+        best_v, best_gain = -1, -1
+        for v in range(g.n):
+            if members >> v & 1:
+                continue
+            gain = (g.adj[v] & undominated).bit_count()
+            if gain >= best_gain:
+                best_v, best_gain = v, gain
+        members |= 1 << best_v
+        undominated &= ~g.adj[best_v]
+    return members
+
+
+def test_greedy_picks_from_one_gains_list_as_a_scan_of_non_members_does():
+    # members have gain 0 and some vertex has gain at least 1, so taking the
+    # last maximum over every vertex picks what the scan of non-members picks
+    rng = random.Random(2029)
+    graphs = []
+    while len(graphs) < 300:
+        n = rng.randint(2, 30)
+        p = rng.uniform(0.05, 0.8)
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+        if all(g.adj):
+            graphs.append(g)
+    graphs += [direct_product(g, h).base for g, h in zip(graphs[:20], graphs[20:40])]
+    for g in graphs:
+        assert greedy_total_dominating_set(g).members == _greedy_by_scan(g), g.name
 
 
 def test_maximum_open_packings_and_matching_flag():
@@ -279,6 +326,32 @@ def test_trivial_lower_bound_is_below_the_oracle_on_the_catalog():
         assert trivial_lower_bound(g) <= gamma_tr_bruteforce(g).value, g.name
 
 
+@pytest.mark.parametrize("g", _random_isolate_free_graphs(60, seed=2030),
+                         ids=lambda g: g.name)
+def test_trivial_lower_bound_is_below_the_oracle_on_random_graphs(g):
+    assert trivial_lower_bound(g) <= gamma_tr_bruteforce(g).value
+
+
+def test_the_floor_of_four_is_tight_without_a_universal_vertex(monkeypatch):
+    # K4,9 has ceil(2n/Delta) = ceil(26/9) = 3, but no universal vertex, so
+    # no labeling of weight 3; a 2 on one vertex of each side weighs 4
+    g = complete_bipartite(4, 9)
+    assert trivial_lower_bound(g) == 4 == gamma_tr_exact(g).value
+    # with a universal vertex the floor stays 3: a 2 there and a 1 beside it
+    for g in (star(3), complete(4), wheel(6)):
+        assert trivial_lower_bound(g) == 3 == gamma_tr_bruteforce(g).value, g.name
+
+    # K2,3 x K2,3 is K4,9 and K6,6; each component's greedy seed weighs its
+    # floor of 4, so the optimality proof never calls its kernel
+    def no_proof(*args):
+        raise AssertionError("the proof kernel ran")
+
+    monkeypatch.setattr(_kernels, "bnb_min_weight", no_proof)
+    g = direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base
+    assert gamma_tr_exact(g, budget=60).value == 8
+    assert gamma_tr_max_v2(g, budget=60).max_v2 == 4
+
+
 def test_the_zero_vertex_graph_has_gamma_t_and_floor_zero():
     # gamma_t once skipped the empty set and raised ConsistencyError, and the
     # floor was 2, above gamma_tR = 0
@@ -317,14 +390,17 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     # the trivial floor equals the greedy seed, which is the lexicographically
     # first optimum and has value // 2 twos, so nothing searches
     (direct_product(cycle(4), prism(cycle(3))).base, 0, 0),
-    (direct_product(complete(3), wheel(6)).base, 1142, 83),
+    (direct_product(complete(3), wheel(6)).base, 1139, 80),
+    # two components that meet the floor of 4, so no proof runs; the lex
+    # probes that the look-ahead does not answer search 6 nodes
+    (direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base, 6, 6),
     # vertex-transitive, so its proof starts from a 2 at vertex 0, which the
     # orbital rule splits on one neighbour of vertex 0 before any node
     (direct_product(cycle(5), cycle(4)).base, 765, 0),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes)
     (direct_product(fan(6), cycle(4)).base, 2085, 126),
-], ids=["C4xprismC3", "K3xW6", "C5xC4", "F6xC4"])
+], ids=["C4xprismC3", "K3xW6", "K23xK23", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
     # between clock reads; min_nodes counts every node of the exact solve
@@ -373,19 +449,6 @@ def test_a_timeout_reports_the_nodes_of_every_search_of_the_solve(monkeypatch):
     assert late and proof_nodes[0] > 0
     assert err.value.nodes > proof_nodes[0]
     assert err.value.lower_bound == err.value.upper_bound == 7
-
-
-def _random_isolate_free_graphs(count, seed):
-    rng = random.Random(seed)
-    graphs = []
-    while len(graphs) < count:
-        n = rng.randint(4, 9)
-        p = rng.uniform(0.25, 0.7)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = from_edge_list(n, edges, f"R{len(graphs)}")
-        if all(g.adj):
-            graphs.append(g)
-    return graphs
 
 
 @pytest.mark.parametrize("g", _random_isolate_free_graphs(40, seed=2020),
@@ -607,6 +670,42 @@ def test_fixed_state_matches_the_masks_of_its_labels(g):
         if free:
             _fix(g.adj, state, rng.choice(free), rng.choice((0, 1, 2)))
             assert state[7] == labels
+
+
+def _has_completion(g, fixed):
+    """Whether some labeling that keeps fixed is total Roman dominating, by a scan of all 3^free."""
+    free = [v for v in range(g.n) if v not in fixed]
+    for labs in itertools.product((0, 1, 2), repeat=len(free)):
+        labels = [fixed.get(v, 0) for v in range(g.n)]
+        for v, lab in zip(free, labs):
+            labels[v] = lab
+        if is_total_roman_dominating(LabelFunction(g, tuple(labels))):
+            return True
+    return False
+
+
+def test_a_probe_the_look_ahead_rejects_has_no_completion():
+    # the lex probes answer a 0 that strands a neighbour without a search;
+    # every such child, over random graphs and prefixes, has no completion
+    rng = random.Random(2031)
+    rejected = 0
+    for g in _random_isolate_free_graphs(60, seed=2031):
+        if g.n > 7:
+            continue
+        for _ in range(25):
+            fixed = {v: rng.choice((0, 1, 2))
+                     for v in rng.sample(range(g.n), rng.randint(0, g.n - 1))}
+            state = _fixed_state(g.adj, fixed)
+            if state is None:
+                continue
+            for v in range(g.n):
+                if v in fixed:
+                    continue
+                child = _fix(g.adj, state, v, 0)
+                if child is not None and _strands(g.adj, child, v):
+                    rejected += 1
+                    assert not _has_completion(g, {**fixed, v: 0}), (g.name, fixed, v)
+    assert rejected >= 100
 
 
 def test_eod_product_certificate_case():
