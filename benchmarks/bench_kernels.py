@@ -7,10 +7,10 @@ search row also gives the B&B node total and nodes per second: every node
 the B&B kernel visits in the solve, under either name (the proof runs as
 bnb_min_weight, the lex probes as bnb_max_twos), and that total over the
 solve's time. The fixed-cost row repeats a small solve: SMALL_SOLVES
-exact and SMALL_SOLVES max-2s solves of K2,3 x K2,3, whose components meet
-their trivial floor, so the row times the seed, the set-up and the lex
-walk rather than a proof; its value is the sum over those solves, and it
-gives the node total without a rate.
+exact and SMALL_SOLVES max-2s solves of K2,3 x K2,3, whose proof visits
+3 nodes, so the row times the seed, the set-up and the lex walk rather
+than search; its value is the sum over those solves, and it gives the
+node total without a rate.
 
 Usage:
     python benchmarks/bench_kernels.py            # quick set

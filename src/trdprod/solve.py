@@ -140,12 +140,12 @@ class _SearchGraph:
     proof, every lex probe and the max-2s pass. verts lists free in
     increasing order, built once for every walk over the free vertices. The
     kernels read bit and max_degree, the largest degree in free. The
-    vertex-transitivity test of a regular component's proof and the
-    orbital rule read pair
-    (graph.pair_table of g), which is built on first use and shared by
-    every component of a solve through whole, so a solve that runs neither
-    never builds it and one that does builds it once. root is the state
-    (see _fix) of no fixed label, from which every search's state grows.
+    vertex-transitivity test of a regular component's proof and the orbital
+    rule read pair (graph.pair_table of g), which is built on first use and
+    shared by every component of a solve through whole, so a solve that
+    runs neither never builds it and one that does builds it once. root is
+    the state (see _fix) of no fixed label, from which every search's state
+    grows.
     """
 
     def __init__(self, g: Graph, free: int | None = None, whole: _SearchGraph | None = None):
@@ -187,22 +187,13 @@ class _Deadline:
 
 
 def trivial_lower_bound(g: Graph) -> int:
-    """Cheap certified floor: ceil(2n/Delta), and at least 4 without a universal vertex.
+    """Cheap certified floor: ceil(2n/Delta) once Delta >= 2, else n; never below min(n, 3).
 
-    The first term is n when Delta < 2. Every vertex is positive or has a
-    2-neighbour. A 1 serves only itself. A 2 serves its closed
-    neighbourhood, but one neighbour must be positive and so serves itself,
-    which leaves at most Delta vertices served per 2. The floor is never
-    below ceil(2n/(Delta+1)), the Roman domination floor.
-
-    The second term is min(n, 4), or min(n, 3) when some vertex is
-    universal (Delta = n - 1). A labeling with a 0 has a 2 beside that 0,
-    and the 2 has a positive neighbour, so it weighs at least 3; one with
-    no 0 weighs at least n. On n >= 4 vertices a labeling of weight 3 is
-    then a 2 and a 1 with a 0 everywhere else, and each 0 and the 1 are
-    neighbours of the 2, which is universal. No direct product of two
-    factors of order >= 2 has a universal vertex, so there the floor is
-    at least 4.
+    It is the kernels' Roman cover bound at the root. Every vertex is
+    positive or has a 2-neighbour. A 1 serves only itself. A 2 serves its
+    closed neighbourhood, but one neighbour must be positive and so serves
+    itself, which leaves at most Delta vertices served per 2. The floor is
+    never below ceil(2n/(Delta+1)), the Roman domination floor.
     """
     return _floor(g.n, g.max_degree())
 
@@ -210,7 +201,7 @@ def trivial_lower_bound(g: Graph) -> int:
 def _floor(n: int, delta: int) -> int:
     """trivial_lower_bound of a graph or component of n vertices and largest degree delta."""
     lb = -(-2 * n // delta) if delta >= 2 else n
-    return max(lb, min(n, 3 if delta == n - 1 else 4))
+    return max(lb, min(n, 3))
 
 
 def greedy_total_dominating_set(g: Graph) -> VertexSet:
@@ -218,19 +209,21 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
 
     Gain ties break toward the highest index: the lexicographically first
     optimum puts its 0s at the low indices, so a seed with its 2s at the
-    high ones leaves the lexicographic rebuild less to move. Each pick reads
-    one list of gains over every vertex: a member has gain 0, since its
-    neighbours are dominated once it joins, and while a vertex is
-    undominated its neighbours have gain at least 1, so no member is picked.
+    high ones leaves the lexicographic rebuild less to move.
     """
     require_no_isolated(g, "total domination")
     undominated = (1 << g.n) - 1
     members = 0
     while undominated:
-        gains = [(a & undominated).bit_count() for a in g.adj]
-        best = len(gains) - 1 - gains[::-1].index(max(gains))
-        members |= 1 << best
-        undominated &= ~g.adj[best]
+        best_v, best_gain = -1, -1
+        for v in range(g.n):
+            if members >> v & 1:
+                continue
+            gain = (g.adj[v] & undominated).bit_count()
+            if gain >= best_gain:
+                best_v, best_gain = v, gain
+        members |= 1 << best_v
+        undominated &= ~g.adj[best_v]
     return VertexSet(g, members, "total_dominating")
 
 
@@ -399,15 +392,14 @@ def _orbital_fix(sg: _SearchGraph, state) -> list:
 
 
 def _strands(adj, state, v: int) -> bool:
-    """Whether state, which has just fixed a 0 at v, leaves an undecided
-    neighbour u of v that no label can satisfy.
+    """Whether the 0 that state has just fixed at v leaves a neighbour no label satisfies.
 
-    Such a u has no undecided neighbour left and no positive neighbour, so
-    no 2-neighbour either (it is outside cov): a 0 at u would lack a
-    2-neighbour and a positive u a positive neighbour, in every completion.
-    A positive v is itself a positive neighbour, so only a 0 can strand u.
-    _fix stays the exact copy of the kernels' child rule; this test runs on
-    the lexicographic probes only.
+    That neighbour u is undecided, outside cov, and has no undecided and no
+    positive neighbour left, so no 2-neighbour either: a 0 at u would lack
+    a 2-neighbour and a positive u a positive neighbour, in every
+    completion. A positive v is itself a positive neighbour, so only a 0
+    can strand u. _fix stays the exact copy of the kernels' child rule;
+    this test runs on the lexicographic probes only.
     """
     _, _, cov, pos, _, _, und, _ = state
     r = adj[v] & und & ~cov
