@@ -12,7 +12,7 @@ from .graph import (Graph, ProductGraph, central_triangle, direct_product,
                     from_edge_list, has_isolated_vertex, is_bipartite,
                     is_connected, is_regular, is_triangle_free)
 from .graph6 import emit_graph6, parse_graph6
-from .families import FamilySpec, generate, parse_graph_token
+from .families import generate, parse_graph_token
 from .labeling import (LabelFunction, VertexSet, is_efficient_open_dominating,
                        is_open_packing, is_packing, is_total_dominating,
                        is_total_roman_dominating, trdf_from_total_dominating_set)

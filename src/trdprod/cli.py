@@ -160,7 +160,7 @@ def _cmd_family(args) -> int:
             raise GraphInputError(f"family {kind!r} size parameters must be integers,"
                                   f" got {list(sizes)}") from None
         operands = tuple(_load_graph(p) for p in operands)
-    g = families.generate(families.FamilySpec(kind, sizes, operands))
+    g = families.generate(kind, sizes, operands)
     _emit_graph(g, args.emit)
     return 0
 

@@ -20,7 +20,6 @@ order graph6 encodes, before it builds any edge.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import GraphInputError
 from .graph import GRAPH6_MAX_ORDER, Graph, from_edge_list
@@ -111,15 +110,6 @@ def prism(g: Graph, name: str = "") -> Graph:
     return from_edge_list(2 * g.n, edges, name or f"prism({g.name})")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative family request: a kind, integer sizes, and operand graphs."""
-
-    kind: str
-    sizes: tuple[int, ...] = ()
-    operands: tuple[Graph, ...] = field(default=())
-
-
 # family kind -> (builder, number of size parameters, number of operand graphs)
 FAMILY_BUILDERS = {
     "path": (path, 1, 0),
@@ -135,16 +125,17 @@ FAMILY_BUILDERS = {
 }
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a FamilySpec describes; parameter checks live in the builders."""
-    if spec.kind not in FAMILY_BUILDERS:
-        raise GraphInputError(f"unknown family kind {spec.kind!r}; valid: "
+def generate(kind: str, sizes: tuple[int, ...] = (), operands: tuple[Graph, ...] = ()) -> Graph:
+    """Build the family graph of a kind, its integer sizes and its operand graphs;
+    parameter checks live in the builders."""
+    if kind not in FAMILY_BUILDERS:
+        raise GraphInputError(f"unknown family kind {kind!r}; valid: "
                               + ", ".join(sorted(FAMILY_BUILDERS)))
-    fn, nsizes, nops = FAMILY_BUILDERS[spec.kind]
-    if len(spec.sizes) != nsizes or len(spec.operands) != nops:
-        raise GraphInputError(f"family {spec.kind!r} takes {nsizes} size parameter(s) "
+    fn, nsizes, nops = FAMILY_BUILDERS[kind]
+    if len(sizes) != nsizes or len(operands) != nops:
+        raise GraphInputError(f"family {kind!r} takes {nsizes} size parameter(s) "
                               f"and {nops} operand graph(s)")
-    return fn(*spec.sizes, *spec.operands)
+    return fn(*sizes, *operands)
 
 
 _SHORTHAND = [

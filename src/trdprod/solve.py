@@ -9,9 +9,15 @@ best certified bounds rather than returning an approximation, and with the
 nodes every search of the solve visited. A budget of None means
 DEFAULT_BUDGET_S.
 
-Each connected component is solved on its own, as a vertex mask of one
-search graph on the whole graph: the mask is the free set of the
-component's searches, labels keep their indices, and no subgraph is built.
+_solve is the one loop over connected components. Each is solved on its
+own, as a vertex mask of one search graph on the whole graph: the mask is
+the free set of the component's searches, labels keep their indices, and
+no subgraph is built. Per component it runs the proof (_gamma_tr_value),
+the max-2s pass when asked (_most_twos) and the lexicographic rebuild
+(_lex_smallest), and it holds the one SolverTimeout handler, which turns
+what each component has proven so far into bounds on the whole graph.
+Every search is one call of _search on a list of states, searched in turn
+from the incumbent so far, and every witness returned passes _verified.
 
 The optimality proof searches for a labeling lighter than a seed of weight
 ub. On a vertex-transitive component of n vertices with ub <= n it
@@ -36,17 +42,17 @@ exactly the optimum with at least the best 2-count (0 when 2s are not
 counted)?
 
 No max-2s search that a solve or a frontier runs starts without an
-incumbent. The max-2s pass of a solve starts from the 2-count of the
-proof's witness, a labeling of the weight it searches, which it keeps when
-nothing beats it; it does not run when that witness already has value // 2
-twos, the most a labeling of that weight can have. The frontier's first
-point is the max-2s solve, and each later weight starts from the previous
-point's witness with a 1 raised to 2, which it keeps when nothing beats it.
-The greedy seed breaks gain ties toward the highest index, where the
-lexicographically first optimum puts its 2s, so fewer probes succeed in
-moving them. Each incumbent is at most the 2-count of a real labeling and
-the lexicographic witness is unique, so values, 2-counts and witnesses are
-those of searches that start from none.
+incumbent: both go through _most_twos, which searches from the 2-count of
+a labeling in hand of the weight it searches, keeps that labeling when
+nothing beats it, and runs no search when it already has weight // 2 twos,
+the most a labeling of that weight can have. The max-2s pass of a solve
+starts from the proof's witness. The frontier's first point is the max-2s
+solve, and each later weight starts from the previous point's witness with
+a 1 raised to 2. The greedy seed breaks gain ties toward the highest
+index, where the lexicographically first optimum puts its 2s, so fewer
+probes succeed in moving them. Each incumbent is at most the 2-count of a
+real labeling and the lexicographic witness is unique, so values, 2-counts
+and witnesses are those of searches that start from none.
 
 Every search (the proof, the max-2s pass and each lexicographic probe)
 also applies an orbital rule below that root. A search still running after
@@ -134,38 +140,34 @@ class ParetoPoint:
 class _SearchGraph:
     """A graph, the free vertex set of its searches, and what every search reads.
 
-    free is a vertex mask: every vertex, or one connected component of a
-    disconnected graph, whose searches then run on g itself with every label
-    at its own index. One is built per component solve and shared by the
-    proof, every lex probe and the max-2s pass. verts lists free in
-    increasing order, built once for every walk over the free vertices. The
+    free is a vertex mask: every vertex, or one connected component, whose
+    searches then run on g itself with every label at its own index. One
+    is built per component and shared by the proof, the max-2s pass and
+    every lex probe. verts lists free in increasing order, for every walk
+    over the free vertices, and floor is the free set's trivial floor. The
     kernels read bit and max_degree, the largest degree in free. The
     vertex-transitivity test of a regular component's proof and the orbital
-    rule read pair (graph.pair_table of g), which is built on first use and
-    shared by every component of a solve through whole, so a solve that
-    runs neither never builds it and one that does builds it once. root is
+    rule read pair (graph.pair_table of g), which is built on first use.
+    The search graphs of a solve's components share bit and pair through
+    shared, the first of them, so a solve that runs neither the test nor
+    the rule never builds pair and one that does builds it once. root is
     the state (see _fix) of no fixed label, from which every search's state
     grows.
     """
 
-    def __init__(self, g: Graph, free: int | None = None, whole: _SearchGraph | None = None):
+    def __init__(self, g: Graph, free: int | None = None, shared: _SearchGraph | None = None):
         self.g = g
-        self._whole = whole
-        if free is None:
-            self.free = (1 << g.n) - 1
-            self.verts = list(range(g.n))
-            self.bit = [1 << v for v in self.verts]
-            self.max_degree = g.max_degree()
-        else:
-            self.free = free
-            self.verts = bits_of(free)
-            self.bit = whole.bit
-            self.max_degree = max(g.adj[v].bit_count() for v in self.verts)
+        self._shared = shared
+        self.free = (1 << g.n) - 1 if free is None else free
+        self.verts = bits_of(self.free)
+        self.bit = shared.bit if shared is not None else [1 << v for v in range(g.n)]
+        self.max_degree = max((g.adj[v].bit_count() for v in self.verts), default=0)
+        self.floor = _floor(len(self.verts), self.max_degree)
         self.root = (0, 0, 0, 0, 0, 0, self.free, [-1] * g.n)
 
     @cached_property
     def pair(self) -> list[list[int]]:
-        return self._whole.pair if self._whole is not None else pair_table(self.g)
+        return self._shared.pair if self._shared is not None else pair_table(self.g)
 
 
 class _Deadline:
@@ -264,97 +266,81 @@ def _fix(adj, state, v: int, lab: int):
     return weight + lab, twos, cov, pos, un0, unp, und, labels
 
 
-def _search(sg: _SearchGraph, state, mode: int, best: int, cap: int,
-            early: bool, deadline: _Deadline):
-    """The best completion of a fixed-label state under one objective, from incumbent best.
+def _search(sg: _SearchGraph, parts: list, mode: int, best: int, cap: int, early: bool,
+            deadline: _Deadline):
+    """The best completion of any of parts, a list of fixed-label states, from incumbent best.
 
     Returns (found, best, labels_or_None). With mode MIN_WEIGHT, found means
     a completion lighter than the incumbent, and best is the lightest
     weight. With MAX_TWOS, it means a completion of weight exactly cap with
-    more 2s than the incumbent, and best is the largest 2-count. With early,
-    the first such completion ends the search. A state of None (see _fix)
-    has no completion, and its search visits no node.
+    more 2s than the incumbent, and best is the largest 2-count. The states
+    are searched in turn, each from the incumbent so far; with early, the
+    first completion found ends the whole search. A state of None (see
+    _fix) has no completion, and its search visits no node.
 
-    The kernel runs in chunks of nodes, and the clock is read after each. A
-    search still running after its first chunk of _FIRST_CHUNK nodes asks
-    _orbital_fix for reduced states of its own state. When there are some,
-    the search is dropped, keeping any incumbent it found, and _search_parts
-    searches each reduced state in turn (by this function, so the rule can
-    apply again) from the incumbent so far; an early search stops at the
-    first that finds one.
-    Any completion maps onto one of theirs with the same weight and 2-count
-    (module docstring), so found and best are those of a search over every
-    completion; labels is some completion that reaches best. Otherwise the
-    same search resumes in chunks sized to take about _SLICE_S each; the
-    kernel resumes exactly, so chunking never changes the nodes visited.
+    The kernel runs in chunks of nodes, and the clock is read after each;
+    a search that runs out raises SolverTimeout, carrying the proof's
+    incumbent under MIN_WEIGHT. A state's search still running after its
+    first chunk of _FIRST_CHUNK nodes asks _orbital_fix for reduced states
+    of it. When there are some, that search is dropped, keeping any
+    incumbent it found, and the reduced states are searched by this
+    function, so the rule can apply again. Any completion maps onto one of
+    theirs with the same weight and 2-count (module docstring), so found
+    and best are those of a search over every completion; labels is some
+    completion that reaches best. Otherwise the same search resumes in
+    chunks sized to take about _SLICE_S each; the kernel resumes exactly, so
+    chunking never changes the nodes visited.
     """
-    if state is None:
-        return False, best, None
     adj = sg.g.adj
-    weight, twos, cov, pos, un0, unp, und, fixed_labels = state
-    labels = fixed_labels[:]
-    # Slot 0 of each per-depth stack holds the state's masks, and order
-    # lists every free vertex; the kernel writes the deeper slots and
-    # reorders order as it descends.
-    order = bits_of(und)
-    k = len(order)
-    rest = [0] * k
-    trial = [0] * (k + 1)
-    covs, poss, un0s, unps, unds = ([cov] + rest, [pos] + rest, [un0] + rest, [unp] + rest,
-                                    [und] + rest)
-    best_labels = [-1] * len(labels)
-    st = [0, weight, twos, best, 0, 0, k, 0, cap, int(early), mode, sg.max_degree]
     kernel = _kernels.bnb_min_weight if mode == _kernels.MIN_WEIGHT else _kernels.bnb_max_twos
-    size = _FIRST_CHUNK
-    parts = None
-    while True:
-        t0 = time.monotonic()
-        before = st[4]
-        status = kernel(adj, labels, order, trial, covs, poss, un0s, unps, sg.bit, unds,
-                        best_labels, st, size)
-        deadline.nodes += st[4] - before
-        if status != _kernels.RUNNING:
-            break
-        t1 = time.monotonic()
-        if t1 >= deadline.at:
-            exc = SolverTimeout(f"search budget exhausted after {deadline.nodes} nodes",
-                                nodes=deadline.nodes)
-            if mode == _kernels.MIN_WEIGHT:
+    found, witness = False, None
+    for state in parts:
+        if state is None:
+            continue
+        weight, twos, cov, pos, un0, unp, und, fixed_labels = state
+        labels = fixed_labels[:]
+        # Slot 0 of each per-depth stack holds the state's masks, and order
+        # lists every free vertex; the kernel writes the deeper slots and
+        # reorders order as it descends.
+        order = bits_of(und)
+        k = len(order)
+        rest = [0] * k
+        trial = [0] * (k + 1)
+        covs, poss, un0s, unps, unds = ([cov] + rest, [pos] + rest, [un0] + rest,
+                                        [unp] + rest, [und] + rest)
+        best_labels = [-1] * len(labels)
+        st = [0, weight, twos, best, 0, 0, k, 0, cap, int(early), mode, sg.max_degree]
+        size = _FIRST_CHUNK
+        split = None
+        while True:
+            t0 = time.monotonic()
+            before = st[4]
+            status = kernel(adj, labels, order, trial, covs, poss, un0s, unps, sg.bit, unds,
+                            best_labels, st, size)
+            deadline.nodes += st[4] - before
+            if status != _kernels.RUNNING:
+                break
+            t1 = time.monotonic()
+            if t1 >= deadline.at:
                 # the incumbent only ever drops to the weight of a valid labeling
-                exc.upper_bound = st[3]
-            raise exc
-        if parts is None:
-            parts = _orbital_fix(sg, state)
-            if parts:
-                break
-        fit = int(size * _SLICE_S / max(t1 - t0, 1e-6))
-        size = max(_FIRST_CHUNK, min(4 * size, fit))
-    found = bool(st[7])
-    best = st[3]
-    witness = tuple(best_labels) if found else None
-    if parts:
-        ok, best, part_labels = _search_parts(sg, parts, mode, best, cap, early, deadline)
-        if ok:
-            found, witness = True, part_labels
-    return found, best, witness
-
-
-def _search_parts(sg: _SearchGraph, parts: list, mode: int, best: int, cap: int, early: bool,
-                  deadline: _Deadline):
-    """_search from each state in turn, from the incumbent so far.
-
-    Returns (found, best, labels_or_None) as _search does, found meaning
-    that some part beat the incumbent it started from; an early search
-    stops at the first part that does.
-    """
-    found = False
-    witness = None
-    for part in parts:
-        ok, best, labels = _search(sg, part, mode, best, cap, early, deadline)
-        if ok:
-            found, witness = True, labels
-            if early:
-                break
+                raise SolverTimeout(f"search budget exhausted after {deadline.nodes} nodes",
+                                    upper_bound=st[3] if mode == _kernels.MIN_WEIGHT else None,
+                                    nodes=deadline.nodes)
+            if split is None:
+                split = _orbital_fix(sg, state)
+                if split:
+                    break
+            fit = int(size * _SLICE_S / max(t1 - t0, 1e-6))
+            size = max(_FIRST_CHUNK, min(4 * size, fit))
+        best = st[3]
+        if st[7]:
+            found, witness = True, tuple(best_labels)
+        if split:
+            ok, best, split_labels = _search(sg, split, mode, best, cap, early, deadline)
+            if ok:
+                found, witness = True, split_labels
+        if found and early:
+            break
     return found, best, witness
 
 
@@ -434,7 +420,7 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
             child = _fix(adj, state, v, lab)
             if child is None or lab == 0 and _strands(adj, child, v):
                 continue
-            ok, _, completion = _search(sg, child, _kernels.MAX_TWOS, twos - 1, value, True,
+            ok, _, completion = _search(sg, [child], _kernels.MAX_TWOS, twos - 1, value, True,
                                         deadline)
             if ok:
                 state, witness = child, completion
@@ -466,11 +452,19 @@ def _brute_scan(g: Graph):
 def gamma_tr_bruteforce(g: Graph) -> SolveResult:
     """Independent oracle: exhaustive scan of all 3^n labelings."""
     best, labels, _ = _brute_scan(g)
-    witness = LabelFunction(g, labels)
-    if not is_total_roman_dominating(witness) or witness.weight != best:
-        raise ConsistencyError("brute force witness failed validation")
+    witness = _verified(g, labels, best, None, "brute force witness failed validation")
     return SolveResult("gamma_tR", best, witness, "brute_force",
                        tie_break_note="lexicographically smallest optimal labeling")
+
+
+def _verified(g: Graph, labels, weight: int, twos: int | None, message: str) -> LabelFunction:
+    """labels as a LabelFunction of g, once it is total Roman dominating, weighs weight
+    and has twos 2s (any number when twos is None); ConsistencyError(message) otherwise."""
+    witness = LabelFunction(g, tuple(labels))
+    if (not is_total_roman_dominating(witness) or witness.weight != weight
+            or twos is not None and len(witness.v2) != twos):
+        raise ConsistencyError(message)
+    return witness
 
 
 def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline):
@@ -489,103 +483,89 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline):
     |free| has a 0 somewhere, so a 2 at some vertex v (the 0 needs a
     2-neighbour), and composing it with an automorphism that sends r to v
     gives a valid labeling of the same weight with a 2 at r. That root goes
-    through the orbital rule (module docstring) before any node is searched,
-    and its parts are searched in turn, each from the incumbent so far.
+    through the orbital rule (module docstring) before any node is searched.
     """
     g = sg.g
-    free = sg.free
-    seed &= free
+    seed &= sg.free
     seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
     ub = 2 * seed.bit_count()
-    size = free.bit_count()
-    floor = _floor(size, sg.max_degree)
-    if floor >= ub:
+    if sg.floor >= ub:
         return ub, seed_labels
     parts = [sg.root]
-    if ub <= size:
-        comp = sg.verts
-        if (all(g.adj[v].bit_count() == sg.max_degree for v in comp)
-                and in_one_orbit(g, sg.pair, [0] * g.n, comp)):
-            root = _fix(g.adj, sg.root, comp[0], 2)
-            parts = _orbital_fix(sg, root) or [root]
-    try:
-        found, value, labels = _search_parts(sg, parts, _kernels.MIN_WEIGHT, ub, 0, False,
-                                             deadline)
-    except SolverTimeout as exc:
-        exc.lower_bound = floor
-        raise
-    if found:
-        return value, labels
-    return ub, seed_labels
+    comp = sg.verts
+    if (ub <= len(comp) and all(g.adj[v].bit_count() == sg.max_degree for v in comp)
+            and in_one_orbit(g, sg.pair, [0] * g.n, comp)):
+        root = _fix(g.adj, sg.root, comp[0], 2)
+        parts = _orbital_fix(sg, root) or [root]
+    found, value, labels = _search(sg, parts, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
+    return (value, labels) if found else (ub, seed_labels)
 
 
-def _solve_component(sg: _SearchGraph, seed: int, deadline: _Deadline, max_twos: bool):
-    """Optimal weight, best 2-count and witness labels of sg's free set.
+def _most_twos(sg: _SearchGraph, weight: int, labels, deadline: _Deadline):
+    """The most 2s a labeling of sg's free set of this weight has, and one that has them.
 
-    The witness is the lexicographically smallest optimal labeling of the
-    free set, with -1 at every other vertex; with max_twos it is the
-    smallest among those with the most 2s, and the 2-count is their number
-    of 2s (0 otherwise). seed is as for _gamma_tr_value. The max-2s pass
-    starts from the 2-count of the proof's witness, a labeling of the
-    optimal weight, and keeps that witness unless it finds more 2s, so it
-    always ends with a labeling in hand. It runs only when that witness has
-    fewer than value // 2 twos, the most a labeling of that weight can have.
+    labels is a valid labeling of that weight, in hand: the search starts
+    from its 2-count and keeps it when nothing beats it, so it always ends
+    with a labeling. No search runs when labels already has weight // 2
+    twos, the most a labeling of that weight can have.
     """
-    value, witness = _gamma_tr_value(sg, seed, deadline)
-    twos = 0
-    try:
-        if max_twos:
-            twos = sum(witness[v] == 2 for v in sg.verts)
-            if twos < value // 2:
-                found, twos, better = _search(sg, sg.root, _kernels.MAX_TWOS, twos, value,
-                                              False, deadline)
-                if found:
-                    witness = better
-        labels = _lex_smallest(sg, value, twos, witness, deadline)
-    except SolverTimeout as exc:
-        exc.upper_bound = value
-        exc.lower_bound = value  # value itself is proven; only the witness was pending
-        raise
-    return value, twos, labels
+    twos = sum(labels[v] == 2 for v in sg.verts)
+    if twos < weight // 2:
+        found, twos, better = _search(sg, [sg.root], _kernels.MAX_TWOS, twos, weight, False,
+                                      deadline)
+        if found:
+            labels = better
+    return twos, labels
 
 
 def _solve(g: Graph, deadline: _Deadline, max_twos: bool):
-    """Value, 2-count and verified witness under one deadline; see _solve_component.
+    """Optimal weight, best 2-count and verified witness of g under one deadline.
 
     Each connected component is solved on its own, as a vertex mask that
     is the free set of one search graph on g, so its labels sit at their
     own indices and the stitch is a plain copy. The objective and the
     lexicographic tie-break both decompose over components because label
     choices in different components never interact. One greedy total
-    dominating set of g seeds every component.
+    dominating set of g seeds every component (see _gamma_tr_value). A
+    component's witness is its lexicographically smallest optimal labeling;
+    with max_twos it is the smallest among those with the most 2s (see
+    _most_twos, from the proof's witness), and the 2-count is their number
+    of 2s (0 otherwise).
+
+    A timeout carries certified bounds on the whole graph. Solved
+    components count exactly. The one that ran out counts from its floor to
+    the proof's incumbent while its proof runs, and its proven value twice
+    once only its witness is pending. Each pending one counts from its
+    floor to twice its greedy seed.
     """
     require_no_isolated(g, "gamma_tR")
-    whole = _SearchGraph(g)
-    comps = connected_components(g)
+    sgs = []
+    for comp in connected_components(g):
+        sgs.append(_SearchGraph(g, comp, sgs[0] if sgs else None))
     seed = greedy_total_dominating_set(g).members
     value = twos = 0
     labels = [0] * g.n
-    for idx, comp in enumerate(comps):
-        sg = whole if len(comps) == 1 else _SearchGraph(g, comp, whole)
+    for idx, sg in enumerate(sgs):
+        sub_value = None
         try:
-            sub_value, sub_twos, sub_labels = _solve_component(sg, seed, deadline, max_twos)
+            sub_value, sub_labels = _gamma_tr_value(sg, seed, deadline)
+            sub_twos = 0
+            if max_twos:
+                sub_twos, sub_labels = _most_twos(sg, sub_value, sub_labels, deadline)
+            sub_labels = _lex_smallest(sg, sub_value, sub_twos, sub_labels, deadline)
         except SolverTimeout as exc:
-            # Solved components count exactly; a pending one is at least its
-            # trivial floor and at most twice its greedy seed.
-            rest = [_SearchGraph(g, c, whole) for c in comps[idx + 1:]]
-            exc.lower_bound = (value + exc.lower_bound
-                               + sum(_floor(r.free.bit_count(), r.max_degree) for r in rest))
-            exc.upper_bound = (value + exc.upper_bound
-                               + sum(2 * (seed & r.free).bit_count() for r in rest))
+            low, high = ((sg.floor, exc.upper_bound) if sub_value is None
+                         else (sub_value, sub_value))
+            rest = sgs[idx + 1:]
+            exc.lower_bound = value + low + sum(r.floor for r in rest)
+            exc.upper_bound = value + high + sum(2 * (seed & r.free).bit_count() for r in rest)
             raise
         value += sub_value
         twos += sub_twos
         for v in sg.verts:
             labels[v] = sub_labels[v]
-    witness = LabelFunction(g, tuple(labels))
-    if (not is_total_roman_dominating(witness) or witness.weight != value
-            or (max_twos and len(witness.v2) != twos)):
-        raise ConsistencyError("branch-and-bound witness failed validation")
+    witness = _verified(g, labels, value, twos if max_twos else None,
+                        "branch-and-bound witness failed validation")
     return value, twos, witness
 
 
@@ -692,9 +672,9 @@ def trdf_pareto_frontier(g: Graph, budget: float | None = None) -> list[ParetoPo
     The first point is the max-2s solve: gamma_tr_max_v2's value, 2-count
     and witness. The frontier goes on only while the previous witness
     weighs more than twice its 2-count, so it has a 1, and raising its first
-    1 to 2 gives a labeling of the next weight w with one more 2. That
-    labeling is the fallback of weight w, and its search starts from its
-    2-count, so it looks only for labelings with more 2s still. Every
+    1 to 2 gives a labeling of the next weight w with one more 2. _most_twos
+    starts from that labeling, so it looks only for labelings with more 2s
+    still, and runs no search when it already has w // 2 twos. Every
     witness is re-verified, and every point shares one deadline.
 
     The frontier stops at the first weight w whose best labeling has
@@ -710,14 +690,10 @@ def trdf_pareto_frontier(g: Graph, budget: float | None = None) -> list[ParetoPo
     sg = _SearchGraph(g)
     while weight > 2 * twos:
         weight += 1
-        found, twos, labels = _search(sg, sg.root, _kernels.MAX_TWOS, twos + 1, weight, False,
-                                      deadline)
-        if not found:
-            labels = list(witness.labels)
-            labels[labels.index(1)] = 2
-        witness = LabelFunction(g, tuple(labels))
-        if (not is_total_roman_dominating(witness)
-                or witness.weight != weight or len(witness.v2) != twos):
-            raise ConsistencyError(f"no verified frontier witness at weight {weight}")
+        labels = list(witness.labels)
+        labels[labels.index(1)] = 2
+        twos, labels = _most_twos(sg, weight, labels, deadline)
+        witness = _verified(g, labels, weight, twos,
+                            f"no verified frontier witness at weight {weight}")
         points.append(ParetoPoint(weight, twos, witness))
     return points

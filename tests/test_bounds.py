@@ -1,11 +1,13 @@
+import dataclasses
+
 import pytest
 
-from trdprod import bounds, solve
+from trdprod import bounds, cli, solve
 from trdprod.bounds import (factor_profile, genlower_check, pair_bounds,
                             verify_theorems)
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import certify_regular_eod_product
-from trdprod.errors import PreconditionError, SolverTimeout
+from trdprod.errors import ConsistencyError, PreconditionError, SolverTimeout
 from trdprod.families import complete, cycle, path, star
 from trdprod.graph import direct_product
 from trdprod.labeling import LabelFunction
@@ -33,6 +35,19 @@ def test_factor_profile_c4():
     assert p.rho == 1 and p.rho_o == 2
     assert p.eod is not None and p.regular and p.total_roman
     assert p.max_v2 == 2
+
+
+def test_factor_profile_refuses_a_frontier_that_does_not_end_at_twice_gamma_t(monkeypatch):
+    # the frontier and the subset enumeration check each other
+    real = bounds.gamma_t_exact
+
+    def one_too_many(g):
+        res = real(g)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(bounds, "gamma_t_exact", one_too_many)
+    with pytest.raises(ConsistencyError, match="not twice gamma_t"):
+        factor_profile(path(4))
 
 
 def test_pair_bounds_p4_p4_pinch():
@@ -208,3 +223,12 @@ def test_a_timeout_before_the_proof_records_no_value(monkeypatch):
         lower, upper = rec["timeout_bounds"]
         assert upper == lower + 1
         assert "bounds" not in rec and "genlower" not in rec
+
+
+def test_cli_verify_lists_the_pairs_a_timeout_skipped(monkeypatch, capsys):
+    rep = _products_time_out(monkeypatch, 1)
+    monkeypatch.setattr(bounds, "verify_theorems", lambda graphs, budget, jobs: rep)
+    assert cli.main(["verify", "--max-n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "violations: 0" in lines
+    assert f"skipped (budget): {', '.join(rep.skipped)}" in lines

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -9,6 +10,7 @@ from trdprod.errors import SizeLimitError, SolverTimeout
 from trdprod.families import cycle
 from trdprod.graph import direct_product, is_connected
 from trdprod.graph6 import emit_graph6, parse_graph6
+from trdprod.labeling import LabelFunction, is_total_roman_dominating
 
 
 def test_enumerate_small_orders():
@@ -96,6 +98,36 @@ def test_cli_construct(capsys):
     code, out, _ = run_cli(capsys, "construct", "eod", "C4", "C8")
     assert code == 0
     assert json.loads(out)["size"] == 8
+
+
+def test_cli_construct_from_factor_labelings_meets_the_max_2s_bound(capsys):
+    # the product labeling of the factors' max-2s witnesses weighs UB_maxA2
+    code, out, _ = run_cli(capsys, "construct", "factors", "C4", "C8")
+    assert code == 0
+    doc = json.loads(out)
+    g = parse_graph6(doc["graph"])
+    assert g.adj == direct_product(cycle(4), cycle(8)).base.adj
+    f = LabelFunction(g, tuple(doc["labels"]))
+    assert is_total_roman_dominating(f) and f.weight == doc["weight"] == 16
+    code, out, _ = run_cli(capsys, "bounds", "C4", "C8")
+    assert code == 0
+    by_name = {b["name"]: b for b in json.loads(out)["bounds"]}
+    assert by_name["UB_maxA2"]["value"] == 16
+
+
+def test_cli_verify_reports_a_disagreement_with_brute_force(capsys, monkeypatch):
+    real = bounds.gamma_tr_bruteforce
+
+    def one_too_many(g):
+        res = real(g)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(bounds, "gamma_tr_bruteforce", one_too_many)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "2")
+    assert code == 1
+    assert "violations: 1" in out
+    # the catalog names K2 by its graph6 text, A_; K2 x K2 is 2K2, of gamma_tR 4
+    assert "  (A_,A_): branch-and-bound 4 disagrees with brute force 5" in out.splitlines()
 
 
 def test_cli_verify(capsys, tmp_path):

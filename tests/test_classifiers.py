@@ -161,6 +161,15 @@ def test_regular_eod_certificates():
     assert certify_regular_eod(cycle(5)) is None
 
 
+def test_no_product_certificate_without_regular_eod_factors():
+    # K1,3 has an efficient open dominating set but is not regular; C5 is
+    # 2-regular but has no efficient open dominating set
+    assert is_eod_graph(star(3)) is not None
+    assert certify_regular_eod_product(star(3), cycle(4)) is None
+    assert is_eod_graph(cycle(5)) is None
+    assert certify_regular_eod_product(cycle(5), cycle(4)) is None
+
+
 def test_certificates_agree_with_exact_on_catalog():
     for g in enumerate_catalog(4).graphs:
         cert = certify_regular_eod(g)

@@ -8,8 +8,8 @@ from trdprod.families import (complete, complete_bipartite, complete_minus_match
                               cycle, fan, join, parse_graph_token, path, prism,
                               star, wheel)
 from trdprod.graph import (GRAPH6_MAX_ORDER, Graph, direct_product, from_edge_list,
-                           has_isolated_vertex, is_bipartite, is_connected, is_regular,
-                           is_triangle_free, mask_of)
+                           from_json_dict, has_isolated_vertex, is_bipartite, is_connected,
+                           is_regular, is_triangle_free, mask_of)
 from trdprod.graph6 import emit_graph6, parse_graph6
 
 
@@ -94,6 +94,19 @@ def test_graph6_errors_carry_offset():
         parse_graph6("D_")  # five vertices need two adjacency bytes
     with pytest.raises(Graph6ParseError):
         parse_graph6("")
+
+
+@pytest.mark.parametrize("text,match", [("~~", "orders above"), ("~?", "truncated")])
+def test_graph6_multi_byte_order_headers_past_the_limit_or_cut_short(text, match):
+    # "~~" opens the eight-byte order field of orders past 258047, and "~?"
+    # opens the four-byte one with its three order bytes missing
+    with pytest.raises(Graph6ParseError, match=match):
+        parse_graph6(text)
+
+
+def test_edge_list_json_without_an_order_is_an_input_error():
+    with pytest.raises(GraphInputError, match="bad edge-list JSON"):
+        from_json_dict({"edges": []})
 
 
 def test_direct_product_two_disjoint_edges():

@@ -209,7 +209,7 @@ def test_pareto_frontier_matches_weight_constrained_search():
         frontier = trdf_pareto_frontier(g)
         assert frontier[0].witness == gamma_tr_max_v2(g).witness, g.name
         for point in frontier:
-            found, twos, _ = _search(sg, sg.root, TWOS, -1, point.weight, False,
+            found, twos, _ = _search(sg, [sg.root], TWOS, -1, point.weight, False,
                                      solve._Deadline(60))
             assert found and twos == point.max_v2, (g.name, point.weight)
             f = point.witness
@@ -217,23 +217,24 @@ def test_pareto_frontier_matches_weight_constrained_search():
             assert f.weight == point.weight and len(f.v2) == point.max_v2
 
 
-@pytest.mark.parametrize("answer", [(True, 2, (2, 2, 2)), (True, 2, (0, 1, 2)),
-                                    (False, 1, None)])
+@pytest.mark.parametrize("answer", [(True, 2, (2, 2, 2, 2)), (True, 2, (0, 1, 2, 2)),
+                                    (False, 0, None)])
 def test_frontier_witness_is_reverified(monkeypatch, answer):
     # a search answer of the wrong weight, or not total Roman dominating, is
     # refused, and so is a 2-count below the fallback's, the previous witness
-    # with a 1 raised to 2; P3's weight-4 point is the first past its max-2s
-    # solve
+    # with a 1 raised to 2; 2K2's weight-5 point is the first past its max-2s
+    # solve, and its fallback (2, 1, 1, 1) has fewer than 5 // 2 twos, so its
+    # search runs
     real = solve._search
 
-    def wrong_at_4(sg, state, mode, best, cap, *args):
-        if cap == 4:
+    def wrong_at_5(sg, parts, mode, best, cap, *args):
+        if cap == 5:
             return answer
-        return real(sg, state, mode, best, cap, *args)
+        return real(sg, parts, mode, best, cap, *args)
 
-    monkeypatch.setattr(solve, "_search", wrong_at_4)
+    monkeypatch.setattr(solve, "_search", wrong_at_5)
     with pytest.raises(ConsistencyError):
-        trdf_pareto_frontier(path(3))
+        trdf_pareto_frontier(TWO_K2)
 
 
 def test_greedy_total_dominating_set_is_valid():
@@ -430,8 +431,8 @@ def test_the_seeded_max_twos_pass_agrees_with_the_unseeded_one(g):
         value, witness = solve._gamma_tr_value(sg, seed, solve._Deadline(0))
         t0 = sum(witness[v] == 2 for v in bits_of(comp))
         seeded, unseeded = solve._Deadline(0), solve._Deadline(0)
-        _, best, _ = _search(sg, sg.root, TWOS, t0, value, False, seeded)
-        found, best_unseeded, _ = _search(sg, sg.root, TWOS, -1, value, False, unseeded)
+        _, best, _ = _search(sg, [sg.root], TWOS, t0, value, False, seeded)
+        found, best_unseeded, _ = _search(sg, [sg.root], TWOS, -1, value, False, unseeded)
         assert found and best == best_unseeded >= t0
         assert seeded.nodes <= unseeded.nodes
 
@@ -563,27 +564,27 @@ def _assert_searches_agree_with_a_scan_of_completions(g, fixed):
     sg = _SearchGraph(g)
     state = _fixed_state(g.adj, fixed)
     deadline = solve._Deadline(0)
-    found, best, labels = _search(sg, state, MIN, 2 * g.n + 1, 0, False, deadline)
+    found, best, labels = _search(sg, [state], MIN, 2 * g.n + 1, 0, False, deadline)
     assert found == bool(valid)
     if not valid:
         return
     low = min(w for w, _ in valid)
     assert best == low and completes(labels) and sum(labels) == low
     for init_best in (low, low + 1):
-        found, _, labels = _search(sg, state, MIN, init_best, 0, True, deadline)
+        found, _, labels = _search(sg, [state], MIN, init_best, 0, True, deadline)
         assert found == (low < init_best)
         if found:
             assert completes(labels) and sum(labels) < init_best
     for cap in sorted({w for w, _ in valid} | {low - 1}):
         twos = max((t for w, t in valid if w == cap), default=None)
-        found, best, labels = _search(sg, state, TWOS, -1, cap, False, deadline)
+        found, best, labels = _search(sg, [state], TWOS, -1, cap, False, deadline)
         assert found == (twos is not None)
         if not found:
             continue
         assert best == twos and completes(labels)
         assert sum(labels) == cap and labels.count(2) == twos
-        assert _search(sg, state, TWOS, twos - 1, cap, True, deadline)[0]
-        assert not _search(sg, state, TWOS, twos, cap, True, deadline)[0]
+        assert _search(sg, [state], TWOS, twos - 1, cap, True, deadline)[0]
+        assert not _search(sg, [state], TWOS, twos, cap, True, deadline)[0]
 
 
 @pytest.mark.parametrize("g", _random_isolate_free_graphs(40, seed=2026),
@@ -662,7 +663,7 @@ def test_eod_product_certificate_case():
 
 
 def _run_pair(g):
-    found, best, _ = _search(_SearchGraph(g), _fixed_state(g.adj, {}), MIN, 2 * g.n + 1, 0,
+    found, best, _ = _search(_SearchGraph(g), [_fixed_state(g.adj, {})], MIN, 2 * g.n + 1, 0,
                              False, solve._Deadline(0))
     assert found
     table = [-1] * (2 * g.n + 1)
@@ -782,7 +783,7 @@ def test_a_regular_graph_that_is_not_vertex_transitive_keeps_its_optimum(
         g, optimum, with_two_at_0):
     # Every optimal labeling here leaves vertex 0 below 2, so a proof started
     # from a 2 at vertex 0 would report a heavier optimum.
-    assert _search(_SearchGraph(g), _fixed_state(g.adj, {0: 2}), MIN, 2 * g.n + 1, 0, False,
+    assert _search(_SearchGraph(g), [_fixed_state(g.adj, {0: 2})], MIN, 2 * g.n + 1, 0, False,
                    solve._Deadline(0))[1] == with_two_at_0
     best, labels, _ = _brute_scan(g)
     assert best == optimum
