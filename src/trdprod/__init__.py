@@ -22,9 +22,8 @@ from .solve import (ParetoPoint, SolveResult, gamma_t_exact,
 from .construct import (product_eod_set, product_trdf_from_factors,
                         product_trdf_from_total_dom_sets, small_clause,
                         small_value_construction)
-from .classify import (SmallVerdict, certify_regular_eod,
-                       certify_regular_eod_product, classify_small_product,
-                       is_eod_graph)
+from .classify import (SmallVerdict, certify_regular_eod_product,
+                       classify_small_product, is_eod_graph)
 from .bounds import (FactorProfile, PairReport, factor_profile, genlower_check,
                      pair_bounds, verify_theorems)
 from .catalog import Catalog, enumerate_catalog

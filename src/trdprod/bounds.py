@@ -350,25 +350,23 @@ def _verify_pair(args) -> dict:
     bad = rec["violations"].append
 
     rep = pair_bounds(pg, ph)
-    product = direct_product(pg.graph, ph.graph)
 
     # Constructions first: each certified weight is checked against its
     # bound here and against the exact value below.
     cons: dict[str, int] = {}
-    c_factors = construct.product_trdf_from_factors(
-        pg.gamma_tr_function, ph.gamma_tr_function, product)
+    c_factors = construct.product_trdf_from_factors(pg.gamma_tr_function,
+                                                    ph.gamma_tr_function)
     cons["from_factors"] = c_factors.weight
     if c_factors.weight != rep.entry("UB_maxA2").value:
         bad(f"{name}: factor-combination weight {c_factors.weight} !="
             f" UB_maxA2 {rep.entry('UB_maxA2').value}")
-    c_tds = construct.product_trdf_from_total_dom_sets(
-        pg.gamma_t_set, ph.gamma_t_set, product)
+    c_tds = construct.product_trdf_from_total_dom_sets(pg.gamma_t_set, ph.gamma_t_set)
     cons["from_total_dom_sets"] = c_tds.weight
     if c_tds.weight != rep.entry("UB_2gt").value:
         bad(f"{name}: total-dominating-set product weight {c_tds.weight} !="
             f" UB_2gt {rep.entry('UB_2gt').value}")
     if pg.eod is not None and ph.eod is not None:
-        eod = construct.product_eod_set(pg.eod, ph.eod, product)
+        eod = construct.product_eod_set(pg.eod, ph.eod)
         cons["eod_box_size"] = eod.size
         if pg.rho_o != pg.gamma_t or ph.rho_o != ph.gamma_t:
             bad(f"{name}: EOD factor with rho_o != gamma_t")
@@ -376,8 +374,7 @@ def _verify_pair(args) -> dict:
     verdict = classify.classify_small_product(pg.graph, ph.graph)
     rec["verdict"] = verdict.to_json_dict()
     if verdict.value is not None and verdict.rule in construct.SMALL_CASES:
-        c_small = construct.small_value_construction(verdict.rule, pg.graph, ph.graph,
-                                                     product)
+        c_small = construct.small_value_construction(verdict.rule, pg.graph, ph.graph)
         cons[f"small_{verdict.rule}"] = c_small.weight
         if c_small.weight != verdict.value:
             bad(f"{name}: small construction weight {c_small.weight} != verdict {verdict.value}")
@@ -386,9 +383,10 @@ def _verify_pair(args) -> dict:
     # One solve proves the value and finds the max-2s witness the checks
     # below read. A timeout after the proof still carries the value, and
     # only the witness checks are skipped.
+    product = direct_product(pg.graph, ph.graph).base
     best2 = None
     try:
-        best2 = gamma_tr_max_v2(product.base, budget)
+        best2 = gamma_tr_max_v2(product, budget)
         exact = best2.value
     except SolverTimeout as exc:
         rec["skipped"] = True
@@ -399,8 +397,8 @@ def _verify_pair(args) -> dict:
         exact = exc.lower_bound
     rec["exact"] = exact
 
-    if product.base.n <= ORACLE_LIMIT:
-        oracle = gamma_tr_bruteforce(product.base).value
+    if product.n <= ORACLE_LIMIT:
+        oracle = gamma_tr_bruteforce(product).value
         rec["oracle"] = oracle
         if oracle != exact:
             bad(f"{name}: branch-and-bound {exact} disagrees with brute force {oracle}")
@@ -439,7 +437,7 @@ def _verify_pair(args) -> dict:
 
     if best2 is None:
         return rec
-    gl = genlower_check(product.base, best2.witness, exact)
+    gl = genlower_check(product, best2.witness, exact)
     rec["genlower"] = gl
     if not gl["ok"]:
         bad(f"{name}: order/degree lower bound inequalities failed: {gl}")
@@ -456,13 +454,13 @@ def _verify_pair(args) -> dict:
     return rec
 
 
-def verify_theorems(catalog: list[Graph], budget: float | None = 60.0,
+def verify_theorems(catalog: list[Graph], budget: float | None = None,
                     jobs: int = 1) -> VerificationReport:
     """Exhaustively audit all bounds, verdicts and constructions on every
     unordered factor pair from the catalog (pairs with itself included).
 
-    jobs must be at least 1; above 1, the pairs run in a pool of that many
-    processes.
+    A budget of None means solve.DEFAULT_BUDGET_S. jobs must be at least
+    1; above 1, the pairs run in a pool of that many processes.
     """
     if jobs < 1:
         raise PreconditionError(f"jobs must be at least 1, got {jobs}")

@@ -1,6 +1,6 @@
 """Structural classifiers: efficient open domination, the small-value
-decision procedure for products, and regularity-based exactness
-certificates.
+decision procedure for products, and the regularity-based exactness
+certificate for products.
 
 classify_small_product reports the first SMALL_CASES clause whose
 construct.small_clause holds, with that clause's witnesses, so the verdict
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .construct import SMALL_CASES, product_eod_set, small_clause
 from .errors import ConsistencyError
+# direct_product is unused here, but perfbench/tracer.py wraps classify.direct_product
 from .graph import (Graph, direct_product, is_regular, require_no_isolated,
                     universal_vertex_list)
 from .labeling import VertexSet, is_total_dominating, trdf_from_total_dominating_set
@@ -106,29 +107,15 @@ def classify_small_product(g: Graph, h: Graph) -> SmallVerdict:
     return SmallVerdict(None, "unknown")
 
 
-def certify_regular_eod(g: Graph) -> SolveResult | None:
-    """Exactness certificate gamma_tR = 2*gamma_t for regular graphs of degree
-    at least two with an efficient open dominating set; None when the
-    hypotheses fail.
-
-    Degree one is excluded deliberately: a disjoint union of single edges is
-    1-regular and efficient open dominating, yet its optimum is the all-1
-    labeling of weight n, half of what the certificate would claim.
-    """
-    if not is_regular(g) or g.max_degree() < 2:
-        return None
-    eod = is_eod_graph(g)
-    if eod is None:
-        return None
-    witness = trdf_from_total_dominating_set(VertexSet(g, eod.members, "total_dominating"))
-    return SolveResult("gamma_tR", 2 * eod.size, witness, "certificate",
-                       tie_break_note="all-2 labeling of an efficient open dominating set")
-
-
 def certify_regular_eod_product(g: Graph, h: Graph) -> SolveResult | None:
-    """Product form of the certificate: both factors regular of degree at
-    least two with efficient open dominating sets gives
-    gamma_tR(GxH) = 2*gamma_t(G)*gamma_t(H)."""
+    """Exactness certificate gamma_tR(GxH) = 2*gamma_t(G)*gamma_t(H) when both
+    factors are regular of degree at least two with efficient open
+    dominating sets; None when the hypotheses fail.
+
+    Degree one is excluded deliberately: K2 x K2 is two single edges, whose
+    optimum is the all-1 labeling of weight 4, half of what the certificate
+    would claim.
+    """
     if not (is_regular(g) and is_regular(h)):
         return None
     if g.max_degree() < 2 or h.max_degree() < 2:
@@ -137,9 +124,6 @@ def certify_regular_eod_product(g: Graph, h: Graph) -> SolveResult | None:
     sh = is_eod_graph(h)
     if sg is None or sh is None:
         return None
-    pg = direct_product(g, h)
-    eod = product_eod_set(sg, sh, pg)
-    witness = trdf_from_total_dominating_set(
-        VertexSet(pg.base, eod.members, "total_dominating"))
+    witness = trdf_from_total_dominating_set(product_eod_set(sg, sh))
     return SolveResult("gamma_tR", 2 * sg.size * sh.size, witness, "certificate",
                        tie_break_note="all-2 labeling of the product of factor EOD sets")

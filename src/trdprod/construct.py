@@ -1,9 +1,11 @@
 """Certified labeling and set constructions on direct products.
 
-Every function re-verifies its output before returning it, so a returned
-object is always valid; a verification failure raises ConsistencyError and
-means a bug here, not bad input. Bad input raises PreconditionError naming
-the violated clause.
+Each builder takes factor labelings, factor sets or factors and builds
+their direct product itself. Every function re-verifies its output before
+returning it, labelings through labeling.verified, so a returned object is
+always valid; a verification failure raises ConsistencyError and means a
+bug here, not bad input. Bad input raises PreconditionError naming the
+violated clause.
 
 The factor labelings and sets come from the solvers. The small-value
 clauses are the exception: small_clause is the one definition of each,
@@ -15,25 +17,16 @@ SMALL_CASES is the one table of the clauses and their weights.
 from __future__ import annotations
 
 from .errors import ConsistencyError, PreconditionError
-from .graph import (Graph, ProductGraph, central_triangle, direct_product,
-                    is_k2, require_no_isolated, universal_vertex_list)
+from .graph import (Graph, central_triangle, direct_product, is_k2,
+                    require_no_isolated, universal_vertex_list)
 from .labeling import (LabelFunction, VertexSet, is_efficient_open_dominating,
-                       is_total_dominating, is_total_roman_dominating)
+                       is_total_dominating, is_total_roman_dominating, verified)
 
 # weight of the labeling each small-value clause builds, in clause order
 SMALL_CASES = {"ii": 4, "iii_universal": 6, "iii_k2": 6, "iii_triangle": 6, "iv": 7}
 
 
-def _product_for(g: Graph, h: Graph, product: ProductGraph | None) -> ProductGraph:
-    if product is None:
-        return direct_product(g, h)
-    if product.g_adj != g.adj or product.h_adj != h.adj:
-        raise PreconditionError("provided product is not the direct product of the factors")
-    return product
-
-
-def product_trdf_from_factors(g_fn: LabelFunction, h_fn: LabelFunction,
-                              product: ProductGraph | None = None) -> LabelFunction:
+def product_trdf_from_factors(g_fn: LabelFunction, h_fn: LabelFunction) -> LabelFunction:
     """Combine factor labelings into a product labeling.
 
     Writes 2 on (twos(G) x positives(H)) union (ones(G) x twos(H)), 1 on
@@ -44,7 +37,7 @@ def product_trdf_from_factors(g_fn: LabelFunction, h_fn: LabelFunction,
         raise PreconditionError("first factor labeling is not total Roman dominating")
     if not is_total_roman_dominating(h_fn):
         raise PreconditionError("second factor labeling is not total Roman dominating")
-    pg = _product_for(g_fn.graph, h_fn.graph, product)
+    pg = direct_product(g_fn.graph, h_fn.graph)
     labels = [0] * pg.base.n
     for a, la in enumerate(g_fn.labels):
         if la == 0:
@@ -56,41 +49,33 @@ def product_trdf_from_factors(g_fn: LabelFunction, h_fn: LabelFunction,
                 labels[pg.vertex_id(a, b)] = 2
             else:
                 labels[pg.vertex_id(a, b)] = 1
-    out = LabelFunction(pg.base, tuple(labels))
-    a2 = len(g_fn.v2)
-    b2 = len(h_fn.v2)
-    expect = g_fn.weight * h_fn.weight - 2 * a2 * b2
-    if out.weight != expect or not is_total_roman_dominating(out):
-        raise ConsistencyError("factor-combination labeling failed verification")
-    return out
+    return verified(pg.base, labels,
+                    g_fn.weight * h_fn.weight - 2 * len(g_fn.v2) * len(h_fn.v2), None,
+                    "factor-combination labeling failed verification")
 
 
-def product_trdf_from_total_dom_sets(d_g: VertexSet, d_h: VertexSet,
-                                     product: ProductGraph | None = None) -> LabelFunction:
+def product_trdf_from_total_dom_sets(d_g: VertexSet, d_h: VertexSet) -> LabelFunction:
     """All-2 labeling of the box of two total dominating sets; weight 2|Dg||Dh|."""
     if not is_total_dominating(d_g):
         raise PreconditionError("first set is not total dominating")
     if not is_total_dominating(d_h):
         raise PreconditionError("second set is not total dominating")
-    pg = _product_for(d_g.graph, d_h.graph, product)
+    pg = direct_product(d_g.graph, d_h.graph)
     labels = [0] * pg.base.n
     for a in d_g.vertices():
         for b in d_h.vertices():
             labels[pg.vertex_id(a, b)] = 2
-    out = LabelFunction(pg.base, tuple(labels))
-    if out.weight != 2 * d_g.size * d_h.size or not is_total_roman_dominating(out):
-        raise ConsistencyError("total-dominating-set product labeling failed verification")
-    return out
+    return verified(pg.base, labels, 2 * d_g.size * d_h.size, None,
+                    "total-dominating-set product labeling failed verification")
 
 
-def product_eod_set(s_g: VertexSet, s_h: VertexSet,
-                    product: ProductGraph | None = None) -> VertexSet:
+def product_eod_set(s_g: VertexSet, s_h: VertexSet) -> VertexSet:
     """The box of two efficient open dominating sets, efficient open dominating again."""
     if not is_efficient_open_dominating(s_g):
         raise PreconditionError("first set is not efficient open dominating")
     if not is_efficient_open_dominating(s_h):
         raise PreconditionError("second set is not efficient open dominating")
-    pg = _product_for(s_g.graph, s_h.graph, product)
+    pg = direct_product(s_g.graph, s_h.graph)
     members = 0
     for a in s_g.vertices():
         for b in s_h.vertices():
@@ -157,8 +142,7 @@ def small_clause(case: str, g: Graph, h: Graph) -> tuple[dict, dict] | None:
     return None
 
 
-def small_value_construction(case: str, g: Graph, h: Graph,
-                             product: ProductGraph | None = None) -> LabelFunction:
+def small_value_construction(case: str, g: Graph, h: Graph) -> LabelFunction:
     """Low-weight labeling of the product for one small-value clause, laid
     on the cells small_clause picks; its weight is SMALL_CASES[case].
 
@@ -177,11 +161,9 @@ def small_value_construction(case: str, g: Graph, h: Graph,
         if case == "iii_universal" and is_k2(g) and is_k2(h):
             raise PreconditionError("case iii_universal needs one factor of order at least three")
         raise PreconditionError(_CLAUSE_FAILURE[case])
-    pg = _product_for(g, h, product)
+    pg = direct_product(g, h)
     labels = [0] * pg.base.n
     for (a, b), label in found[1].items():
         labels[pg.vertex_id(a, b)] = label
-    out = LabelFunction(pg.base, tuple(labels))
-    if out.weight != SMALL_CASES[case] or not is_total_roman_dominating(out):
-        raise ConsistencyError(f"case {case} labeling failed verification")
-    return out
+    return verified(pg.base, labels, SMALL_CASES[case], None,
+                    f"case {case} labeling failed verification")

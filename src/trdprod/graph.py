@@ -132,17 +132,11 @@ def from_json_dict(data: dict) -> Graph:
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """Direct product G x H with row-major flattening (g, h) -> g*hn + h.
-
-    g_adj and h_adj are the factors' adjacency, which tells whether a given
-    product is that of two given factors.
-    """
+    """Direct product G x H with row-major flattening (g, h) -> g*hn + h."""
 
     base: Graph
     gn: int
     hn: int
-    g_adj: tuple[int, ...]
-    h_adj: tuple[int, ...]
 
     def vertex_id(self, g: int, h: int) -> int:
         return g * self.hn + h
@@ -165,7 +159,7 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     gname = g.name or f"G{g.n}"
     hname = h.name or f"H{h.n}"
     base = Graph(g.n * h.n, tuple(adj), f"{gname}x{hname}")
-    return ProductGraph(base, g.n, h.n, g.adj, h.adj)
+    return ProductGraph(base, g.n, h.n)
 
 
 def connected_components(g: Graph) -> list[int]:

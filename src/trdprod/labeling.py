@@ -3,6 +3,9 @@
 Predicates are total: a set that fails its role test yields False rather than
 an error. Only the no-isolated-vertices hypothesis (which makes total
 domination satisfiable at all) raises.
+
+verified is the one re-check of a labeling the package returns: every
+solver witness and every product construction passes through it.
 """
 
 from __future__ import annotations
@@ -160,12 +163,20 @@ _ROLE_CHECKS = {
 }
 
 
+def verified(g: Graph, labels, weight: int, twos: int | None, message: str) -> LabelFunction:
+    """labels as a LabelFunction of g, once it is total Roman dominating, weighs weight
+    and has twos 2s (any number when twos is None); ConsistencyError(message) otherwise."""
+    witness = LabelFunction(g, tuple(labels))
+    if (not is_total_roman_dominating(witness) or witness.weight != weight
+            or twos is not None and len(witness.v2) != twos):
+        raise ConsistencyError(message)
+    return witness
+
+
 def trdf_from_total_dominating_set(d: VertexSet) -> LabelFunction:
     """All-2 labeling of a total dominating set; weight is twice the set size."""
     if not is_total_dominating(d):
         raise PreconditionError("input set is not total dominating")
     labels = tuple(2 if d.members >> v & 1 else 0 for v in range(d.graph.n))
-    f = LabelFunction(d.graph, labels)
-    if not is_total_roman_dominating(f):
-        raise ConsistencyError("total-dominating-set labeling failed verification")
-    return f
+    return verified(d.graph, labels, 2 * d.size, None,
+                    "total-dominating-set labeling failed verification")

@@ -14,10 +14,13 @@ own, as a vertex mask of one search graph on the whole graph: the mask is
 the free set of the component's searches, labels keep their indices, and
 no subgraph is built. Per component it runs the proof (_gamma_tr_value),
 the max-2s pass when asked (_most_twos) and the lexicographic rebuild
-(_lex_smallest), and it holds the one SolverTimeout handler, which turns
-what each component has proven so far into bounds on the whole graph.
+(_lex_smallest), and it holds the solve's SolverTimeout handler, which
+turns what each component has proven so far into bounds on the whole
+graph. A frontier that runs out past its first point has proven gamma_tR,
+and its timeout carries that value as both bounds.
 Every search is one call of _search on a list of states, searched in turn
-from the incumbent so far, and every witness returned passes _verified.
+from the incumbent so far, and every witness returned passes
+labeling.verified.
 
 The optimality proof searches for a labeling lighter than a seed of weight
 ub. On a vertex-transitive component of n vertices with ub <= n it
@@ -89,7 +92,7 @@ from . import _kernels
 from .errors import ConsistencyError, PreconditionError, SizeLimitError, SolverTimeout
 from .graph import (Graph, bits_of, connected_components, in_one_orbit, mask_of, pair_table,
                     require_no_isolated)
-from .labeling import LabelFunction, VertexSet, is_total_roman_dominating
+from .labeling import LabelFunction, VertexSet, verified
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
 SUBSET_LIMIT = 20     # subset enumeration for gamma_t / rho / rho_o
@@ -452,19 +455,9 @@ def _brute_scan(g: Graph):
 def gamma_tr_bruteforce(g: Graph) -> SolveResult:
     """Independent oracle: exhaustive scan of all 3^n labelings."""
     best, labels, _ = _brute_scan(g)
-    witness = _verified(g, labels, best, None, "brute force witness failed validation")
+    witness = verified(g, labels, best, None, "brute force witness failed validation")
     return SolveResult("gamma_tR", best, witness, "brute_force",
                        tie_break_note="lexicographically smallest optimal labeling")
-
-
-def _verified(g: Graph, labels, weight: int, twos: int | None, message: str) -> LabelFunction:
-    """labels as a LabelFunction of g, once it is total Roman dominating, weighs weight
-    and has twos 2s (any number when twos is None); ConsistencyError(message) otherwise."""
-    witness = LabelFunction(g, tuple(labels))
-    if (not is_total_roman_dominating(witness) or witness.weight != weight
-            or twos is not None and len(witness.v2) != twos):
-        raise ConsistencyError(message)
-    return witness
 
 
 def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline):
@@ -564,8 +557,8 @@ def _solve(g: Graph, deadline: _Deadline, max_twos: bool):
         twos += sub_twos
         for v in sg.verts:
             labels[v] = sub_labels[v]
-    witness = _verified(g, labels, value, twos if max_twos else None,
-                        "branch-and-bound witness failed validation")
+    witness = verified(g, labels, value, twos if max_twos else None,
+                       "branch-and-bound witness failed validation")
     return value, twos, witness
 
 
@@ -675,7 +668,9 @@ def trdf_pareto_frontier(g: Graph, budget: float | None = None) -> list[ParetoPo
     1 to 2 gives a labeling of the next weight w with one more 2. _most_twos
     starts from that labeling, so it looks only for labelings with more 2s
     still, and runs no search when it already has w // 2 twos. Every
-    witness is re-verified, and every point shares one deadline.
+    witness is re-verified, and every point shares one deadline. A timeout
+    past the first point carries that point's weight, the proven gamma_tR,
+    as both bounds.
 
     The frontier stops at the first weight w whose best labeling has
     w // 2 twos, so no 1: its 2s totally dominate, so w is 2*gamma_t. Past
@@ -688,12 +683,16 @@ def trdf_pareto_frontier(g: Graph, budget: float | None = None) -> list[ParetoPo
     weight, twos, witness = _solve(g, deadline, max_twos=True)
     points = [ParetoPoint(weight, twos, witness)]
     sg = _SearchGraph(g)
-    while weight > 2 * twos:
-        weight += 1
-        labels = list(witness.labels)
-        labels[labels.index(1)] = 2
-        twos, labels = _most_twos(sg, weight, labels, deadline)
-        witness = _verified(g, labels, weight, twos,
-                            f"no verified frontier witness at weight {weight}")
-        points.append(ParetoPoint(weight, twos, witness))
+    try:
+        while weight > 2 * twos:
+            weight += 1
+            labels = list(witness.labels)
+            labels[labels.index(1)] = 2
+            twos, labels = _most_twos(sg, weight, labels, deadline)
+            witness = verified(g, labels, weight, twos,
+                               f"no verified frontier witness at weight {weight}")
+            points.append(ParetoPoint(weight, twos, witness))
+    except SolverTimeout as exc:
+        exc.lower_bound = exc.upper_bound = points[0].weight
+        raise
     return points

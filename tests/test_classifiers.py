@@ -4,15 +4,16 @@ import pytest
 
 from trdprod.bounds import factor_profile
 from trdprod.catalog import enumerate_catalog
-from trdprod.classify import (certify_regular_eod, certify_regular_eod_product,
-                              classify_small_product, is_eod_graph)
+from trdprod.classify import (certify_regular_eod_product, classify_small_product,
+                              is_eod_graph)
 from trdprod.errors import HypothesisError, SizeLimitError
 from trdprod.families import (complete, complete_bipartite,
                               complete_minus_matching, cycle, fan, path, prism,
                               star, wheel)
 from trdprod.graph import (central_triangle, direct_product, from_edge_list,
                            is_k2, universal_vertex_list)
-from trdprod.labeling import VertexSet, eod_by_unit_neighbor_count, is_total_dominating
+from trdprod.labeling import (VertexSet, eod_by_unit_neighbor_count, is_total_dominating,
+                              is_total_roman_dominating)
 from trdprod.solve import gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact
 
 TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
@@ -148,17 +149,9 @@ def test_regular_eod_certificates():
     cert = certify_regular_eod_product(cycle(4), prism(cycle(3)))
     assert cert.value == 8
 
-    # efficient open domination without regularity earns no certificate
-    assert certify_regular_eod(star(3)) is None
-    assert gamma_tr_bruteforce(star(3)).value == 3
-
-    # degree-1 regular graphs are excluded: the all-1 labeling of a single
-    # edge weighs 2, not 2*gamma_t = 4
-    assert certify_regular_eod(complete(2)) is None
+    # degree-1 regular factors are excluded: K2 x K2 is two single edges,
+    # whose all-1 labeling weighs 4, not 2*gamma_t*gamma_t = 8
     assert certify_regular_eod_product(complete(2), complete(2)) is None
-
-    assert certify_regular_eod(cycle(4)).value == 4
-    assert certify_regular_eod(cycle(5)) is None
 
 
 def test_no_product_certificate_without_regular_eod_factors():
@@ -170,11 +163,17 @@ def test_no_product_certificate_without_regular_eod_factors():
     assert certify_regular_eod_product(cycle(5), cycle(4)) is None
 
 
-def test_certificates_agree_with_exact_on_catalog():
-    for g in enumerate_catalog(4).graphs:
-        cert = certify_regular_eod(g)
-        if cert is not None:
-            assert cert.value == gamma_tr_exact(g, budget=60).value
+@pytest.mark.parametrize("g,h", itertools.combinations_with_replacement(
+    [cycle(4), cycle(8), prism(cycle(3))], 2), ids=lambda g: g.name)
+def test_product_certificate_agrees_with_exact(g, h):
+    # products of 16 to 64 vertices, each factor 2- or 3-regular with an
+    # efficient open dominating set
+    cert = certify_regular_eod_product(g, h)
+    product = direct_product(g, h).base
+    assert cert.method == "certificate"
+    assert cert.value == gamma_tr_exact(product, budget=60).value
+    assert cert.witness.graph == product
+    assert cert.witness.weight == cert.value and is_total_roman_dominating(cert.witness)
 
 
 def test_is_k2():

@@ -1,12 +1,13 @@
 import pytest
 
+from trdprod import labeling
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import classify_small_product, is_eod_graph
 from trdprod.construct import (SMALL_CASES, product_eod_set,
                                product_trdf_from_factors,
                                product_trdf_from_total_dom_sets, small_clause,
                                small_value_construction)
-from trdprod.errors import HypothesisError, PreconditionError
+from trdprod.errors import ConsistencyError, HypothesisError, PreconditionError
 from trdprod.families import complete, complete_bipartite, cycle, path, star
 from trdprod.graph import direct_product
 from trdprod.labeling import (LabelFunction, VertexSet,
@@ -37,14 +38,26 @@ def test_factor_combination_rejects_invalid_input():
         product_trdf_from_factors(bad, good)
 
 
-@pytest.mark.parametrize("factor,other", [(path(4), cycle(4)), (star(3), complete(4))])
-def test_factor_combination_rejects_a_product_of_other_factors(factor, other):
-    # same orders, other edges: the given product is not factor x factor
-    opt = gamma_tr_exact(factor, budget=60).witness
-    own = product_trdf_from_factors(opt, opt, direct_product(factor, factor))
-    assert own.labels == product_trdf_from_factors(opt, opt).labels
-    with pytest.raises(PreconditionError, match="not the direct product"):
-        product_trdf_from_factors(opt, opt, direct_product(other, other))
+_BUILDS = [
+    (lambda: product_trdf_from_factors(LabelFunction(path(3), (0, 2, 1)),
+                                       LabelFunction(cycle(4), (2, 2, 0, 0))),
+     "factor-combination labeling failed verification"),
+    (lambda: product_trdf_from_total_dom_sets(
+        VertexSet.from_vertices(cycle(4), [0, 1]), VertexSet.from_vertices(path(3), [0, 1])),
+     "total-dominating-set product labeling failed verification"),
+    (lambda: small_value_construction("iv", star(2), star(3)),
+     "case iv labeling failed verification"),
+]
+
+
+@pytest.mark.parametrize("build,message", _BUILDS, ids=["factors", "tdsets", "small_iv"])
+def test_each_builder_rechecks_its_labeling(monkeypatch, build, message):
+    # each builder's output passes labeling.verified, which reads the
+    # predicate patched here; the builders' own input checks do not
+    assert is_total_roman_dominating(build())
+    monkeypatch.setattr(labeling, "is_total_roman_dominating", lambda f: False)
+    with pytest.raises(ConsistencyError, match=message):
+        build()
 
 
 def test_total_dom_set_products():
@@ -147,8 +160,7 @@ def test_classify_and_construct_agree_on_the_catalog():
 def test_construction_weights_never_beat_the_optimum():
     pairs = [(complete(3), complete(3)), (path(3), path(3)), (cycle(4), cycle(4))]
     for g, h in pairs:
-        product = direct_product(g, h)
-        exact = gamma_tr_exact(product.base, budget=60).value
+        exact = gamma_tr_exact(direct_product(g, h).base, budget=60).value
         d = product_trdf_from_total_dom_sets(gamma_t_exact(g).witness,
-                                             gamma_t_exact(h).witness, product)
+                                             gamma_t_exact(h).witness)
         assert d.weight >= exact

@@ -237,6 +237,26 @@ def test_frontier_witness_is_reverified(monkeypatch, answer):
         trdf_pareto_frontier(TWO_K2)
 
 
+def test_a_frontier_timeout_past_the_first_point_carries_gamma_tr(monkeypatch):
+    # the max-2s solve has proven gamma_tR by the time a later weight's
+    # search runs out; with a first chunk of one node that search reads the
+    # clock at once, and the clock has passed the deadline
+    g = next(g for g in enumerate_catalog(4).graphs if g.name == "CK")
+    assert gamma_tr_exact(g).value == 4
+    monkeypatch.setattr(solve, "_FIRST_CHUNK", 1)
+    real = solve._solve
+
+    def expire_after(g, deadline, max_twos):
+        out = real(g, deadline, max_twos)
+        deadline.at = -math.inf
+        return out
+
+    monkeypatch.setattr(solve, "_solve", expire_after)
+    with pytest.raises(SolverTimeout) as err:
+        trdf_pareto_frontier(g)
+    assert (err.value.lower_bound, err.value.upper_bound) == (4, 4)
+
+
 def test_greedy_total_dominating_set_is_valid():
     for g in [path(5), cycle(7), wheel(6), prism(cycle(4)), TWO_K2]:
         d = greedy_total_dominating_set(g)
