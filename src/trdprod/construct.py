@@ -80,10 +80,12 @@ def product_eod_set(s_g: VertexSet, s_h: VertexSet) -> VertexSet:
     for a in s_g.vertices():
         for b in s_h.vertices():
             members |= 1 << pg.vertex_id(a, b)
-    out = VertexSet(pg.base, members)
-    if not is_efficient_open_dominating(out):
-        raise ConsistencyError("product of efficient open dominating sets failed verification")
-    return VertexSet(pg.base, members, "efficient_open_dominating")
+    # the role tag runs the one check of the box
+    try:
+        return VertexSet(pg.base, members, "efficient_open_dominating")
+    except PreconditionError:
+        raise ConsistencyError(
+            "product of efficient open dominating sets failed verification") from None
 
 
 _CLAUSE_FAILURE = {

@@ -31,18 +31,21 @@ to v turns it into a valid labeling of the same weight with a 2 at r. That
 root goes through the orbital rule below before its first node.
 
 Fixed labels only ever take one form, a state: the masks of the kernels'
-slot 0 and the label list. _fix extends a state by one label with the
-kernels' child rule, and is the one Python copy of that rule; every state
-grows from _SearchGraph.root, the state of no fixed label, through _fix. The
-lexicographic witness rebuild extends the state of its prefix by one label
-per probe, and answers two kinds of probe without a search: one whose new
-label leaves a vertex unsatisfied with no undecided neighbour (_fix), and
-one whose new 0 leaves an undecided neighbour with no label it can take,
-having no undecided and no positive neighbour left (_strands, a look-ahead
-of one vertex that the probes run and the kernels do not). Every other
+slot 0 and the label list. _fix extends a state by a list of labels with
+the kernels' child rule, and is the one Python copy of that rule; every
+state grows from _SearchGraph.root, the state of no fixed label, through
+_fix. The lexicographic witness rebuild extends the state of its prefix by
+one label per probe, and answers three kinds of probe without a search:
+one whose new label leaves a vertex unsatisfied with no undecided
+neighbour (_fix); one whose new 0 leaves an undecided neighbour with no
+label it can take, having no undecided and no positive neighbour left
+(_strands, a look-ahead of one vertex that the probes run and the kernels
+do not); and one whose own state the kernels' child bound prunes
+(_kernels.state_pruned, which the proof's root does not run). Every other
 probe asks one question under MAX_TWOS: is there a completion of weight
 exactly the optimum with at least the best 2-count (0 when 2s are not
-counted)?
+counted)? The witness labels the walk fixes without a probe that found a
+completion go to _fix in runs, one pass each.
 
 No max-2s search that a solve or a frontier runs starts without an
 incumbent: both go through _most_twos, which searches from the 2-count of
@@ -232,41 +235,50 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
     return VertexSet(g, members, "total_dominating")
 
 
-def _fix(adj, state, v: int, lab: int):
-    """A new state: state with the undecided v labeled lab by the kernels'
-    child rule, or None when v or a neighbour is left unsatisfied with no
-    undecided neighbour, which no further label mends.
+def _fix(adj, state, fixes):
+    """A new state: state with each undecided v of fixes, a list of (v, lab)
+    pairs, labeled lab in turn by the kernels' child rule, or None when a
+    vertex is left unsatisfied with no undecided neighbour, which no
+    further label mends.
 
     A state is (weight, 2-count, cov, pos, un0, unp, und, labels), the
     kernels' slot 0 (see _kernels) with -1 for an undecided label; it is
     never changed in place. A vertex outside the free set of the searches
-    from it keeps the label -1 throughout.
+    from it keeps the label -1 throughout. Several labels take one copy of
+    labels and one dead test, over the vertices they touched: a vertex left
+    unsatisfied with no undecided neighbour stays so under every later
+    label, so this is the verdict of a test after each label.
     """
     weight, twos, cov, pos, un0, unp, und, labels = state
-    vb = 1 << v
-    nv = adj[v]
-    und ^= vb
-    if lab == 0:
-        if not cov & vb:
-            un0 |= vb
-    else:
-        if not nv & pos:
-            unp |= vb
-        unp &= ~nv
-        pos |= vb
-        if lab == 2:
-            un0 &= ~nv
-            cov |= nv
-            twos += 1
-    r = (un0 | unp) & (nv | vb)
+    touched = 0
+    for v, lab in fixes:
+        vb = 1 << v
+        nv = adj[v]
+        touched |= nv | vb
+        und ^= vb
+        if lab == 0:
+            if not cov & vb:
+                un0 |= vb
+        else:
+            if not nv & pos:
+                unp |= vb
+            unp &= ~nv
+            pos |= vb
+            if lab == 2:
+                un0 &= ~nv
+                cov |= nv
+                twos += 1
+        weight += lab
+    r = (un0 | unp) & touched
     while r:
         low = r & -r
         if not adj[low.bit_length() - 1] & und:
             return None
         r ^= low
     labels = labels[:]
-    labels[v] = lab
-    return weight + lab, twos, cov, pos, un0, unp, und, labels
+    for v, lab in fixes:
+        labels[v] = lab
+    return weight, twos, cov, pos, un0, unp, und, labels
 
 
 def _search(sg: _SearchGraph, parts: list, mode: int, best: int, cap: int, early: bool,
@@ -375,8 +387,8 @@ def _orbital_fix(sg: _SearchGraph, state) -> list:
         if len(nbrs) > 1 and not in_one_orbit(g, sg.pair, colour, nbrs):
             break
         if colour[tight]:
-            return [_fix(adj, out, nbrs[0], 2), _fix(adj, out, nbrs[0], 1)]
-        out = _fix(adj, out, nbrs[0], 2)
+            return [_fix(adj, out, [(nbrs[0], 2)]), _fix(adj, out, [(nbrs[0], 1)])]
+        out = _fix(adj, out, [(nbrs[0], 2)])
     return [] if out is state else [out]
 
 
@@ -410,18 +422,27 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
     fixed vertex by vertex: each label below the witness's is probed,
     smallest first, and the witness's own label is fixed when none has a
     completion, so a vertex whose cheapest label matches it costs nothing.
-    Each probe extends the state of the labels fixed so far by one label;
-    _fix answers a dead one, _strands a 0 that leaves a neighbour with no
-    label to take, and _search under MAX_TWOS any other. Labels outside
-    sg.free come back as -1.
+    Each probe extends the state of the labels fixed so far by one label.
+    Three kinds of probe are answered without a search: a dead one (_fix),
+    a 0 that leaves a neighbour with no label to take (_strands), and one
+    whose own state the kernels' child bound prunes (_kernels.state_pruned).
+    Any other asks _search under MAX_TWOS. The witness labels fixed with no
+    probe that found a completion wait in a run, which _fix applies in one
+    pass before the next probe and at the end. Labels outside sg.free come
+    back as -1.
     """
     adj = sg.g.adj
+    bit = sg.bit
     state = sg.root
     witness = seed
+    run = []
     for v in sg.verts:
+        if witness[v] and run:
+            state, run = _fix_witness(adj, state, run), []
         for lab in range(witness[v]):
-            child = _fix(adj, state, v, lab)
-            if child is None or lab == 0 and _strands(adj, child, v):
+            child = _fix(adj, state, [(v, lab)])
+            if (child is None or lab == 0 and _strands(adj, child, v)
+                    or _kernels.state_pruned(adj, bit, child, value, twos - 1, sg.max_degree)):
                 continue
             ok, _, completion = _search(sg, [child], _kernels.MAX_TWOS, twos - 1, value, True,
                                         deadline)
@@ -429,10 +450,20 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
                 state, witness = child, completion
                 break
         else:
-            state = _fix(adj, state, v, witness[v])
-            if state is None:
-                raise ConsistencyError("the witness does not complete the fixed labels")
-    return tuple(state[7])
+            run.append((v, witness[v]))
+    return tuple(_fix_witness(adj, state, run)[7])
+
+
+def _fix_witness(adj, state, run):
+    """state with run, a list of witness labels (v, lab), fixed by _fix in one pass.
+
+    The witness completes every state the walk keeps, so a dead result means
+    the seed was no labeling: ConsistencyError.
+    """
+    state = _fix(adj, state, run)
+    if state is None:
+        raise ConsistencyError("the witness does not complete the fixed labels")
+    return state
 
 
 def _brute_scan(g: Graph):
@@ -460,16 +491,18 @@ def gamma_tr_bruteforce(g: Graph) -> SolveResult:
                        tie_break_note="lexicographically smallest optimal labeling")
 
 
-def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline):
+def _gamma_tr_value(sg: _SearchGraph, seed: int, seed_labels: tuple[int, ...],
+                    deadline: _Deadline):
     """Optimal weight of sg's free set plus a witness of that weight.
 
     seed is a greedy total dominating set of the whole graph as a mask, and
-    its restriction to the free set is that component's own greedy set: the
-    gains of its vertices depend only on their component, and ties break by
-    index either way. ub, twice that set's size, is the weight of the
-    labeling with a 2 on each of its vertices, which is the witness unless
-    the search finds a lighter one. When the trivial floor of the free set
-    reaches ub, it is the optimum and no search runs. Otherwise the proof
+    seed_labels its labeling with a 2 on each member. The restriction of
+    seed to the free set is that component's own greedy set: the gains of
+    its vertices depend only on their component, and ties break by index
+    either way. ub, twice that set's size, is the weight of seed_labels on
+    the free set, which is the witness unless the search finds a lighter
+    one; its labels outside the free set are never read. When the trivial
+    floor of the free set reaches ub, it is the optimum and no search runs. Otherwise the proof
     searches for a labeling lighter than ub. When ub <= |free| and the
     component is vertex-transitive, the proof searches only labelings with a
     2 at r, its lowest vertex, which loses nothing: a labeling lighter than
@@ -479,16 +512,14 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, deadline: _Deadline):
     through the orbital rule (module docstring) before any node is searched.
     """
     g = sg.g
-    seed &= sg.free
-    seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
-    ub = 2 * seed.bit_count()
+    ub = 2 * (seed & sg.free).bit_count()
     if sg.floor >= ub:
         return ub, seed_labels
     parts = [sg.root]
     comp = sg.verts
     if (ub <= len(comp) and all(g.adj[v].bit_count() == sg.max_degree for v in comp)
             and in_one_orbit(g, sg.pair, [0] * g.n, comp)):
-        root = _fix(g.adj, sg.root, comp[0], 2)
+        root = _fix(g.adj, sg.root, [(comp[0], 2)])
         parts = _orbital_fix(sg, root) or [root]
     found, value, labels = _search(sg, parts, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
     return (value, labels) if found else (ub, seed_labels)
@@ -519,7 +550,8 @@ def _solve(g: Graph, deadline: _Deadline, max_twos: bool):
     own indices and the stitch is a plain copy. The objective and the
     lexicographic tie-break both decompose over components because label
     choices in different components never interact. One greedy total
-    dominating set of g seeds every component (see _gamma_tr_value). A
+    dominating set of g, and its labeling with a 2 on each member, built
+    once, seed every component (see _gamma_tr_value). A
     component's witness is its lexicographically smallest optimal labeling;
     with max_twos it is the smallest among those with the most 2s (see
     _most_twos, from the proof's witness), and the 2-count is their number
@@ -536,12 +568,13 @@ def _solve(g: Graph, deadline: _Deadline, max_twos: bool):
     for comp in connected_components(g):
         sgs.append(_SearchGraph(g, comp, sgs[0] if sgs else None))
     seed = greedy_total_dominating_set(g).members
+    seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
     value = twos = 0
     labels = [0] * g.n
     for idx, sg in enumerate(sgs):
         sub_value = None
         try:
-            sub_value, sub_labels = _gamma_tr_value(sg, seed, deadline)
+            sub_value, sub_labels = _gamma_tr_value(sg, seed, seed_labels, deadline)
             sub_twos = 0
             if max_twos:
                 sub_twos, sub_labels = _most_twos(sg, sub_value, sub_labels, deadline)

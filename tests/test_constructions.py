@@ -1,6 +1,6 @@
 import pytest
 
-from trdprod import labeling
+from trdprod import construct, labeling
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import classify_small_product, is_eod_graph
 from trdprod.construct import (SMALL_CASES, product_eod_set,
@@ -93,6 +93,31 @@ def test_eod_products():
     k2 = is_eod_graph(complete(2))
     out = product_eod_set(k2, k2)
     assert out.size == 4  # the whole of the double edge pair
+
+
+def test_the_eod_box_is_checked_once(monkeypatch):
+    # the efficient open domination test runs once on the 32-vertex box of
+    # C4 x C8, through the role tag; a box that fails it is a ConsistencyError
+    boxes = []
+    failing = []
+    real = labeling.is_efficient_open_dominating
+
+    def counting(s):
+        if s.graph.n == 32:
+            boxes.append(s.members)
+            return not failing and real(s)
+        return real(s)
+
+    monkeypatch.setattr(labeling, "is_efficient_open_dominating", counting)
+    monkeypatch.setitem(labeling._ROLE_CHECKS, "efficient_open_dominating", counting)
+    monkeypatch.setattr(construct, "is_efficient_open_dominating", counting)
+    c4, c8 = is_eod_graph(cycle(4)), is_eod_graph(cycle(8))
+    assert product_eod_set(c4, c8).size == 8
+    assert len(boxes) == 1
+    failing.append(True)
+    with pytest.raises(ConsistencyError,
+                       match="product of efficient open dominating sets failed verification"):
+        product_eod_set(c4, c8)
 
 
 def test_eod_product_rejects_non_eod():

@@ -31,7 +31,7 @@ def _fixed_state(adj, fixed):
     n = len(adj)
     state = (0, 0, 0, 0, 0, 0, (1 << n) - 1, [-1] * n)
     for v, lab in fixed.items():
-        state = _fix(adj, state, v, lab)
+        state = _fix(adj, state, [(v, lab)])
         if state is None:
             break
     return state
@@ -357,16 +357,17 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     # the trivial floor equals the greedy seed, which is the lexicographically
     # first optimum and has value // 2 twos, so nothing searches
     (direct_product(cycle(4), prism(cycle(3))).base, 0, 0),
-    (direct_product(complete(3), wheel(6)).base, 1139, 80),
+    (direct_product(complete(3), wheel(6)).base, 1136, 77),
     # K4,9 and K6,6: K6,6's seed meets its floor of 4, K4,9's proof visits
-    # 3 nodes, and the lex probes that the look-ahead does not answer 6
-    (direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base, 9, 6),
+    # 3 nodes, and the look-ahead and the bound pre-check answer every lex
+    # probe without a search
+    (direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base, 3, 0),
     # vertex-transitive, so its proof starts from a 2 at vertex 0, which the
     # orbital rule splits on one neighbour of vertex 0 before any node
     (direct_product(cycle(5), cycle(4)).base, 765, 0),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes)
-    (direct_product(fan(6), cycle(4)).base, 2085, 126),
+    (direct_product(fan(6), cycle(4)).base, 2082, 120),
 ], ids=["C4xprismC3", "K3xW6", "K23xK23", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
@@ -446,9 +447,10 @@ def test_the_seeded_max_twos_pass_agrees_with_the_unseeded_one(g):
     whole = _SearchGraph(g)
     comps = connected_components(g)
     seed = greedy_total_dominating_set(g).members
+    seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
     for comp in comps:
         sg = whole if len(comps) == 1 else _SearchGraph(g, comp, whole)
-        value, witness = solve._gamma_tr_value(sg, seed, solve._Deadline(0))
+        value, witness = solve._gamma_tr_value(sg, seed, seed_labels, solve._Deadline(0))
         t0 = sum(witness[v] == 2 for v in bits_of(comp))
         seeded, unseeded = solve._Deadline(0), solve._Deadline(0)
         _, best, _ = _search(sg, [sg.root], TWOS, t0, value, False, seeded)
@@ -492,6 +494,33 @@ def test_a_seed_that_is_not_a_labeling_is_a_consistency_error():
     g = complete(2)
     with pytest.raises(ConsistencyError):
         solve._lex_smallest(_SearchGraph(g), 2, 0, (0, 0), solve._Deadline(0))
+
+
+@pytest.mark.parametrize("g,seed,run", [
+    (path(4), (0, 2, 1, 0), 2),
+    (path(5), (0, 2, 1, 0, 0), 3),
+    (cycle(6), (0, 0, 2, 1, 0, 0), 3),
+], ids=["P4", "P5", "C6"])
+def test_a_seed_that_breaks_at_the_end_of_a_run_is_a_consistency_error(monkeypatch, g, seed,
+                                                                       run):
+    # every probe of the walk is dead, so it fixes the seed's labels from
+    # its 1 on in one run, applied at the end; the last vertex's 0 has no
+    # 2-neighbour, which a test after each label would see only at that 0
+    value = gamma_tr_exact(g).value
+    calls = []
+
+    def spying(adj, state, fixes):
+        calls.append((state, fixes))
+        return _fix(adj, state, fixes)
+
+    monkeypatch.setattr(solve, "_fix", spying)
+    with pytest.raises(ConsistencyError):
+        solve._lex_smallest(_SearchGraph(g), value, 0, seed, solve._Deadline(0))
+    state, fixes = calls[-1]
+    assert len(fixes) == run and fixes[-1] == (g.n - 1, 0)
+    for i, step in enumerate(fixes):
+        state = _fix(g.adj, state, [step])
+        assert (state is None) == (i == run - 1)
 
 
 def _relabeling_cases(count, seed):
@@ -611,7 +640,8 @@ def _assert_searches_agree_with_a_scan_of_completions(g, fixed):
                          ids=lambda g: g.name)
 def test_fixed_state_matches_the_masks_of_its_labels(g):
     # _fix folded over partial labelings, applied in a random order, against
-    # the slot-0 masks computed from their definitions
+    # the slot-0 masks computed from their definitions; _fix given all the
+    # labels at once gives the same state, or None when the fold dies
     rng = random.Random(g.name)
     for _ in range(20):
         fixed = {v: rng.choice((0, 1, 2)) for v in rng.sample(range(g.n), rng.randint(0, g.n))}
@@ -628,6 +658,7 @@ def test_fixed_state_matches_the_masks_of_its_labels(g):
         dead = any((un0 | unp) >> v & 1 and not g.adj[v] & und for v in range(g.n))
         state = _fixed_state(g.adj, fixed)
         assert (state is None) == dead
+        assert _fix(g.adj, _fixed_state(g.adj, {}), list(fixed.items())) == state
         if dead:
             continue
         labels = [fixed.get(v, -1) for v in range(g.n)]
@@ -635,17 +666,20 @@ def test_fixed_state_matches_the_masks_of_its_labels(g):
         # a state is never changed in place
         free = [v for v in range(g.n) if v not in fixed]
         if free:
-            _fix(g.adj, state, rng.choice(free), rng.choice((0, 1, 2)))
+            _fix(g.adj, state, [(rng.choice(free), rng.choice((0, 1, 2)))])
             assert state[7] == labels
 
 
-def _has_completion(g, fixed):
-    """Whether some total Roman dominating labeling keeps fixed, by a scan of all 3^free."""
+def _has_completion(g, fixed, weight=None, twos=0):
+    """Whether some total Roman dominating labeling keeps fixed, by a scan of all 3^free;
+    given a weight, one of that weight with at least twos 2s."""
     free = [v for v in range(g.n) if v not in fixed]
     for labs in itertools.product((0, 1, 2), repeat=len(free)):
         labels = [fixed.get(v, 0) for v in range(g.n)]
         for v, lab in zip(free, labs):
             labels[v] = lab
+        if weight is not None and (sum(labels) != weight or labels.count(2) < twos):
+            continue
         if is_total_roman_dominating(LabelFunction(g, tuple(labels))):
             return True
     return False
@@ -668,10 +702,44 @@ def test_a_probe_the_look_ahead_rejects_has_no_completion():
             for v in range(g.n):
                 if v in fixed:
                     continue
-                child = _fix(g.adj, state, v, 0)
+                child = _fix(g.adj, state, [(v, 0)])
                 if child is not None and _strands(g.adj, child, v):
                     rejected += 1
                     assert not _has_completion(g, {**fixed, v: 0}), (g.name, fixed, v)
+    assert rejected >= 100
+
+
+def test_a_probe_the_bound_pre_check_rejects_has_no_completion():
+    # the lex probes answer a state that the kernels' child bound prunes
+    # without a search; every probe state it rejects, over random graphs and
+    # prefixes, has no completion of the optimal weight with the probed
+    # 2-count (0, or the most 2s at that weight, as in the two solves)
+    rng = random.Random(2032)
+    rejected = 0
+    for g in _random_isolate_free_graphs(60, seed=2032):
+        if g.n > 7:
+            continue
+        value, _, table = _brute_scan(g)
+        maxdeg = _SearchGraph(g).max_degree
+        bit = [1 << v for v in range(g.n)]
+        for _ in range(25):
+            fixed = {v: rng.choice((0, 1, 2))
+                     for v in rng.sample(range(g.n), rng.randint(0, g.n - 1))}
+            state = _fixed_state(g.adj, fixed)
+            if state is None:
+                continue
+            for v in range(g.n):
+                if v in fixed:
+                    continue
+                for lab in (0, 1, 2):
+                    child = _fix(g.adj, state, [(v, lab)])
+                    if child is None or lab == 0 and _strands(g.adj, child, v):
+                        continue
+                    for twos in (0, table[value]):
+                        if _kernels.state_pruned(g.adj, bit, child, value, twos - 1, maxdeg):
+                            rejected += 1
+                            assert not _has_completion(g, {**fixed, v: lab}, value, twos), (
+                                g.name, fixed, v, lab, twos)
     assert rejected >= 100
 
 
