@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Benchmark the search kernels on fixed exact solves.
 
-Every workload runs three times, and the table gives each row's median
-time; the rounds must agree on the value and on the node total. Each
-search row also gives the B&B node total and nodes per second: every node
-the B&B kernel visits in the solve, under either name (the proof runs as
-bnb_min_weight, the lex probes as bnb_max_twos), and that total over the
-solve's time. The fixed-cost row repeats a small solve: SMALL_SOLVES
-exact and SMALL_SOLVES max-2s solves of K2,3 x K2,3, whose proof visits
-3 nodes, so the row times the seed, the set-up and the lex walk rather
-than search; its value is the sum over those solves, and it gives the
-node total without a rate.
+Every workload runs ROUNDS times, and the rounds must agree on the value
+and on the node total. A search or scan row gives the median time of its
+rounds. Each search row also gives the B&B node total and nodes per
+second: every node the B&B kernel visits in the solve, under either name
+(the proof runs as bnb_min_weight, the lex probes as bnb_max_twos), and
+that total over the solve's time. The fixed-cost row repeats a small
+solve: SMALL_SOLVES exact and SMALL_SOLVES max-2s solves of K2,3 x K2,3,
+whose proof visits 3 nodes, so the row times the seed, the set-up and the
+lex walk rather than search. Each solve is timed on its own, a round's
+figure is the median of its solves, and the row gives the least of these
+over the rounds, per solve, so that a slow spell of a shared host moves
+it little. Its value is the sum over the solves, and it gives the node
+total without a rate.
 
 Usage:
     python benchmarks/bench_kernels.py            # quick set
@@ -29,7 +32,7 @@ from trdprod.families import complete, complete_bipartite, cycle, path, prism, w
 from trdprod.graph import direct_product
 from trdprod.solve import gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2
 
-ROUNDS = 3
+ROUNDS = 7
 SMALL_SOLVES = 200
 
 
@@ -58,15 +61,21 @@ def _round(loads, nodes):
     results = []
     for label, kind, g in loads:
         nodes[0] = 0
-        start = time.perf_counter()
-        if kind == "brute":
-            value = gamma_tr_bruteforce(g).value
-        elif kind == "small":
-            value = sum(solver(g, budget=600).value for solver in (gamma_tr_exact, gamma_tr_max_v2)
-                        for _ in range(SMALL_SOLVES))
+        if kind == "small":
+            value, times = 0, []
+            for solver in (gamma_tr_exact, gamma_tr_max_v2):
+                for _ in range(SMALL_SOLVES):
+                    start = time.perf_counter()
+                    value += solver(g, budget=600).value
+                    times.append(time.perf_counter() - start)
+            elapsed = statistics.median(times)
         else:
-            value = gamma_tr_exact(g, budget=600).value
-        elapsed = time.perf_counter() - start
+            start = time.perf_counter()
+            if kind == "brute":
+                value = gamma_tr_bruteforce(g).value
+            else:
+                value = gamma_tr_exact(g, budget=600).value
+            elapsed = time.perf_counter() - start
         results.append({"label": label, "kind": kind, "value": value, "seconds": elapsed,
                         "nodes": nodes[0]})
     return results
@@ -89,19 +98,23 @@ def main() -> int:
     loads = _workloads(args.full)
     rounds = [_round(loads, nodes) for _ in range(ROUNDS)]
 
-    print(f"median of {ROUNDS} rounds")
+    print(f"median of {ROUNDS} rounds; the fixed-cost row: the least round median of a solve")
     print(f"{'workload':<28} {'time':>10}  B&B nodes")
     for same in zip(*rounds):
         assert len({(r["value"], r["nodes"]) for r in same}) == 1, "rounds disagree"
         row = same[0]
-        seconds = statistics.median(r["seconds"] for r in same)
         # a stronger bound makes each node dearer, so the rate alone can fall
         # while the search gets faster; the node total shows which happened
         # a solve whose seed is already its answer searches no node; the
         # fixed-cost row's time is not search, so it gets no rate
-        rate = ("" if row["kind"] == "brute" else f"{row['nodes']:,} nodes"
-                + (f", {row['nodes'] / seconds:,.0f}/s" if row["kind"] == "bnb" and row["nodes"]
-                   else ""))
+        rate = "" if row["kind"] == "brute" else f"{row['nodes']:,} nodes"
+        if row["kind"] == "small":
+            seconds = min(r["seconds"] for r in same)
+            print(f"{row['label']:<28} {seconds * 1e6:>7.1f} us  {rate}, per solve")
+            continue
+        seconds = statistics.median(r["seconds"] for r in same)
+        if row["kind"] == "bnb" and row["nodes"]:
+            rate += f", {row['nodes'] / seconds:,.0f}/s"
         print(f"{row['label']:<28} {seconds:>8.3f} s  {rate}".rstrip())
     return 0
 

@@ -231,7 +231,7 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
         e = depth + 1
         v = order[depth]
         nv = adj_mask[v]
-        vb = und[depth] ^ und[e]
+        vb = bit[v]
         cv = cov[depth]
         po = pos[depth]
         u0 = un0[depth]

@@ -166,19 +166,19 @@ def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, in order of their smallest
     vertex."""
     adj = g.adj
-    seen = 0
+    rest = (1 << g.n) - 1
     out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = frontier = 1 << start
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             reach = 0
-            for v in bits_of(frontier):
-                reach |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & ~comp
             comp |= frontier
-        seen |= comp
+        rest ^= comp
         out.append(comp)
     return out
 

@@ -29,8 +29,11 @@ class LabelFunction:
     def __post_init__(self):
         if len(self.labels) != self.graph.n:
             raise PreconditionError(f"{len(self.labels)} labels for {self.graph.n} vertices")
-        if any(l not in (0, 1, 2) for l in self.labels):
-            raise PreconditionError("labels must be 0, 1 or 2")
+        # one pass, since every witness comes through here; a bool or a float
+        # equals an int label but is none
+        for l in self.labels:
+            if type(l) is not int or not 0 <= l <= 2:
+                raise PreconditionError(f"labels must be the ints 0, 1 or 2, got {l!r}")
 
     @property
     def weight(self) -> int:
@@ -103,16 +106,18 @@ class VertexSet:
 def is_total_roman_dominating(f: LabelFunction) -> bool:
     """Roman domination plus: positive labels induce a subgraph without isolated vertices."""
     require_no_isolated(f.graph, "total Roman domination")
-    two = f.mask(2)
-    pos = f.positive_mask
     adj = f.graph.adj
+    # one pass over the labels builds the positive vertices and the unions
+    # of the positive and the 2-labelled neighbourhoods; a positive vertex
+    # must lie in the first union, and a 0 in the second
+    pos = near_pos = near_two = 0
     for v, l in enumerate(f.labels):
-        if l == 0:
-            if not adj[v] & two:
-                return False
-        elif not adj[v] & pos:
-            return False
-    return True
+        if l:
+            pos |= 1 << v
+            near_pos |= adj[v]
+            if l == 2:
+                near_two |= adj[v]
+    return not pos & ~near_pos and not ((1 << f.graph.n) - 1) & ~pos & ~near_two
 
 
 def is_packing(s: VertexSet) -> bool:
@@ -168,7 +173,7 @@ def verified(g: Graph, labels, weight: int, twos: int | None, message: str) -> L
     and has twos 2s (any number when twos is None); ConsistencyError(message) otherwise."""
     witness = LabelFunction(g, tuple(labels))
     if (not is_total_roman_dominating(witness) or witness.weight != weight
-            or twos is not None and len(witness.v2) != twos):
+            or twos is not None and witness.labels.count(2) != twos):
         raise ConsistencyError(message)
     return witness
 

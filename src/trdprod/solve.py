@@ -35,17 +35,20 @@ slot 0 and the label list. _fix extends a state by a list of labels with
 the kernels' child rule, and is the one Python copy of that rule; every
 state grows from _SearchGraph.root, the state of no fixed label, through
 _fix. The lexicographic witness rebuild extends the state of its prefix by
-one label per probe, and answers three kinds of probe without a search:
-one whose new label leaves a vertex unsatisfied with no undecided
-neighbour (_fix); one whose new 0 leaves an undecided neighbour with no
-label it can take, having no undecided and no positive neighbour left
-(_strands, a look-ahead of one vertex that the probes run and the kernels
-do not); and one whose own state the kernels' child bound prunes
-(_kernels.state_pruned, which the proof's root does not run). Every other
-probe asks one question under MAX_TWOS: is there a completion of weight
-exactly the optimum with at least the best 2-count (0 when 2s are not
-counted)? The witness labels the walk fixes without a probe that found a
-completion go to _fix in runs, one pass each.
+one label per probe, and answers four kinds of probe without a search:
+both probes of a vertex that can only take a 2, being the last undecided
+neighbour of a decided 0 with no 2-neighbour (_forces_two, which reads
+the witness and so needs no state); one whose new label leaves a vertex
+unsatisfied with no undecided neighbour (_fix); one whose new 0 leaves an
+undecided neighbour with no label it can take, having no undecided and no
+positive neighbour left (_strands, a look-ahead of one vertex that the
+probes run and the kernels do not); and one whose own state the kernels'
+child bound prunes (_kernels.state_pruned, which the proof's root does not
+run). Every other probe asks one question under MAX_TWOS: is there a
+completion of weight exactly the optimum with at least the best 2-count
+(0 when 2s are not counted)? The witness labels the walk fixes without a
+probe that found a completion go to _fix in runs, one pass each, and a
+forced 2 joins the run without ending it.
 
 No max-2s search that a solve or a frontier runs starts without an
 incumbent: both go through _most_twos, which searches from the 2-count of
@@ -56,9 +59,11 @@ starts from the proof's witness. The frontier's first point is the max-2s
 solve, and each later weight starts from the previous point's witness with
 a 1 raised to 2. The greedy seed breaks gain ties toward the highest
 index, where the lexicographically first optimum puts its 2s, so fewer
-probes succeed in moving them. Each incumbent is at most the 2-count of a
-real labeling and the lexicographic witness is unique, so values, 2-counts
-and witnesses are those of searches that start from none.
+probes succeed in moving them; each pick scans down from the highest
+index and stops at the first vertex that gains the most any vertex can.
+Each incumbent is at most the 2-count of a real labeling and the
+lexicographic witness is unique, so values, 2-counts and witnesses are
+those of searches that start from none.
 
 Every search (the proof, the max-2s pass and each lexicographic probe)
 also applies an orbital rule below that root. A search still running after
@@ -215,23 +220,37 @@ def _floor(n: int, delta: int) -> int:
 def greedy_total_dominating_set(g: Graph) -> VertexSet:
     """Deterministic max-coverage greedy; used only to seed upper bounds.
 
-    Gain ties break toward the highest index: the lexicographically first
+    Each pick takes a vertex that dominates the most undominated vertices,
+    breaking gain ties toward the highest index: the lexicographically first
     optimum puts its 0s at the low indices, so a seed with its 2s at the
-    high ones leaves the lexicographic rebuild less to move.
+    high ones leaves the lexicographic rebuild less to move. A pick scans
+    from the highest index down and stops at the first vertex whose gain
+    reaches cap, the most any vertex can gain there: the undominated count,
+    and at most the previous pick's gain (Delta at the first), since gains
+    only shrink as vertices get dominated. A scan that meets no such vertex
+    runs to index 0 and keeps the first, so highest, vertex of the largest
+    gain; either way the pick is that of a full scan. A member gains
+    nothing, its neighbours being dominated, while some vertex gains at
+    least 1 as long as one is undominated, so no pick tests membership.
     """
     require_no_isolated(g, "total domination")
+    adj = g.adj
     undominated = (1 << g.n) - 1
     members = 0
+    cap = g.max_degree()
+    down = range(g.n - 1, -1, -1)
     while undominated:
-        best_v, best_gain = -1, -1
-        for v in range(g.n):
-            if members >> v & 1:
-                continue
-            gain = (g.adj[v] & undominated).bit_count()
-            if gain >= best_gain:
+        cap = min(cap, undominated.bit_count())
+        best_v, best_gain = -1, 0
+        for v in down:
+            gain = (adj[v] & undominated).bit_count()
+            if gain > best_gain:
                 best_v, best_gain = v, gain
+                if gain == cap:
+                    break
+        cap = best_gain
         members |= 1 << best_v
-        undominated &= ~g.adj[best_v]
+        undominated &= ~adj[best_v]
     return VertexSet(g, members, "total_dominating")
 
 
@@ -412,6 +431,36 @@ def _strands(adj, state, v: int) -> bool:
     return False
 
 
+def _forces_two(adj, labels, v: int) -> bool:
+    """Whether a walk that has fixed labels[u] at every u < v can only give v a 2.
+
+    That is so when v is the last undecided neighbour of a decided 0 with no
+    2-neighbour: some u < v has labels[u] = 0, v as its highest neighbour,
+    and no other neighbour labeled 2. A 0 or a 1 at v then leaves u with no
+    2-neighbour and no undecided one, so _fix finds both probes dead. The
+    lexicographic walk fixes its witness's labels, so its state agrees with
+    its witness below v, and the test reads the witness alone: no run has
+    to be fixed first.
+    """
+    vb = 1 << v
+    lower = adj[v] & (vb - 1)
+    while lower:
+        low = lower & -lower
+        lower ^= low
+        u = low.bit_length() - 1
+        nu = adj[u]
+        if nu >> v == 1 and not labels[u]:
+            rest = nu ^ vb
+            while rest:
+                w = rest & -rest
+                if labels[w.bit_length() - 1] == 2:
+                    break
+                rest ^= w
+            else:
+                return True
+    return False
+
+
 def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...],
                   deadline: _Deadline) -> tuple[int, ...]:
     """The lexicographically smallest optimal labeling of sg's free set with at least twos 2s.
@@ -423,13 +472,14 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
     smallest first, and the witness's own label is fixed when none has a
     completion, so a vertex whose cheapest label matches it costs nothing.
     Each probe extends the state of the labels fixed so far by one label.
-    Three kinds of probe are answered without a search: a dead one (_fix),
-    a 0 that leaves a neighbour with no label to take (_strands), and one
-    whose own state the kernels' child bound prunes (_kernels.state_pruned).
-    Any other asks _search under MAX_TWOS. The witness labels fixed with no
-    probe that found a completion wait in a run, which _fix applies in one
-    pass before the next probe and at the end. Labels outside sg.free come
-    back as -1.
+    Four kinds of probe are answered without a search: both probes of a
+    vertex that can only take a 2 (_forces_two, read off the witness before
+    any probe), a dead one (_fix), a 0 that leaves a neighbour with no label
+    to take (_strands), and one whose own state the kernels' child bound
+    prunes (_kernels.state_pruned). Any other asks _search under MAX_TWOS.
+    The witness labels fixed with no probe that found a completion wait in
+    a run, which _fix applies in one pass before the next probe and at the
+    end. Labels outside sg.free come back as -1.
     """
     adj = sg.g.adj
     bit = sg.bit
@@ -437,9 +487,13 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
     witness = seed
     run = []
     for v in sg.verts:
-        if witness[v] and run:
+        top = witness[v]
+        if not top or top == 2 and _forces_two(adj, witness, v):
+            run.append((v, top))
+            continue
+        if run:
             state, run = _fix_witness(adj, state, run), []
-        for lab in range(witness[v]):
+        for lab in range(top):
             child = _fix(adj, state, [(v, lab)])
             if (child is None or lab == 0 and _strands(adj, child, v)
                     or _kernels.state_pruned(adj, bit, child, value, twos - 1, sg.max_degree)):
@@ -450,7 +504,7 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
                 state, witness = child, completion
                 break
         else:
-            run.append((v, witness[v]))
+            run.append((v, top))
     return tuple(_fix_witness(adj, state, run)[7])
 
 

@@ -136,3 +136,44 @@ def test_json_round_trips():
     s = VertexSet.from_vertices(cycle(4), [0, 1], "efficient_open_dominating")
     doc = s.to_json_dict()
     assert doc["members"] == [0, 1] and doc["role"] == "efficient_open_dominating"
+
+
+def _is_trdf_by_definition(g, labels):
+    """Total Roman domination read off its definition, vertex by vertex."""
+    for v in range(g.n):
+        nbr_labels = [labels[u] for u in g.neighbors(v)]
+        if labels[v] == 0 and 2 not in nbr_labels:
+            return False
+        if labels[v] > 0 and not any(nbr_labels):
+            return False
+    return True
+
+
+def test_the_one_pass_predicate_matches_the_definition_on_random_labelings():
+    rng = random.Random(19)
+    graphs = [path(4), cycle(5), star(4), complete(4), prism(cycle(4))]
+    while len(graphs) < 40:
+        n = rng.randint(2, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        g = from_edge_list(n, edges)
+        if all(g.adj):
+            graphs.append(g)
+    verdicts = set()
+    for g in graphs:
+        for _ in range(60):
+            weights = rng.choice(((1, 1, 1), (3, 1, 2), (1, 1, 4)))
+            labels = tuple(rng.choices((0, 1, 2), weights, k=g.n))
+            verdict = is_total_roman_dominating(lf(g, labels))
+            assert verdict == _is_trdf_by_definition(g, labels), (g.adj, labels)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("labels", [(2.0, True, 0, 2), (0, 2, True, 2), (0, 2, 1.0, 1),
+                                    (0, 2, "2", 2), (0, 2, 3, 0), (0, -1, 2, 2)],
+                         ids=["float-and-bool", "bool", "float", "str", "three", "negative"])
+def test_labels_must_be_the_ints_0_1_or_2(labels):
+    # a bool or a float equals an int label, so a test of values alone let
+    # (2.0, True, 0, 2) through, weighing 5.0 and written as [2.0, true, 0, 2]
+    with pytest.raises(PreconditionError):
+        LabelFunction(cycle(4), labels)

@@ -16,7 +16,8 @@ from trdprod.graph import (Graph, bits_of, connected_components, direct_product,
                            from_edge_list, in_one_orbit, is_regular, mask_of, pair_table)
 from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _orbital_fix, _search, _strands,
+from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _forces_two, _orbital_fix, _search,
+                           _strands,
                            gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                            greedy_total_dominating_set, maximum_open_packings, rho_exact,
                            rho_o_exact, rho_o_set_inducing_perfect_matching,
@@ -267,6 +268,49 @@ def test_greedy_total_dominating_set_is_valid():
     assert greedy_total_dominating_set(cycle(6)).vertices() == (2, 3, 4, 5)
 
 
+def _greedy_by_full_scans(g):
+    """The greedy seed's members as first written: every pick rescans every
+    vertex outside the set, and the last of the largest gain wins."""
+    undominated = (1 << g.n) - 1
+    members = 0
+    while undominated:
+        best_v, best_gain = -1, -1
+        for v in range(g.n):
+            if members >> v & 1:
+                continue
+            gain = (g.adj[v] & undominated).bit_count()
+            if gain >= best_gain:
+                best_v, best_gain = v, gain
+        members |= 1 << best_v
+        undominated &= ~g.adj[best_v]
+    return members
+
+
+def _random_isolate_free_graphs_of_any_order(count, seed, low, high):
+    """Random graphs of low..high vertices, each isolated vertex joined to a random other one."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        n = rng.randint(low, high)
+        p = rng.uniform(0.02, 0.6)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        touched = {v for e in edges for v in e}
+        for v in range(n):
+            if v not in touched:
+                edges.append((v, rng.choice([u for u in range(n) if u != v])))
+        graphs.append(from_edge_list(n, edges, f"A{i}"))
+    return graphs
+
+
+def test_the_greedy_seed_picks_what_full_scans_pick():
+    # the scan from the top that stops at the most a vertex can gain takes
+    # the vertices that full scans with ties broken late take
+    graphs = (list(enumerate_catalog(5).graphs) + SOLVE_PRODUCTS + [from_edge_list(0, [])]
+              + _random_isolate_free_graphs_of_any_order(200, 2033, 2, 40))
+    for g in graphs:
+        assert greedy_total_dominating_set(g).members == _greedy_by_full_scans(g), g.name
+
+
 def test_maximum_open_packings_and_matching_flag():
     packs = maximum_open_packings(cycle(4))
     assert all(p.size == 2 for p in packs)
@@ -388,6 +432,36 @@ def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_n
     seen.update(bnb_min_weight=0, bnb_max_twos=0)
     gamma_tr_max_v2(g, budget=60)
     assert seen["bnb_max_twos"] == twos_nodes
+
+
+@pytest.mark.parametrize("g,fixes,searches", [
+    # the floor meets the greedy seed, and every 2 of the witness is
+    # forced, so the walk probes nothing and makes only its last _fix
+    (direct_product(cycle(4), prism(cycle(3))).base, 1, 0),
+    # the same in each of two components
+    (direct_product(path(4), path(4)).base, 2, 0),
+    (direct_product(cycle(4), cycle(4)).base, 2, 0),
+    # K4,9's proof is the one search; in each component one 2 is forced,
+    # and the other runs two probes, each one _fix, after one _fix of the
+    # labels before it
+    (direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base, 8, 1),
+], ids=["C4xprismC3", "P4xP4", "C4xC4", "K23xK23"])
+def test_a_small_solve_makes_a_fixed_number_of_fix_and_search_calls(monkeypatch, g, fixes,
+                                                                     searches):
+    # a work pin that needs no clock: the exact and the max-2s solve of each
+    # product make this many _fix calls (probes and runs of witness labels)
+    # and _search calls (a split search counts once per call)
+    calls = {"_fix": 0, "_search": 0}
+    for name in calls:
+        def counting(*args, real=getattr(solve, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solve, name, counting)
+    for solver in (gamma_tr_exact, gamma_tr_max_v2):
+        calls.update(_fix=0, _search=0)
+        solver(g, budget=60)
+        assert (calls["_fix"], calls["_search"]) == (fixes, searches), solver.__name__
 
 
 def test_a_timeout_reports_the_nodes_of_every_search_of_the_solve(monkeypatch):
@@ -707,6 +781,27 @@ def test_a_probe_the_look_ahead_rejects_has_no_completion():
                     rejected += 1
                     assert not _has_completion(g, {**fixed, v: 0}), (g.name, fixed, v)
     assert rejected >= 100
+
+
+def test_both_probes_of_a_vertex_forced_to_2_are_dead():
+    # the lex walk gives a vertex its witness's 2 without probing 0 and 1
+    # when _forces_two reads off the witness that it can only take a 2; the
+    # walk's state then holds the witness's labels below that vertex, and
+    # _fix must find both probes from that state dead
+    rng = random.Random(2034)
+    forced = 0
+    for g in _random_isolate_free_graphs(60, seed=2034):
+        for _ in range(25):
+            labels = tuple(rng.choice((0, 0, 1, 2)) for _ in range(g.n))
+            for v in range(g.n):
+                state = _fixed_state(g.adj, {u: labels[u] for u in range(v)})
+                if state is None:
+                    break
+                if _forces_two(g.adj, labels, v):
+                    forced += 1
+                    assert _fix(g.adj, state, [(v, 0)]) is None, (g.name, labels, v)
+                    assert _fix(g.adj, state, [(v, 1)]) is None, (g.name, labels, v)
+    assert forced >= 100
 
 
 def test_a_probe_the_bound_pre_check_rejects_has_no_completion():
