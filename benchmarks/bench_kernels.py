@@ -39,7 +39,7 @@ SMALL_SOLVES = 200
 def _workloads(full: bool):
     loads = [
         ("scan 3^10 (K2 x C5)", "brute", direct_product(complete(2), cycle(5)).base),
-        ("search 16v (C4 x C4)", "bnb", direct_product(cycle(4), cycle(4)).base),
+        ("search 18v (K3 x W6)", "bnb", direct_product(complete(3), wheel(6)).base),
         ("search 20v (C5 x C4)", "bnb", direct_product(cycle(5), cycle(4)).base),
         (f"{2 * SMALL_SOLVES} solves 25v (K2,3xK2,3)", "small",
          direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base),
@@ -47,7 +47,6 @@ def _workloads(full: bool):
     if full:
         loads += [
             ("scan 3^12 (C4 x P3)", "brute", direct_product(cycle(4), path(3)).base),
-            ("search 18v (K3 x W6)", "bnb", direct_product(complete(3), wheel(6)).base),
             ("search 24v (C4 x prism C3)", "bnb",
              direct_product(cycle(4), prism(cycle(3))).base),
             ("search 25v (C5 x C5)", "bnb", direct_product(cycle(5), cycle(5)).base),

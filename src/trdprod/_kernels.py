@@ -42,9 +42,9 @@ yet positive or dominated by a 2. The knapsack bound is first tried where
 it needs no loop, and only then scans the undecided vertices
 order[d+1:k], stopping once the bound fits. Every child gets the same
 verdict as from the fully evaluated bound, so the nodes visited and the
-witnesses found do not depend on where a scan stops. state_pruned is the
-same bound, under MAX_TWOS, applied to a whole state; the lexicographic
-probes run it before they start a search.
+witnesses found do not depend on where a scan stops. The heap scan lives
+here alone: the lexicographic probes' pre-check (solve._bound_refutes)
+runs only the tests that need no scan.
 
 On entering depth d, the search picks its branch vertex fail-first. The
 unsatisfied vertex with the fewest undecided neighbours (lowest index on
@@ -307,57 +307,6 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
     st[4] += nodes
     st[5] = status
     return status
-
-
-def state_pruned(adj_mask, bit, state, cap, best, maxdeg):
-    """Whether _bnb's MAX_TWOS child bound prunes a whole state.
-
-    state is a fixed-label state as solve._fix builds it, (weight, 2-count,
-    cov, pos, un0, unp, und, labels): the masks of a search's slot 0 (see
-    the module docstring) with their weight and 2-count. cap, best and
-    maxdeg are st[8], st[3] and st[11]. The tests are those _bnb applies to
-    a child, in the same order, with room = cap - weight and the undecided
-    vertices those of und: the weight and 2-count tests, the cover test and
-    the knapsack Roman cover bound. A state it prunes has no completion of
-    weight cap with more than best 2s, so a search from it would find none.
-    The kernel applies the bound to children only, and runs it on no root.
-    """
-    weight, twos, cov, pos, un0, unp, und, _ = state
-    rem = _popcount(und)
-    room = cap - weight
-    if room < 0 or weight + 2 * rem < cap:
-        return True
-    if twos + min(rem, room // 2) <= best:
-        return True
-    if room < (2 if un0 else 1 if unp else 0):
-        return True
-    q = und & ~cov
-    s = q | un0
-    gap = _popcount(s) - room
-    if gap <= 0:
-        return False
-    m = room >> 1
-    if m * (maxdeg - 2) < gap:
-        return True
-    outside = pos | (und & cov)
-    top = [0] * m
-    total = 0
-    r = und
-    while r:
-        u = (r & -r).bit_length() - 1
-        r ^= bit[u]
-        mu = adj_mask[u]
-        c = _popcount(mu & s)
-        if c - 1 > top[0]:
-            if q & bit[u]:
-                c += 1
-            if not mu & outside:
-                c -= 1
-            if c - 2 > top[0]:
-                total += c - 2 - heapreplace(top, c - 2)
-                if total >= gap:
-                    return False
-    return True
 
 
 def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_budget):

@@ -398,10 +398,13 @@ def _verify_pair(args) -> dict:
     rec["exact"] = exact
 
     if product.n <= ORACLE_LIMIT:
-        oracle = gamma_tr_bruteforce(product).value
-        rec["oracle"] = oracle
-        if oracle != exact:
-            bad(f"{name}: branch-and-bound {exact} disagrees with brute force {oracle}")
+        oracle = gamma_tr_bruteforce(product)
+        rec["oracle"] = oracle.value
+        if oracle.value != exact:
+            bad(f"{name}: branch-and-bound {exact} disagrees with brute force {oracle.value}")
+        elif best2 is not None and oracle.max_v2 != best2.max_v2:
+            bad(f"{name}: branch-and-bound max 2-count {best2.max_v2} disagrees with"
+                f" brute force {oracle.max_v2}")
 
     if verdict.value is not None and verdict.value != exact:
         bad(f"{name}: verdict {verdict.value} (rule {verdict.rule}) != exact {exact}")

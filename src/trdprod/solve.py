@@ -43,12 +43,14 @@ unsatisfied with no undecided neighbour (_fix); one whose new 0 leaves an
 undecided neighbour with no label it can take, having no undecided and no
 positive neighbour left (_strands, a look-ahead of one vertex that the
 probes run and the kernels do not); and one whose own state the kernels'
-child bound prunes (_kernels.state_pruned, which the proof's root does not
-run). Every other probe asks one question under MAX_TWOS: is there a
-completion of weight exactly the optimum with at least the best 2-count
-(0 when 2s are not counted)? The witness labels the walk fixes without a
-probe that found a completion go to _fix in runs, one pass each, and a
-forced 2 joins the run without ending it.
+scan-free child tests refute (_bound_refutes: the weight, 2-count and
+cover tests and the knapsack bound's prune without its heap scan, which
+stays in _kernels; the proof's root runs none of it). Every other probe
+asks one question under MAX_TWOS: is there a completion of weight exactly
+the optimum with at least the best 2-count (0 when 2s are not counted)?
+The witness labels the walk fixes without a probe that found a completion
+go to _fix in runs, one pass each, and a forced 2 joins the run without
+ending it.
 
 No max-2s search that a solve or a frontier runs starts without an
 incumbent: both go through _most_twos, which searches from the 2-count of
@@ -116,8 +118,11 @@ _SLICE_S = 0.02
 class SolveResult:
     """Optimal invariant value plus a verified witness.
 
-    method is one of brute_force, branch_and_bound, certificate. max_v2 is
-    filled by the tie-broken solver variant that maximizes the 2-count.
+    method is one of brute_force, branch_and_bound, certificate. max_v2, the
+    most 2s of an optimal labeling, is filled by the tie-broken solver
+    variant that maximizes the 2-count and by the brute-force oracle, which
+    reads it off its scan's per-weight table; the oracle's witness is still
+    the lexicographically smallest optimum, whatever its 2-count.
     """
 
     invariant: str
@@ -217,7 +222,7 @@ def _floor(n: int, delta: int) -> int:
     return max(lb, min(n, 3))
 
 
-def greedy_total_dominating_set(g: Graph) -> VertexSet:
+def greedy_total_dominating_set(g: Graph) -> int:
     """Deterministic max-coverage greedy; used only to seed upper bounds.
 
     Each pick takes a vertex that dominates the most undominated vertices,
@@ -232,6 +237,9 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
     gain; either way the pick is that of a full scan. A member gains
     nothing, its neighbours being dominated, while some vertex gains at
     least 1 as long as one is undominated, so no pick tests membership.
+
+    Returns the members as a vertex mask; the loop ends only once every
+    vertex is dominated, so the set is total dominating with no re-check.
     """
     require_no_isolated(g, "total domination")
     adj = g.adj
@@ -251,7 +259,7 @@ def greedy_total_dominating_set(g: Graph) -> VertexSet:
         cap = best_gain
         members |= 1 << best_v
         undominated &= ~adj[best_v]
-    return VertexSet(g, members, "total_dominating")
+    return members
 
 
 def _fix(adj, state, fixes):
@@ -431,6 +439,29 @@ def _strands(adj, state, v: int) -> bool:
     return False
 
 
+def _bound_refutes(state, cap: int, best: int, maxdeg: int) -> bool:
+    """Whether the kernels' MAX_TWOS child tests that need no scan prune a whole state.
+
+    cap, best and maxdeg are the search's st[8], st[3] and st[11], and room
+    = cap - weight. The tests are _bnb's, in its order: the weight and
+    2-count tests, the cover test, and the knapsack Roman cover bound's
+    scan-free prune, m (maxdeg - 2) < gap with m = room // 2 and gap = |S| -
+    room (see _kernels._bnb). A state it refutes has no completion of weight
+    cap with more than best 2s, so a search from it would find none. The
+    bound's heap scan stays in the kernel; a state that only the scan
+    prunes costs a short search.
+    """
+    weight, twos, cov, _, un0, unp, und, _ = state
+    rem = und.bit_count()
+    room = cap - weight
+    if room < 0 or weight + 2 * rem < cap or twos + min(rem, room // 2) <= best:
+        return True
+    if room < (2 if un0 else 1 if unp else 0):
+        return True
+    gap = ((und & ~cov) | un0).bit_count() - room
+    return gap > 0 and (room >> 1) * (maxdeg - 2) < gap
+
+
 def _forces_two(adj, labels, v: int) -> bool:
     """Whether a walk that has fixed labels[u] at every u < v can only give v a 2.
 
@@ -475,14 +506,14 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
     Four kinds of probe are answered without a search: both probes of a
     vertex that can only take a 2 (_forces_two, read off the witness before
     any probe), a dead one (_fix), a 0 that leaves a neighbour with no label
-    to take (_strands), and one whose own state the kernels' child bound
-    prunes (_kernels.state_pruned). Any other asks _search under MAX_TWOS.
+    to take (_strands), and one whose own state the kernels' scan-free
+    child tests refute (_bound_refutes). Any other asks _search under
+    MAX_TWOS.
     The witness labels fixed with no probe that found a completion wait in
     a run, which _fix applies in one pass before the next probe and at the
     end. Labels outside sg.free come back as -1.
     """
     adj = sg.g.adj
-    bit = sg.bit
     state = sg.root
     witness = seed
     run = []
@@ -496,7 +527,7 @@ def _lex_smallest(sg: _SearchGraph, value: int, twos: int, seed: tuple[int, ...]
         for lab in range(top):
             child = _fix(adj, state, [(v, lab)])
             if (child is None or lab == 0 and _strands(adj, child, v)
-                    or _kernels.state_pruned(adj, bit, child, value, twos - 1, sg.max_degree)):
+                    or _bound_refutes(child, value, twos - 1, sg.max_degree)):
                 continue
             ok, _, completion = _search(sg, [child], _kernels.MAX_TWOS, twos - 1, value, True,
                                         deadline)
@@ -538,11 +569,16 @@ def _brute_scan(g: Graph):
 
 
 def gamma_tr_bruteforce(g: Graph) -> SolveResult:
-    """Independent oracle: exhaustive scan of all 3^n labelings."""
-    best, labels, _ = _brute_scan(g)
+    """Independent oracle: exhaustive scan of all 3^n labelings.
+
+    max_v2, the most 2s of an optimal labeling, is read off the scan's
+    per-weight table at the optimum, with no second scan.
+    """
+    best, labels, table = _brute_scan(g)
     witness = verified(g, labels, best, None, "brute force witness failed validation")
     return SolveResult("gamma_tR", best, witness, "brute_force",
-                       tie_break_note="lexicographically smallest optimal labeling")
+                       tie_break_note="lexicographically smallest optimal labeling",
+                       max_v2=table[best])
 
 
 def _gamma_tr_value(sg: _SearchGraph, seed: int, seed_labels: tuple[int, ...],
@@ -621,7 +657,7 @@ def _solve(g: Graph, deadline: _Deadline, max_twos: bool):
     sgs = []
     for comp in connected_components(g):
         sgs.append(_SearchGraph(g, comp, sgs[0] if sgs else None))
-    seed = greedy_total_dominating_set(g).members
+    seed = greedy_total_dominating_set(g)
     seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
     value = twos = 0
     labels = [0] * g.n

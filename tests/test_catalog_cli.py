@@ -130,6 +130,23 @@ def test_cli_verify_reports_a_disagreement_with_brute_force(capsys, monkeypatch)
     assert "  (A_,A_): branch-and-bound 4 disagrees with brute force 5" in out.splitlines()
 
 
+def test_cli_verify_reports_a_2_count_that_disagrees_with_brute_force(capsys, monkeypatch):
+    # a max-2s fault keeps the value, so only the oracle's 2-count shows it
+    real = bounds.gamma_tr_max_v2
+
+    def one_two_too_many(g, budget=None):
+        res = real(g, budget)
+        return dataclasses.replace(res, max_v2=res.max_v2 + 1)
+
+    monkeypatch.setattr(bounds, "gamma_tr_max_v2", one_two_too_many)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "2")
+    assert code == 1
+    assert "violations: 1" in out
+    # every optimal labeling of 2K2 is all-1, so it has no 2
+    assert ("  (A_,A_): branch-and-bound max 2-count 1 disagrees with brute force 0"
+            in out.splitlines())
+
+
 def test_cli_verify(capsys, tmp_path):
     out_json = tmp_path / "report.json"
     out_csv = tmp_path / "report.csv"

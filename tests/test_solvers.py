@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -16,8 +17,8 @@ from trdprod.graph import (Graph, bits_of, connected_components, direct_product,
                            from_edge_list, in_one_orbit, is_regular, mask_of, pair_table)
 from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_packing,
                               is_total_dominating, is_total_roman_dominating)
-from trdprod.solve import (_SearchGraph, _brute_scan, _fix, _forces_two, _orbital_fix, _search,
-                           _strands,
+from trdprod.solve import (_SearchGraph, _bound_refutes, _brute_scan, _fix, _forces_two,
+                           _orbital_fix, _search, _strands,
                            gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
                            greedy_total_dominating_set, maximum_open_packings, rho_exact,
                            rho_o_exact, rho_o_set_inducing_perfect_matching,
@@ -260,12 +261,12 @@ def test_a_frontier_timeout_past_the_first_point_carries_gamma_tr(monkeypatch):
 
 def test_greedy_total_dominating_set_is_valid():
     for g in [path(5), cycle(7), wheel(6), prism(cycle(4)), TWO_K2]:
-        d = greedy_total_dominating_set(g)
-        assert is_total_dominating(d)
+        members = greedy_total_dominating_set(g)
+        assert is_total_dominating(VertexSet(g, members)), g.name
     # gain ties break toward the highest index, leaving the low vertices,
     # where the lexicographically first optimum puts its 0s, out of the seed
-    assert greedy_total_dominating_set(cycle(4)).vertices() == (2, 3)
-    assert greedy_total_dominating_set(cycle(6)).vertices() == (2, 3, 4, 5)
+    assert bits_of(greedy_total_dominating_set(cycle(4))) == [2, 3]
+    assert bits_of(greedy_total_dominating_set(cycle(6))) == [2, 3, 4, 5]
 
 
 def _greedy_by_full_scans(g):
@@ -308,7 +309,7 @@ def test_the_greedy_seed_picks_what_full_scans_pick():
     graphs = (list(enumerate_catalog(5).graphs) + SOLVE_PRODUCTS + [from_edge_list(0, [])]
               + _random_isolate_free_graphs_of_any_order(200, 2033, 2, 40))
     for g in graphs:
-        assert greedy_total_dominating_set(g).members == _greedy_by_full_scans(g), g.name
+        assert greedy_total_dominating_set(g) == _greedy_by_full_scans(g), g.name
 
 
 def test_maximum_open_packings_and_matching_flag():
@@ -401,17 +402,22 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     # the trivial floor equals the greedy seed, which is the lexicographically
     # first optimum and has value // 2 twos, so nothing searches
     (direct_product(cycle(4), prism(cycle(3))).base, 0, 0),
-    (direct_product(complete(3), wheel(6)).base, 1136, 77),
+    # one lex probe of the exact solve is pruned only by the knapsack
+    # bound's heap scan, which the probes' pre-check leaves to the kernel:
+    # it runs a 3-node search
+    (direct_product(complete(3), wheel(6)).base, 1139, 77),
     # K4,9 and K6,6: K6,6's seed meets its floor of 4, K4,9's proof visits
-    # 3 nodes, and the look-ahead and the bound pre-check answer every lex
-    # probe without a search
+    # 3 nodes, and the look-ahead and the scan-free bound pre-check answer
+    # every lex probe without a search
     (direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base, 3, 0),
     # vertex-transitive, so its proof starts from a 2 at vertex 0, which the
     # orbital rule splits on one neighbour of vertex 0 before any node
     (direct_product(cycle(5), cycle(4)).base, 765, 0),
     # irregular, and the knapsack Roman cover bound prunes more than
-    # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes)
-    (direct_product(fan(6), cycle(4)).base, 2082, 120),
+    # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes);
+    # as in K3xW6, one probe of the exact solve runs a 3-node search that
+    # only the heap scan would spare
+    (direct_product(fan(6), cycle(4)).base, 2085, 120),
 ], ids=["C4xprismC3", "K3xW6", "K23xK23", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
@@ -511,6 +517,29 @@ SOLVE_PRODUCTS = [
     direct_product(cycle(5), cycle(4)).base,
 ]
 
+# sha256 of bytes(labels) of each solve product's witness; the exact and the
+# max-2s solve give the same one on all seven, since each lex-first optimum
+# already has the most 2s of its weight
+SOLVE_WITNESS_DIGESTS = [
+    "2241a32fbe13aa988f1c0c0a24ba251357e39de9a3bba045ca5dee44a386eff4",
+    "2241a32fbe13aa988f1c0c0a24ba251357e39de9a3bba045ca5dee44a386eff4",
+    "ec1c57ae8adc43c19ce43075006ffacdb70de8dd2d7d5d0ab69e7b255db74305",
+    "7f389a29268cf32f35c92a01c95bcd2bf740d4f290297c109756f42d0567795f",
+    "517c3b5832e718e7f4ebb174e284cb5a8c749ee3b16a072ba30b418b591d9dbf",
+    "8759c3c90351075ee035d0c7d851a40f6d619fb3f5dbc9ad2cd7ad1df29828c5",
+    "c5d2903c227d6e0fe2d02eabfd8ce2ef4ab5c3000735e20016a8b5108b72d3a7",
+]
+
+
+@pytest.mark.parametrize("g,digest", zip(SOLVE_PRODUCTS, SOLVE_WITNESS_DIGESTS),
+                         ids=[g.name for g in SOLVE_PRODUCTS])
+def test_the_solve_products_keep_their_witnesses(g, digest):
+    # a change to the lex walk or its probes' pre-checks must keep every
+    # witness, not only the value
+    for solver in (gamma_tr_exact, gamma_tr_max_v2):
+        labels = solver(g, budget=60).witness.labels
+        assert hashlib.sha256(bytes(labels)).hexdigest() == digest, solver.__name__
+
 
 @pytest.mark.parametrize("g", _random_isolate_free_graphs(40, seed=2020) + SOLVE_PRODUCTS,
                          ids=lambda g: g.name)
@@ -520,7 +549,7 @@ def test_the_seeded_max_twos_pass_agrees_with_the_unseeded_one(g):
     # only prunes more than a pass that starts from none
     whole = _SearchGraph(g)
     comps = connected_components(g)
-    seed = greedy_total_dominating_set(g).members
+    seed = greedy_total_dominating_set(g)
     seed_labels = tuple(2 if seed >> v & 1 else 0 for v in range(g.n))
     for comp in comps:
         sg = whole if len(comps) == 1 else _SearchGraph(g, comp, whole)
@@ -805,10 +834,10 @@ def test_both_probes_of_a_vertex_forced_to_2_are_dead():
 
 
 def test_a_probe_the_bound_pre_check_rejects_has_no_completion():
-    # the lex probes answer a state that the kernels' child bound prunes
-    # without a search; every probe state it rejects, over random graphs and
-    # prefixes, has no completion of the optimal weight with the probed
-    # 2-count (0, or the most 2s at that weight, as in the two solves)
+    # the lex probes answer a state that the kernels' scan-free child tests
+    # refute without a search; every probe state it rejects, over random
+    # graphs and prefixes, has no completion of the optimal weight with the
+    # probed 2-count (0, or the most 2s at that weight, as in the two solves)
     rng = random.Random(2032)
     rejected = 0
     for g in _random_isolate_free_graphs(60, seed=2032):
@@ -816,7 +845,6 @@ def test_a_probe_the_bound_pre_check_rejects_has_no_completion():
             continue
         value, _, table = _brute_scan(g)
         maxdeg = _SearchGraph(g).max_degree
-        bit = [1 << v for v in range(g.n)]
         for _ in range(25):
             fixed = {v: rng.choice((0, 1, 2))
                      for v in rng.sample(range(g.n), rng.randint(0, g.n - 1))}
@@ -831,7 +859,7 @@ def test_a_probe_the_bound_pre_check_rejects_has_no_completion():
                     if child is None or lab == 0 and _strands(g.adj, child, v):
                         continue
                     for twos in (0, table[value]):
-                        if _kernels.state_pruned(g.adj, bit, child, value, twos - 1, maxdeg):
+                        if _bound_refutes(child, value, twos - 1, maxdeg):
                             rejected += 1
                             assert not _has_completion(g, {**fixed, v: lab}, value, twos), (
                                 g.name, fixed, v, lab, twos)
