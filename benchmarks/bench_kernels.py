@@ -28,7 +28,7 @@ import sys
 import time
 
 from trdprod import _kernels
-from trdprod.families import complete, complete_bipartite, cycle, path, prism, wheel
+from trdprod.families import complete, complete_bipartite, cycle, path, wheel
 from trdprod.graph import direct_product
 from trdprod.solve import gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2
 
@@ -47,8 +47,7 @@ def _workloads(full: bool):
     if full:
         loads += [
             ("scan 3^12 (C4 x P3)", "brute", direct_product(cycle(4), path(3)).base),
-            ("search 24v (C4 x prism C3)", "bnb",
-             direct_product(cycle(4), prism(cycle(3))).base),
+            ("search 21v (K3 x C7)", "bnb", direct_product(complete(3), cycle(7)).base),
             ("search 25v (C5 x C5)", "bnb", direct_product(cycle(5), cycle(5)).base),
             ("search 28v (K4 x C7)", "bnb", direct_product(complete(4), cycle(7)).base),
             ("search 30v (C5 x C6)", "bnb", direct_product(cycle(5), cycle(6)).base),

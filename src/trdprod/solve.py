@@ -30,6 +30,27 @@ labeling lighter than n is not all-positive, and a vertex labeled 0 needs a
 to v turns it into a valid labeling of the same weight with a 2 at r. That
 root goes through the orbital rule below before its first node.
 
+Lighter labelings have a sharper form. Lemma: on a Delta-regular
+component of n vertices, a labeling of weight w < n with
+(Delta - 1) w < 2n has a rich 2, a 2 whose neighbours are all 0 but one,
+which is positive. Proof: with n0 zeros and n2 twos, n0 - n2 = n - w > 0
+and n2 <= w/2. Each 0 has a 2-neighbour, so the 2s have at least n0 zero
+neighbours between them, and some 2 has at least n0/n2 = 1 + (n - w)/n2
+>= 2n/w - 1 > Delta - 2 of them. That is Delta - 1, and its last neighbour
+is positive, as every positive vertex has a positive neighbour. The
+window is the weights the lemma covers, up to _SearchGraph.window =
+min(n - 1, (2n - 1) // (Delta - 1)). On a vertex-transitive component an
+automorphism moves the rich 2 to r, and one that fixes r moves its
+positive neighbour to p, the lowest vertex of that neighbour's orbit under
+the automorphisms fixing r. So every labeling of weight in the window has
+an image of the same weight and 2-count in one of the star parts
+(_SearchGraph.star), two per orbit of N(r): r labeled 2, p labeled 1 or 2,
+and every other neighbour of r labeled 0. The proof first searches the
+star parts alone for a labeling of weight at most min(ub - 1, window),
+and searches from the root with a 2 at r (or from the plain root) only
+when they have none and ub - 1 lies above the window. The max-2s search
+of a weight in the window (_most_twos) searches the star parts alone.
+
 Fixed labels only ever take one form, a state: the masks of the kernels'
 slot 0 and the label list. _fix extends a state by a list of labels with
 the kernels' child rule, and is the one Python copy of that rule; every
@@ -160,10 +181,13 @@ class _SearchGraph:
     searches then run on g itself with every label at its own index. One
     is built per component and shared by the proof, the max-2s pass and
     every lex probe. verts lists free in increasing order, for every walk
-    over the free vertices, and floor is the free set's trivial floor. The
+    over the free vertices, floor is the free set's trivial floor, and window
+    the largest weight the rich-2 lemma covers (module docstring). The
     kernels read bit and max_degree, the largest degree in free. The
-    vertex-transitivity test of a regular component's proof and the orbital
-    rule read pair (graph.pair_table of g), which is built on first use.
+    vertex-transitivity test (two_at_r), the star parts (star) and the
+    orbital rule read pair (graph.pair_table of g). All three are built
+    on first use, and two_at_r and star are None from the start on an
+    irregular free set.
     The search graphs of a solve's components share bit and pair through
     shared, the first of them, so a solve that runs neither the test nor
     the rule never builds pair and one that does builds it once. root is
@@ -177,13 +201,62 @@ class _SearchGraph:
         self.free = (1 << g.n) - 1 if free is None else free
         self.verts = bits_of(self.free)
         self.bit = shared.bit if shared is not None else [1 << v for v in range(g.n)]
-        self.max_degree = max((g.adj[v].bit_count() for v in self.verts), default=0)
+        degrees = {g.adj[v].bit_count() for v in self.verts}
+        self.max_degree = max(degrees, default=0)
         self.floor = _floor(len(self.verts), self.max_degree)
         self.root = (0, 0, 0, 0, 0, 0, self.free, [-1] * g.n)
+        if len(degrees) > 1:
+            # irregular, so not vertex-transitive, with no automorphism search
+            self.two_at_r = self.star = None
 
     @cached_property
     def pair(self) -> list[list[int]]:
         return self._shared.pair if self._shared is not None else pair_table(self.g)
+
+    @property
+    def window(self) -> int:
+        """The largest weight the rich-2 lemma covers (module docstring)."""
+        n = len(self.verts)
+        return min(n - 1, (2 * n - 1) // max(self.max_degree - 1, 1))
+
+    @cached_property
+    def two_at_r(self) -> list | None:
+        """The states of a 2 at r, the lowest free vertex, after the orbital
+        rule, when the free set is vertex-transitive; None when it is not or
+        is not shown to be."""
+        g = self.g
+        verts = self.verts
+        if not in_one_orbit(g, self.pair, [0] * g.n, verts):
+            return None
+        root = _fix(g.adj, self.root, [(verts[0], 2)])
+        return _orbital_fix(self, root) or [root]
+
+    @cached_property
+    def star(self) -> list | None:
+        """The star parts of a vertex-transitive free set, or None (see two_at_r).
+
+        For each orbit of N(r) under the automorphisms that fix r, with p its
+        lowest vertex, the states {r: 2, p: 1} and {r: 2, p: 2}, each with a
+        0 on every other neighbour of r. Every labeling of weight at most
+        window maps onto one of them (module docstring).
+        """
+        parts = self.two_at_r
+        if parts is None:
+            return None
+        g = self.g
+        r = self.verts[0]
+        nbrs = bits_of(g.adj[r])
+        if len(parts) == 2:
+            # the rule found N(r) one orbit and split the search on its lowest vertex
+            reps = nbrs[:1]
+        else:
+            colour = parts[0][7]
+            reps = []
+            for u in nbrs:
+                if not any(in_one_orbit(g, self.pair, colour, [p, u]) for p in reps):
+                    reps.append(u)
+        return [_fix(g.adj, self.root, [(r, 2), (p, lab)] + [(u, 0) for u in nbrs if u != p])
+                for p in reps for lab in (1, 2)]
 
 
 class _Deadline:
@@ -212,6 +285,12 @@ def trivial_lower_bound(g: Graph) -> int:
     closed neighbourhood, but one neighbour must be positive and so serves
     itself, which leaves at most Delta vertices served per 2. The floor is
     never below ceil(2n/(Delta+1)), the Roman domination floor.
+
+    It is the count of the rich-2 lemma (module docstring) run the other
+    way: with n0 zeros and n2 twos in a labeling of weight w, n0 = n - w +
+    n2, and even Delta - 1 zero neighbours per 2 cover at most
+    (Delta - 1) n2 of the 0s, so n - w <= (Delta - 2) n2 <= (Delta - 2) w/2,
+    which is w >= 2n/Delta.
     """
     return _floor(g.n, g.max_degree())
 
@@ -592,25 +671,45 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, seed_labels: tuple[int, ...],
     either way. ub, twice that set's size, is the weight of seed_labels on
     the free set, which is the witness unless the search finds a lighter
     one; its labels outside the free set are never read. When the trivial
-    floor of the free set reaches ub, it is the optimum and no search runs. Otherwise the proof
-    searches for a labeling lighter than ub. When ub <= |free| and the
-    component is vertex-transitive, the proof searches only labelings with a
-    2 at r, its lowest vertex, which loses nothing: a labeling lighter than
-    |free| has a 0 somewhere, so a 2 at some vertex v (the 0 needs a
+    floor of the free set reaches ub, it is the optimum and no search runs.
+    Otherwise the proof searches for a labeling lighter than ub.
+
+    On a vertex-transitive component whose floor lies in the window, one
+    plain search of the star parts first looks for the lightest labeling
+    of weight at most min(ub - 1, window); every labeling of such a weight
+    has an image of that weight there (module docstring), so one found is
+    the optimum, and none found with ub - 1 in the window makes ub the
+    optimum. Only an optimum above the window needs the search below, and a
+    timeout in the star search, which starts from window + 1 when that is
+    below ub, carries ub as its upper bound. When ub <= |free| and the
+    component is vertex-transitive, that search covers only labelings with
+    a 2 at r, its lowest vertex, which loses nothing: a labeling lighter
+    than |free| has a 0 somewhere, so a 2 at some vertex v (the 0 needs a
     2-neighbour), and composing it with an automorphism that sends r to v
-    gives a valid labeling of the same weight with a 2 at r. That root goes
-    through the orbital rule (module docstring) before any node is searched.
+    gives a valid labeling of the same weight with a 2 at r. That root
+    goes through the orbital rule (module docstring) before any node is
+    searched.
     """
-    g = sg.g
     ub = 2 * (seed & sg.free).bit_count()
     if sg.floor >= ub:
         return ub, seed_labels
+    cap = min(ub, sg.window + 1)
+    if sg.floor < cap and sg.star is not None:
+        try:
+            found, value, labels = _search(sg, sg.star, _kernels.MIN_WEIGHT, cap, 0, False,
+                                           deadline)
+        except SolverTimeout as exc:
+            if exc.upper_bound == cap:
+                # nothing found yet, and cap may be no labeling's weight
+                exc.upper_bound = ub
+            raise
+        if found:
+            return value, labels
+        if cap == ub:
+            return ub, seed_labels
     parts = [sg.root]
-    comp = sg.verts
-    if (ub <= len(comp) and all(g.adj[v].bit_count() == sg.max_degree for v in comp)
-            and in_one_orbit(g, sg.pair, [0] * g.n, comp)):
-        root = _fix(g.adj, sg.root, [(comp[0], 2)])
-        parts = _orbital_fix(sg, root) or [root]
+    if ub <= len(sg.verts) and sg.two_at_r is not None:
+        parts = sg.two_at_r
     found, value, labels = _search(sg, parts, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
     return (value, labels) if found else (ub, seed_labels)
 
@@ -621,12 +720,16 @@ def _most_twos(sg: _SearchGraph, weight: int, labels, deadline: _Deadline):
     labels is a valid labeling of that weight, in hand: the search starts
     from its 2-count and keeps it when nothing beats it, so it always ends
     with a labeling. No search runs when labels already has weight // 2
-    twos, the most a labeling of that weight can have.
+    twos, the most a labeling of that weight can have. A weight in the
+    window of a vertex-transitive free set searches the star parts alone,
+    where every labeling of that weight has an image with as many 2s
+    (module docstring); any other searches from the root.
     """
     twos = sum(labels[v] == 2 for v in sg.verts)
     if twos < weight // 2:
-        found, twos, better = _search(sg, [sg.root], _kernels.MAX_TWOS, twos, weight, False,
-                                      deadline)
+        parts = sg.star if weight <= sg.window else None
+        found, twos, better = _search(sg, parts or [sg.root], _kernels.MAX_TWOS, twos, weight,
+                                      False, deadline)
         if found:
             labels = better
     return twos, labels

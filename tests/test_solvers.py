@@ -410,9 +410,9 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
     # 3 nodes, and the look-ahead and the scan-free bound pre-check answer
     # every lex probe without a search
     (direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base, 3, 0),
-    # vertex-transitive, so its proof starts from a 2 at vertex 0, which the
-    # orbital rule splits on one neighbour of vertex 0 before any node
-    (direct_product(cycle(5), cycle(4)).base, 765, 0),
+    # vertex-transitive, and its optimum of 12 lies in the window of the
+    # rich-2 lemma (up to 13), so its proof searches the two star parts alone
+    (direct_product(cycle(5), cycle(4)).base, 528, 0),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes);
     # as in K3xW6, one probe of the exact solve runs a 3-node search that
@@ -915,8 +915,14 @@ def test_search_runs_on_products_beyond_64_vertices(g, value, twos, budget):
     assert most_twos.max_v2 == twos and most_twos.witness.labels.count(2) == twos
 
 
+def _circulant(n, jumps):
+    """Vertex v joined to v + j mod n for each jump j."""
+    return from_edge_list(n, [(v, (v + j) % n) for v in range(n) for j in jumps],
+                          f"Ci{n}({','.join(map(str, jumps))})")
+
+
 def _random_circulants(count, seed, low, high):
-    """Distinct connected circulants: vertex v is joined to v + j mod n for each jump j."""
+    """Distinct connected circulants."""
     rng = random.Random(seed)
     picked = set()
     while len(picked) < count:
@@ -924,9 +930,7 @@ def _random_circulants(count, seed, low, high):
         jumps = tuple(sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 3))))
         if math.gcd(n, *jumps) == 1:
             picked.add((n, jumps))
-    return [from_edge_list(n, [(v, (v + j) % n) for v in range(n) for j in jumps],
-                           f"Ci{n}({','.join(map(str, jumps))})")
-            for n, jumps in sorted(picked)]
+    return [_circulant(n, jumps) for n, jumps in sorted(picked)]
 
 
 def _induced_subgraph(g, vertices):
@@ -1068,11 +1072,12 @@ def test_a_colouring_that_breaks_the_symmetry_gives_no_fix():
 
 
 def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
-    # C5 x C5's proof splits its root, a 2 at vertex 0, before any node, and
-    # its two parts end without a fix. The first lex probe to outlast its
-    # first chunk, vertices 0-4 all 0, is dropped for two reduced searches.
-    # The clock then reads far past the deadline, and the first reduced
-    # search times out.
+    # C5 x C5's star parts are built from the orbital rule's split of a 2 at
+    # vertex 0, made before any node, and the proof's search of them ends
+    # without a fix. The first lex probe to outlast its first chunk,
+    # vertices 0-4 all 0, is dropped for two reduced searches. The clock
+    # then reads far past the deadline, and the first reduced search times
+    # out.
     nodes = [0]
     fixes = []
     orbital_fix = solve._orbital_fix
@@ -1108,8 +1113,8 @@ def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
 
 
 def test_a_timeout_in_a_part_of_the_split_proof_root_carries_the_floor(monkeypatch):
-    # the first part of C5 x C5's split root runs one chunk and then finds
-    # the clock far past the deadline
+    # the first of C5 x C5's star parts (a 2 at vertex 0 with a 1 at vertex
+    # 6) runs one chunk and then finds the clock far past the deadline
     chunks = []
     kernel = _kernels.bnb_min_weight
 
@@ -1124,6 +1129,122 @@ def test_a_timeout_in_a_part_of_the_split_proof_root_carries_the_floor(monkeypat
         gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=60)
     assert len(chunks) == 1 and err.value.nodes == solve._FIRST_CHUNK
     assert err.value.lower_bound == 13 and err.value.upper_bound >= 15
+
+
+def test_a_timeout_in_the_star_search_carries_the_seed_weight(monkeypatch):
+    # K4 x C7's window ends at 11, below its optimum of 13 and its seed's
+    # weight of 16, so the star search looks only below 12 and finds
+    # nothing; a timeout after its first node must carry the seed's 16, not
+    # the 12 it started from
+    chunks = []
+    kernel = _kernels.bnb_min_weight
+
+    def counting(*args):
+        chunks.append(True)
+        return kernel(*args)
+
+    monkeypatch.setattr(solve, "_FIRST_CHUNK", 1)
+    monkeypatch.setattr(_kernels, "bnb_min_weight", counting)
+    monkeypatch.setattr(solve, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + (1e6 if chunks else 0)))
+    g = direct_product(complete(4), cycle(7)).base
+    assert _SearchGraph(g).window == 11
+    with pytest.raises(SolverTimeout) as err:
+        gamma_tr_exact(g, budget=60)
+    assert len(chunks) == 1 and err.value.nodes == 1
+    assert err.value.lower_bound == 10 and err.value.upper_bound == 16
+
+
+# vertex-transitive, at most 10 vertices; the direct products K2 x K4 and
+# K3 x K3 are the cube minus a perfect matching and the complement of the
+# 3 x 3 rook's graph
+_SMALL_VERTEX_TRANSITIVE = [
+    complete(4), complete(5), complete_bipartite(3, 3), prism(cycle(3)),
+    direct_product(complete(2), complete(4)).base, direct_product(complete(3), complete(3)).base,
+    cycle(5), cycle(6), cycle(7), cycle(8),
+]
+
+
+def test_a_light_labeling_of_a_regular_graph_has_a_rich_2():
+    # the lemma behind the star parts, by a scan of all 3^n labelings: every
+    # valid labeling of weight w < n with (Delta - 1) w < 2n has a 2 whose
+    # neighbours are all 0 but one. A cycle has no valid labeling lighter
+    # than n, and K3 x K3 none lighter than 6 = 2n / (Delta - 1), so the
+    # lemma holds there with nothing to check.
+    checked = {}
+    for g in _SMALL_VERTEX_TRANSITIVE:
+        assert _is_vertex_transitive(g)
+        delta = g.max_degree()
+        nbrs = [bits_of(g.adj[v]) for v in range(g.n)]
+        checked[g.name] = 0
+        for labels in itertools.product((0, 1, 2), repeat=g.n):
+            weight = sum(labels)
+            if (weight >= g.n or (delta - 1) * weight >= 2 * g.n
+                    or not is_total_roman_dominating(LabelFunction(g, labels))):
+                continue
+            checked[g.name] += 1
+            assert any(lab == 2 and sum(labels[u] == 0 for u in nbrs[v]) == delta - 1
+                       for v, lab in enumerate(labels)), (g.name, labels)
+    assert [name for name, count in checked.items() if count] == [
+        "K4", "K5", "K3,3", "prism(C3)", "K2xK4"]
+
+
+def test_the_window_ends_below_a_weight_without_a_rich_2():
+    # K3 x K3: n = 9 and Delta = 4, so the window ends at (2n - 1) // 3 = 5.
+    # At 6 = 2n / (Delta - 1) the lemma's count is met with equality: the
+    # optima with three 2s have no rich 2, and the star parts reach two 2s.
+    g = direct_product(complete(3), complete(3)).base
+    sg = _SearchGraph(g)
+    assert sg.window == 5 and sg.star is not None
+    value, optima = _optimal_labelings(g)
+    assert value == 6 and max(labels.count(2) for labels in optima) == 3
+    deadline = solve._Deadline(0)
+    assert _search(sg, sg.star, TWOS, -1, 6, False, deadline)[1] == 2
+    two_twos = next(labels for labels in optima if labels.count(2) == 2)
+    assert solve._most_twos(sg, 6, two_twos, deadline)[0] == 3
+
+
+def test_the_star_parts_take_one_vertex_of_each_orbit_of_the_neighbours_of_r():
+    def parts(g):
+        return [_fixed_labels(state) for state in _SearchGraph(g).star]
+
+    # N(0) = {6, 9, 21, 24} is one orbit of the maps that fix vertex 0
+    assert parts(direct_product(cycle(5), cycle(5)).base) == [
+        {0: 2, 6: lab, 9: 0, 21: 0, 24: 0} for lab in (1, 2)]
+    # in prism(C7), the rung neighbour 1 is an orbit of its own, apart from
+    # the cycle neighbours 2 and 12
+    assert parts(prism(cycle(7))) == [
+        {0: 2, 1: 1, 2: 0, 12: 0}, {0: 2, 1: 2, 2: 0, 12: 0},
+        {0: 2, 1: 0, 2: 1, 12: 0}, {0: 2, 1: 0, 2: 2, 12: 0}]
+    assert _SearchGraph(direct_product(complete(3), wheel(6)).base).star is None
+
+
+# vertex-transitive graphs whose solves search the star parts; in prism(C7)
+# and C16(1,2), N(r) falls into two orbits of the maps that fix r, and
+# their max-2s solve (prism(C7)) or exact solve (C16(1,2)) needs the second
+_STAR_GRAPHS = [direct_product(cycle(m), cycle(n)).base
+                for m in range(3, 7) for n in range(m, 7)] + [
+    direct_product(complete(3), cycle(5)).base,
+    direct_product(complete(3), cycle(7)).base,
+    direct_product(complete(4), cycle(5)).base,
+    direct_product(complete(4), complete(4)).base,
+    direct_product(prism(cycle(3)), cycle(4)).base,
+    prism(cycle(7)),
+    _circulant(16, (1, 2)),
+]
+
+
+@pytest.mark.parametrize("g", _STAR_GRAPHS, ids=lambda g: g.name)
+def test_the_star_parts_keep_values_and_witnesses(monkeypatch, g):
+    # the same value, 2-count and witness as searches from sg.root alone,
+    # which a search graph takes when it finds no vertex-transitivity
+    star = _exact_and_most_twos(g)
+    with monkeypatch.context() as plain:
+        plain.setattr(_SearchGraph, "two_at_r", None)
+        assert _exact_and_most_twos(g) == star
+    if g.n <= 12:
+        best, labels, table = _brute_scan(g)
+        assert star[:3] == (best, labels, table[best])
 
 
 def _catalog_products(max_n):
