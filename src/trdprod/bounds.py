@@ -1,10 +1,11 @@
 """Bound evaluation for factor pairs and the exhaustive verification harness.
 
-Every bound entry records its applicability gate next to its value, so a
-report always shows why an entry did or did not participate. The harness
-computes exact optima for whole catalogs of factor pairs and checks each
-theorem-shaped claim empirically, reporting violations instead of trusting
-the case analysis.
+Each pair bound is one row of _BOUNDS: its gate and its formula, written once
+for one factor orientation. Every report lists each row with its value and
+whether its gate opened, so it always shows why an entry did or did not
+participate. The harness computes exact optima for whole catalogs of factor
+pairs and checks each theorem-shaped claim empirically, reporting violations
+instead of trusting the case analysis.
 """
 
 from __future__ import annotations
@@ -182,92 +183,81 @@ def _remark_minimum(fg: tuple[ParetoPoint, ...], fh: tuple[ParetoPoint, ...]) ->
     return min(a.weight * b.weight - 2 * a.max_v2 * b.max_v2 for a in fg for b in fh)
 
 
-def pair_bounds(pg: FactorProfile, ph: FactorProfile) -> PairReport:
-    """Evaluate every pair bound with its applicability gate.
-
-    Orientation-sensitive bounds are evaluated both ways and the stronger
-    applicable orientation is kept. Half-integer lower bounds are rounded up,
-    which is sound for an integer-valued invariant.
-    """
-    rep = PairReport(pg, ph)
-    add = rep.bounds.append
-
-    add(BoundEntry("LB_pack", "lower",
-                   max(ph.rho * pg.gamma_tr, pg.rho * ph.gamma_tr), True,
-                   "packing number of one factor times gamma_tR of the other"))
-
+# One row per bound: (name, kind, gate(a, b), value(a, b), note). The value
+# is only evaluated where the gate is open, and pair_bounds reads each row in
+# both factor orientations.
+_BOUNDS = (
+    ("LB_pack", "lower", lambda a, b: True,
+     lambda a, b: b.rho * a.gamma_tr,
+     "packing number of one factor times gamma_tR of the other"),
     # The doubled packing bound is unsound when the triangle-free factor has
     # packing number above one: P4 x P4 would get lower bound 16 against its
     # true optimum 8. Restricted to packing number one it survives every
     # exhaustive audit and keeps its tight families.
-    tfb_vals = []
-    if pg.triangle_free and pg.rho == 1 and ph.bipartite and ph.order >= 2:
-        tfb_vals.append(2 * pg.rho * ph.gamma_tr)
-    if ph.triangle_free and ph.rho == 1 and pg.bipartite and pg.order >= 2:
-        tfb_vals.append(2 * ph.rho * pg.gamma_tr)
-    add(BoundEntry("LB_tfb", "lower", max(tfb_vals) if tfb_vals else None, bool(tfb_vals),
-                   "doubled packing bound for a triangle-free factor of packing number one"
-                   " against a bipartite one"))
-
-    opack_ok = pg.order >= 3 and ph.order >= 3
-    opack_val = None
-    if opack_ok:
-        opack_val = max(math.ceil(ph.rho_o * pg.gamma_tr / 2),
-                        math.ceil(pg.rho_o * ph.gamma_tr / 2))
-    add(BoundEntry("LB_opack", "lower", opack_val, opack_ok,
-                   "half the open packing product bound, rounded up; both orders >= 3"))
-
-    tfr_vals = []
-    if (pg.triangle_free and pg.rho_o_matching_set is not None
-            and ph.bipartite and ph.order >= 2):
-        tfr_vals.append(pg.rho_o * ph.gamma_tr)
-    if (ph.triangle_free and ph.rho_o_matching_set is not None
-            and pg.bipartite and pg.order >= 2):
-        tfr_vals.append(ph.rho_o * pg.gamma_tr)
-    add(BoundEntry("LB_tfr", "lower", max(tfr_vals) if tfr_vals else None, bool(tfr_vals),
-                   "open packing bound when some maximum open packing induces single edges"
-                   " and the partner is bipartite"))
-
-    add(BoundEntry("UB_maxA2", "upper",
-                   pg.gamma_tr * ph.gamma_tr - 2 * pg.max_v2 * ph.max_v2, True,
-                   "combined optimal labelings with the most 2-labels"))
-
+    ("LB_tfb", "lower",
+     lambda a, b: a.triangle_free and a.rho == 1 and b.bipartite and b.order >= 2,
+     lambda a, b: 2 * a.rho * b.gamma_tr,
+     "doubled packing bound for a triangle-free factor of packing number one"
+     " against a bipartite one"),
+    ("LB_opack", "lower", lambda a, b: a.order >= 3 and b.order >= 3,
+     lambda a, b: math.ceil(b.rho_o * a.gamma_tr / 2),
+     "half the open packing product bound, rounded up; both orders >= 3"),
+    ("LB_tfr", "lower",
+     lambda a, b: (a.triangle_free and a.rho_o_matching_set is not None
+                   and b.bipartite and b.order >= 2),
+     lambda a, b: a.rho_o * b.gamma_tr,
+     "open packing bound when some maximum open packing induces single edges"
+     " and the partner is bipartite"),
+    ("UB_maxA2", "upper", lambda a, b: True,
+     lambda a, b: a.gamma_tr * b.gamma_tr - 2 * a.max_v2 * b.max_v2,
+     "combined optimal labelings with the most 2-labels"),
     # Gate on what the derivation actually uses: an optimal labeling with at
     # least one 2-label per factor. Order >= 3 alone admits graphs whose
     # components are all single edges (2K2), where every optimum is all-1
     # and the minus-two bound fails.
-    minus2_ok = pg.max_v2 >= 1 and ph.max_v2 >= 1
-    add(BoundEntry("UB_minus2", "upper",
-                   pg.gamma_tr * ph.gamma_tr - 2 if minus2_ok else None, minus2_ok,
-                   "product of the optima minus two; each factor has an optimal"
-                   " labeling using a 2"))
+    ("UB_minus2", "upper", lambda a, b: a.max_v2 >= 1 and b.max_v2 >= 1,
+     lambda a, b: a.gamma_tr * b.gamma_tr - 2,
+     "product of the optima minus two; each factor has an optimal"
+     " labeling using a 2"),
+    ("UB_remark", "upper", lambda a, b: True,
+     lambda a, b: _remark_minimum(a.frontier, b.frontier),
+     "minimum of the combination formula over the weight/2-count frontiers,"
+     " weights capped at twice gamma_t"),
+    ("UB_2gt", "upper", lambda a, b: True,
+     lambda a, b: 2 * a.gamma_t * b.gamma_t,
+     "all-2 labeling of the box of minimum total dominating sets"),
+    ("UB_2rho_o", "upper", lambda a, b: a.eod is not None and b.eod is not None,
+     lambda a, b: 2 * a.rho_o * b.rho_o,
+     "open packing form of the previous bound; both factors efficient"
+     " open domination graphs"),
+    ("UB_half", "upper", lambda a, b: a.total_roman and b.total_roman,
+     lambda a, b: a.gamma_tr * b.gamma_tr // 2,
+     "half the product of the optima; both factors total Roman graphs"),
+    # Degree one is excluded: K2 x K2 is two single edges, whose optimum 4
+    # is half of 2 * gamma_t * gamma_t.
+    ("EXACT_regEOD", "exact",
+     lambda a, b: (a.regular and b.regular and a.eod is not None and b.eod is not None
+                   and a.max_degree >= 2 and b.max_degree >= 2),
+     lambda a, b: 2 * a.gamma_t * b.gamma_t,
+     "regular factors of degree >= 2 with efficient open dominating sets"
+     " pin the value; degree 1 is a known counterexample"),
+)
 
-    add(BoundEntry("UB_remark", "upper",
-                   _remark_minimum(pg.frontier, ph.frontier), True,
-                   "minimum of the combination formula over the weight/2-count frontiers,"
-                   " weights capped at twice gamma_t"))
 
-    add(BoundEntry("UB_2gt", "upper", 2 * pg.gamma_t * ph.gamma_t, True,
-                   "all-2 labeling of the box of minimum total dominating sets"))
+def pair_bounds(pg: FactorProfile, ph: FactorProfile) -> PairReport:
+    """Evaluate every row of _BOUNDS with its applicability gate.
 
-    eod_ok = pg.eod is not None and ph.eod is not None
-    add(BoundEntry("UB_2rho_o", "upper",
-                   2 * pg.rho_o * ph.rho_o if eod_ok else None, eod_ok,
-                   "open packing form of the previous bound; both factors efficient"
-                   " open domination graphs"))
-
-    half_ok = pg.total_roman and ph.total_roman
-    add(BoundEntry("UB_half", "upper",
-                   pg.gamma_tr * ph.gamma_tr // 2 if half_ok else None, half_ok,
-                   "half the product of the optima; both factors total Roman graphs"))
-
-    reg_ok = (pg.regular and ph.regular and eod_ok
-              and pg.max_degree >= 2 and ph.max_degree >= 2)
-    add(BoundEntry("EXACT_regEOD", "exact",
-                   2 * pg.gamma_t * ph.gamma_t if reg_ok else None, reg_ok,
-                   "regular factors of degree >= 2 with efficient open dominating sets"
-                   " pin the value; degree 1 is a known counterexample"))
-
+    Each row is evaluated on (pg, ph) and on (ph, pg), and the stronger value
+    among the orientations whose gate is open is kept: the largest for a
+    lower bound, the smallest for an upper bound or a certificate. Half-integer
+    lower bounds are rounded up, which is sound for an integer-valued
+    invariant.
+    """
+    rep = PairReport(pg, ph)
+    for name, kind, gate, value, note in _BOUNDS:
+        vals = [value(a, b) for a, b in ((pg, ph), (ph, pg)) if gate(a, b)]
+        best = (max if kind == "lower" else min)(vals) if vals else None
+        rep.bounds.append(BoundEntry(name, kind, best, bool(vals), note))
     return rep
 
 

@@ -8,10 +8,17 @@ from trdprod.bounds import (factor_profile, genlower_check, pair_bounds,
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import certify_regular_eod_product
 from trdprod.errors import ConsistencyError, PreconditionError, SolverTimeout
-from trdprod.families import complete, cycle, path, star
-from trdprod.graph import direct_product
+from trdprod.families import complete, cycle, path, prism, star
+from trdprod.graph import direct_product, from_edge_list
 from trdprod.labeling import LabelFunction
 from trdprod.solve import ParetoPoint, gamma_tr_exact, gamma_tr_max_v2
+
+TWO_K2 = from_edge_list(4, [(0, 1), (2, 3)], "2K2")
+
+
+@pytest.fixture(scope="module")
+def catalog4_profiles():
+    return [factor_profile(g) for g in enumerate_catalog(4).graphs]
 
 
 def test_factor_profile_p4():
@@ -84,6 +91,50 @@ def test_pair_bounds_gates():
     assert not rep.entry("EXACT_regEOD").applicable  # degree-1 factor excluded
 
 
+def test_pair_bounds_do_not_depend_on_the_factor_order(catalog4_profiles):
+    assert len(catalog4_profiles) == 10
+    for pg in catalog4_profiles:
+        for ph in catalog4_profiles:
+            fwd = [b.to_json_dict() for b in pair_bounds(pg, ph).bounds]
+            back = [b.to_json_dict() for b in pair_bounds(ph, pg).bounds]
+            assert fwd == back, (pg.graph.name, ph.graph.name)
+
+
+@pytest.mark.parametrize("name, g, h, value, exact", [
+    # P4 has packing number 2; P3 as the triangle-free factor opens the gate
+    ("LB_tfb", path(4), path(3), 12, 8),
+    # every optimal labeling of 2K2 is all-1
+    ("UB_minus2", path(3), TWO_K2, 10, 12),
+    # K2 x K2 is 2K2, of optimum 4
+    ("EXACT_regEOD", complete(2), complete(2), 8, 4),
+], ids=["LB_tfb", "UB_minus2", "EXACT_regEOD"])
+def test_each_narrowed_gate_is_needed(name, g, h, value, exact):
+    # each of these gates is narrower than the paper's statement; the row's
+    # formula, read where its gate is closed, contradicts the exact value
+    (kind, gate, formula), = [row[1:4] for row in bounds._BOUNDS if row[0] == name]
+    pg, ph = factor_profile(g), factor_profile(h)
+    assert not gate(pg, ph)
+    assert formula(pg, ph) == value
+    assert gamma_tr_exact(direct_product(g, h).base).value == exact
+    assert {"lower": value > exact, "upper": value < exact, "exact": value != exact}[kind]
+
+
+def test_the_regular_eod_gate_agrees_with_the_certificate(catalog4_profiles):
+    # classify states the same hypotheses on graphs, bounds on profiles
+    pairs = [(pg, ph) for pg in catalog4_profiles for ph in catalog4_profiles]
+    pairs += [(factor_profile(cycle(4)), factor_profile(h))
+              for h in (cycle(8), prism(cycle(3)))]
+    opened = 0
+    for pg, ph in pairs:
+        e = pair_bounds(pg, ph).entry("EXACT_regEOD")
+        cert = certify_regular_eod_product(pg.graph, ph.graph)
+        assert e.applicable == (cert is not None), (pg.graph.name, ph.graph.name)
+        if cert is not None:
+            assert e.value == cert.value
+            opened += 1
+    assert opened == 3  # C4 x C4, C4 x C8 and C4 x prism(C3)
+
+
 def test_upper_bound_chain_on_catalog_pairs():
     profiles = [factor_profile(g) for g in enumerate_catalog(3).graphs]
     for pg in profiles:
@@ -97,7 +148,7 @@ def test_upper_bound_chain_on_catalog_pairs():
                 assert maxa2 <= minus2.value
 
 
-def test_remark_bound_loses_nothing_to_the_end_at_twice_gamma_t():
+def test_remark_bound_loses_nothing_to_the_end_at_twice_gamma_t(catalog4_profiles):
     # past 2*gamma_t the best 2-count at weight w is w // 2; frontiers
     # extended that way to 2n give the same minimum, and it stays at or above
     # the exact value
@@ -105,9 +156,8 @@ def test_remark_bound_loses_nothing_to_the_end_at_twice_gamma_t():
         return p.frontier + tuple(ParetoPoint(w, w // 2, None)
                                   for w in range(p.frontier[-1].weight + 1, 2 * p.order + 1))
 
-    profiles = [factor_profile(g) for g in enumerate_catalog(4).graphs]
-    for i, pg in enumerate(profiles):
-        for ph in profiles[i:]:
+    for i, pg in enumerate(catalog4_profiles):
+        for ph in catalog4_profiles[i:]:
             remark = pair_bounds(pg, ph).entry("UB_remark").value
             assert remark == bounds._remark_minimum(extended(pg), extended(ph))
             assert remark >= gamma_tr_exact(direct_product(pg.graph, ph.graph).base).value
