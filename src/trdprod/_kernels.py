@@ -55,6 +55,17 @@ und[d+1] drops its bit. A fixed order by degree is plain index order on a
 regular graph, and can leave an unsatisfied vertex with one undecided
 neighbour while the search branches elsewhere.
 
+When the fail-first vertex has exactly one undecided neighbour, the search
+tries only the labels there that can satisfy it: a 2 alone for a 0, a 2
+then a 1 for a positive vertex. Every other child would leave it with no
+undecided neighbour and fail the dead test at once, so the live children,
+their order, and every value and witness are those of the full branching;
+only the count of nodes falls. trial[d] is the next child of depth d:
+0 on entry, where the branch vertex is chosen and the label 0 tried, 1
+the label 2 and 2 the label 1; 3 or more means depth d is exhausted. A
+forced positive vertex turns the entry into child 1, so a 2 then a 1. A
+forced 0 turns it into child 3, a 2 that leaves trial[d] at 4.
+
 State slots:
     0 depth      1 weight      2 count of 2-labels   3 incumbent objective
     4 nodes done 5 status      6 branch count k      7 witness flag
@@ -87,9 +98,11 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
     MIN_WEIGHT looks for a labeling of weight strictly below st[3]; MAX_TWOS
     maximizes the 2-count st[3] among labelings of weight exactly st[8].
     Branch vertices are chosen fail-first as the search descends (see the
-    module docstring); labels are tried as 0, 2, 1. With the early-exit
-    flag the first strict improvement ends the search, which turns the
-    kernel into the feasibility test of the lexicographic witness
+    module docstring); labels are tried as 0, 2, 1, except on the last
+    undecided neighbour of an unsatisfied vertex: 2 alone next to a 0, and
+    2, 1 next to a positive vertex (trial[depth] encodes which). With the
+    early-exit flag the first strict improvement ends the search, which
+    turns the kernel into the feasibility test of the lexicographic witness
     reconstruction.
 
     room is the weight a child may still add; a child is pruned when either
@@ -149,7 +162,7 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
         if depth < 0:
             status = DONE
             break
-        if depth == k or trial[depth] == 3:
+        if depth == k or trial[depth] >= 3:
             if depth == k:
                 if mode == MIN_WEIGHT:
                     improved = weight < best
@@ -202,9 +215,13 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
             order[i] = order[depth]
             order[depth] = nxt
             und[depth + 1] = ud ^ bit[nxt]
+            if fewest == 1:
+                # nxt is tight's last undecided neighbour: skip the children
+                # that would leave tight dead, a 0 and, under a 0, a 1
+                t = 3 if un0[depth] & bit[tight] else 1
         trial[depth] = t + 1
         lab = 0
-        if t == 1:
+        if t & 1:
             lab = 2
         elif t == 2:
             lab = 1

@@ -131,7 +131,11 @@ DEFAULT_BUDGET_S = 60.0
 
 # A search reads the clock after its first _FIRST_CHUNK nodes, then about
 # every _SLICE_S seconds; a budget is therefore kept within a slice or so.
-_FIRST_CHUNK = 1 << 10
+# The first clock read is also where the orbital rule first looks, and a
+# split throws away the nodes before it, while an orbit query costs about
+# as much as a few dozen nodes (a few hundred at most on C5 x C7); so the
+# first chunk is kept short.
+_FIRST_CHUNK = 1 << 8
 _SLICE_S = 0.02
 
 
@@ -405,12 +409,13 @@ def _search(sg: _SearchGraph, parts: list, mode: int, best: int, cap: int, early
     first chunk of _FIRST_CHUNK nodes asks _orbital_fix for reduced states
     of it. When there are some, that search is dropped, keeping any
     incumbent it found, and the reduced states are searched by this
-    function, so the rule can apply again. Any completion maps onto one of
-    theirs with the same weight and 2-count (module docstring), so found
-    and best are those of a search over every completion; labels is some
-    completion that reaches best. Otherwise the same search resumes in
-    chunks sized to take about _SLICE_S each; the kernel resumes exactly, so
-    chunking never changes the nodes visited.
+    function, so the rule can apply again. The first chunk is short, since
+    a split discards it and a query costs far less (see _FIRST_CHUNK). Any
+    completion maps onto one of theirs with the same weight and 2-count
+    (module docstring), so found and best are those of a search over every
+    completion; labels is some completion that reaches best. Otherwise the
+    same search resumes in chunks sized to take about _SLICE_S each; the
+    kernel resumes exactly, so chunking never changes the nodes visited.
     """
     adj = sg.g.adj
     kernel = _kernels.bnb_min_weight if mode == _kernels.MIN_WEIGHT else _kernels.bnb_max_twos

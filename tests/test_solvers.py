@@ -399,25 +399,31 @@ def test_max_v2_timeout_after_the_proof_carries_the_proven_value(monkeypatch):
 
 
 @pytest.mark.parametrize("g,min_nodes,twos_nodes", [
+    # The kernel visits only the labels that can satisfy a fail-first
+    # vertex with one undecided neighbour, a 2 for a 0 and a 2 then a 1
+    # for a positive vertex, so no count here includes a child that the
+    # dead test kills at once. These counts are the same whether the
+    # orbital rule first looks after 256 nodes or after 1,024.
+    #
     # the trivial floor equals the greedy seed, which is the lexicographically
     # first optimum and has value // 2 twos, so nothing searches
     (direct_product(cycle(4), prism(cycle(3))).base, 0, 0),
     # one lex probe of the exact solve is pruned only by the knapsack
     # bound's heap scan, which the probes' pre-check leaves to the kernel:
     # it runs a 3-node search
-    (direct_product(complete(3), wheel(6)).base, 1139, 77),
+    (direct_product(complete(3), wheel(6)).base, 1058, 66),
     # K4,9 and K6,6: K6,6's seed meets its floor of 4, K4,9's proof visits
     # 3 nodes, and the look-ahead and the scan-free bound pre-check answer
     # every lex probe without a search
     (direct_product(complete_bipartite(2, 3), complete_bipartite(2, 3)).base, 3, 0),
     # vertex-transitive, and its optimum of 12 lies in the window of the
     # rich-2 lemma (up to 13), so its proof searches the two star parts alone
-    (direct_product(cycle(5), cycle(4)).base, 528, 0),
+    (direct_product(cycle(5), cycle(4)).base, 424, 0),
     # irregular, and the knapsack Roman cover bound prunes more than
     # ceil(2|S|/cmax) would under both objectives (3,672 and 384 nodes);
     # as in K3xW6, one probe of the exact solve runs a 3-node search that
     # only the heap scan would spare
-    (direct_product(fan(6), cycle(4)).base, 2085, 120),
+    (direct_product(fan(6), cycle(4)).base, 1924, 114),
 ], ids=["C4xprismC3", "K3xW6", "K23xK23", "C5xC4", "F6xC4"])
 def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_nodes):
     # node totals are independent of how the search is cut into chunks
@@ -438,6 +444,37 @@ def test_search_visits_a_fixed_number_of_nodes(monkeypatch, g, min_nodes, twos_n
     seen.update(bnb_min_weight=0, bnb_max_twos=0)
     gamma_tr_max_v2(g, budget=60)
     assert seen["bnb_max_twos"] == twos_nodes
+
+
+@pytest.mark.parametrize("fixed,children", [
+    # vertex 0 is a 0 with no 2-neighbour: only a 2 at vertex 1 saves it
+    ({0: 0, 2: 1, 3: 1}, [2]),
+    # vertex 0 is a 1 with no positive neighbour: a 2 at vertex 1, then a 1
+    ({0: 1, 2: 1, 3: 1}, [2, 1]),
+], ids=["zero", "positive"])
+def test_the_kernel_branches_only_on_labels_that_satisfy_a_tight_vertex(fixed, children):
+    # P4 with every vertex but 1 fixed: the fail-first vertex 0 has vertex 1
+    # as its one undecided neighbour. The kernel runs one node per call, and
+    # a call that visits a node leaves that child's label at vertex 1; a
+    # dead child (a 0, or a 1 under a 0) would leave -1 there.
+    g = path(4)
+    sg = _SearchGraph(g)
+    weight, twos, cov, pos, un0, unp, und, labels = _fixed_state(g.adj, fixed)
+    order = bits_of(und)
+    k = len(order)
+    stacks = [[mask] + [0] * k for mask in (cov, pos, un0, unp, und)]
+    trial = [0] * (k + 1)
+    st = [0, weight, twos, 2 * g.n + 1, 0, 0, k, 0, 0, 0, MIN, sg.max_degree]
+    seen = []
+    while True:
+        before = st[4]
+        status = _kernels.bnb_min_weight(g.adj, labels, order, trial, *stacks[:4], sg.bit,
+                                         stacks[4], [-1] * g.n, st, 1)
+        if st[4] > before:
+            seen.append(labels[1])
+        if status != _kernels.RUNNING:
+            break
+    assert status == _kernels.DONE and seen == children and st[4] == len(children)
 
 
 @pytest.mark.parametrize("g,fixes,searches", [
