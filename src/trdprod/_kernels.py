@@ -1,22 +1,25 @@
 """Search kernels behind the exact solvers.
 
-Two resumable loops live here: a base-3 odometer that scans every labeling,
-and one explicit-stack branch-and-bound search with two objectives, chosen by
-state slot 10: MIN_WEIGHT (a labeling lighter than the incumbent) and
-MAX_TWOS (the most 2-labels at a fixed weight). The solver's optimality
-proof is the one MIN_WEIGHT search. MAX_TWOS serves the max-2s pass, the
-weight-constrained and frontier searches, and every lexicographic witness
-probe, which asks with the early-exit flag for a completion of the optimal
-weight with at least a given number of 2s. Both loops run over Python lists
-of ints, and every vertex set is a Python-int mask, so a graph may have any
-number of vertices.
+Two loops live here: a plain base-3 odometer that scans every labeling in
+one call, and one resumable explicit-stack branch-and-bound search with two
+objectives, chosen by state slot 10: MIN_WEIGHT (a labeling lighter than
+the incumbent) and MAX_TWOS (the most 2-labels at a fixed weight). The
+solver's optimality proof is the one MIN_WEIGHT search. MAX_TWOS serves the
+max-2s pass, the weight-constrained and frontier searches, and every
+lexicographic witness probe, which asks with the early-exit flag for a
+completion of the optimal weight with at least a given number of 2s. Both
+loops run over Python lists of ints, and every vertex set is a Python-int
+mask, so a graph may have any number of vertices.
 
-A kernel returns after a node budget with its scalar state packed into one
-list, st, and a second call resumes exactly where the first stopped. The
-solver reads the clock between such chunks, which is how wall-clock budgets
-are kept without a clock call per node. Tracers read the node count (slot
-4) and the early-exit flag (slot 9) from the state list, which is argument
-11 of the search and argument 5 of the scan.
+The search returns after a node budget with its scalar state packed into
+one list, st, and a second call resumes exactly where the first stopped.
+The solver reads the clock between such chunks, which is how wall-clock
+budgets are kept without a clock call per node. The scan has no budget: it
+runs to its last labeling and keeps the best weight in slot 0 of its own
+st and the count of labelings done in slot 2 (slot 1 is unused). Tracers
+read the search's node count (slot 4) and early-exit flag (slot 9), and the
+scan's labeling count, from the state list, which is argument 11 of the
+search and argument 5 of the scan.
 
 The search keeps its vertex state in per-depth stacks; slot d of each holds
 the state once order[0..d-1] (and any fixed labels) are decided. Four are
@@ -326,62 +329,51 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
     return status
 
 
-def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st, step_budget):
-    """Scan labelings in lexicographic order (vertex 0 most significant).
+def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st):
+    """Scan every labeling in lexicographic order (vertex 0 most significant).
 
     Tracks the minimum valid weight with its first witness (which is the
     lexicographically smallest optimum, since ties never replace), and per
-    weight the maximum 2-count over valid labelings.
+    weight the maximum 2-count over valid labelings. One pass over a
+    labeling builds its weight, its 2-count, its positive vertices and the
+    unions of the positive and the 2-labelled neighbourhoods; it is valid
+    when every positive vertex lies in the first union and every 0 in the
+    second, the tests of labeling.is_total_roman_dominating.
 
-    State slots here: 0 best weight, 1 witness flag, 2 labelings done, 3 status.
+    State slots here: 0 best weight, 2 labelings done; slot 1 is unused.
     """
     n = len(digits)
+    full = (1 << n) - 1
     best = st[0]
     steps = 0
-    status = RUNNING
-    while steps < step_budget:
-        w = 0
-        v2mask = 0
-        posmask = 0
+    while True:
+        w = v2 = pos = near_pos = near_two = 0
         for v in range(n):
             d = digits[v]
-            w += d
-            if d == 2:
-                v2mask |= bit[v]
-            if d >= 1:
-                posmask |= bit[v]
-        valid = True
-        for v in range(n):
-            if digits[v] == 0:
-                if not adj_mask[v] & v2mask:
-                    valid = False
-                    break
-            else:
-                if not adj_mask[v] & posmask:
-                    valid = False
-                    break
-        if valid:
-            v2c = _popcount(v2mask)
-            if maxv2_table[w] < v2c:
-                maxv2_table[w] = v2c
+            if d:
+                w += d
+                pos |= bit[v]
+                near_pos |= adj_mask[v]
+                if d == 2:
+                    v2 += 1
+                    near_two |= adj_mask[v]
+        if not pos & ~near_pos and not full & ~pos & ~near_two:
+            if maxv2_table[w] < v2:
+                maxv2_table[w] = v2
             if w < best:
                 best = w
                 for i in range(n):
                     best_labels[i] = digits[i]
-                st[1] = 1
         steps += 1
         i = n - 1
         while i >= 0 and digits[i] == 2:
             digits[i] = 0
             i -= 1
         if i < 0:
-            status = DONE
             break
         digits[i] += 1
     st[0] = best
     st[2] += steps
-    st[3] = status
-    return status
 
 
 # Both search names bind the one B&B kernel, which the objective in state

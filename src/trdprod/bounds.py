@@ -90,8 +90,9 @@ def factor_profile(g: Graph, budget: float | None = None) -> FactorProfile:
     and the subset enumeration check each other.
     """
     require_no_isolated(g, "factor profiling")
-    frontier = tuple(trdf_pareto_frontier(g, budget))
+    # first, so that a factor past the subset limit fails before any search
     gt = gamma_t_exact(g)
+    frontier = tuple(trdf_pareto_frontier(g, budget))
     if frontier[-1].weight != 2 * gt.value:
         raise ConsistencyError(f"frontier ends at weight {frontier[-1].weight},"
                                f" not twice gamma_t {gt.value}")

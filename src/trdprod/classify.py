@@ -11,10 +11,10 @@ The small-value verdicts are certificates in the mathematical sense; the
 verification harness still audits every verdict against the exact solver on
 small catalogs rather than trusting the case analysis.
 
-The EOD test has no search of its own: it scans the maximum open packings
-that solve enumerates, the same packing search that gives rho and rho_o,
-and keeps the first that totally dominates (is_eod_graph says why that
-finds every EOD set).
+The EOD test has no search of its own: it asks solve's one subset
+enumeration, the one that gives gamma_t, rho and rho_o, for the first set of
+rho_o vertices whose open neighbourhoods are pairwise disjoint and cover
+every vertex (is_eod_graph says why that finds every EOD set).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import ConsistencyError
 # direct_product is unused here, but perfbench/tracer.py wraps classify.direct_product
 from .graph import (Graph, direct_product, is_regular, require_no_isolated,
                     universal_vertex_list)
-from .labeling import VertexSet, is_total_dominating, trdf_from_total_dominating_set
-from .solve import SolveResult, gamma_t_exact, maximum_open_packings
+from .labeling import VertexSet, trdf_from_total_dominating_set
+from .solve import SolveResult, _first_sets, gamma_t_exact, rho_o_exact
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,20 @@ def is_eod_graph(g: Graph) -> VertexSet | None:
     and S is an open packing. An open packing is never larger than a total
     dominating set (Henning & Slater, "Open packing in graphs", 1999): each
     member has a neighbor in the dominating set, and disjoint neighborhoods
-    give distinct ones. Hence |S| <= rho_o <= gamma_t <= |S|. The maximum
-    open packings that totally dominate are therefore exactly the EOD sets,
-    and the first in lexicographic order is returned. Its size is
-    cross-checked against the total domination number.
+    give distinct ones. Hence |S| <= rho_o <= gamma_t <= |S|. The EOD sets
+    are therefore exactly the sets of rho_o vertices whose open
+    neighborhoods are pairwise disjoint and cover every vertex, and the
+    first in lexicographic order is returned. Its size is cross-checked
+    against the total domination number.
     """
     require_no_isolated(g, "efficient open domination")
-    for s in maximum_open_packings(g):
-        if is_total_dominating(s):
-            out = VertexSet(g, s.members, "efficient_open_dominating")
-            if out.size != gamma_t_exact(g).value:
-                raise ConsistencyError("EOD set size differs from the total domination number")
-            return out
-    return None
+    mask = next(_first_sets(g.adj, (rho_o_exact(g).value,), True, True), None)
+    if mask is None:
+        return None
+    out = VertexSet(g, mask, "efficient_open_dominating")
+    if out.size != gamma_t_exact(g).value:
+        raise ConsistencyError("EOD set size differs from the total domination number")
+    return out
 
 
 def _total_dominating_pair(g: Graph) -> tuple[int, int] | None:

@@ -1,8 +1,10 @@
 """Exact solvers: gamma_tR (branch-and-bound and brute force), gamma_t, the
 packing numbers, the max-2s tie-broken variant, and the weight/2-count
 frontier from gamma_tR to 2*gamma_t, a verified witness at each point.
-rho, rho_o and the maximum open packings come from one subset enumeration,
-_packings, given closed or open neighbourhoods.
+gamma_t, rho, rho_o, the open packing that induces a matching, and
+classify's EOD set come from one subset enumeration, _first_sets, given
+neighbourhoods, an order of sizes, and whether the sets must be disjoint,
+covering, or both.
 
 Budgets are wall-clock seconds; running out raises SolverTimeout with the
 best certified bounds rather than returning an approximation, and with the
@@ -126,7 +128,7 @@ from .graph import (Graph, bits_of, connected_components, in_one_orbit, mask_of,
 from .labeling import LabelFunction, VertexSet, verified
 
 ORACLE_LIMIT = 12     # brute force scans 3^n labelings
-SUBSET_LIMIT = 20     # subset enumeration for gamma_t / rho / rho_o
+SUBSET_LIMIT = 20     # _first_sets: gamma_t, rho, rho_o, EOD and matching-packing sets
 DEFAULT_BUDGET_S = 60.0
 
 # A search reads the clock after its first _FIRST_CHUNK nodes, then about
@@ -640,15 +642,11 @@ def _brute_scan(g: Graph):
     require_no_isolated(g, "gamma_tR")
     if g.n > ORACLE_LIMIT:
         raise SizeLimitError(f"brute force oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
-    bit = [1 << v for v in range(g.n)]
-    digits = [0] * g.n
     best_labels = [-1] * g.n
     table = [-1] * (2 * g.n + 1)
-    st = [2 * g.n + 1, 0, 0, 0, 0, 0]
-    # one call with a budget of every labeling runs the scan to its end
-    status = _kernels.brute_force_scan(g.adj, bit, digits, best_labels, table, st, 3 ** g.n)
-    if status != _kernels.DONE:
-        raise ConsistencyError("brute force scan stopped before its last labeling")
+    st = [2 * g.n + 1, 0, 0]
+    _kernels.brute_force_scan(g.adj, [1 << v for v in range(g.n)], [0] * g.n, best_labels,
+                              table, st)
     return st[0], tuple(best_labels), table
 
 
@@ -813,80 +811,81 @@ def gamma_tr_max_v2(g: Graph, budget: float | None = None) -> SolveResult:
                        max_v2=twos)
 
 
-def gamma_t_exact(g: Graph) -> SolveResult:
-    """Smallest total dominating set by subset enumeration in increasing cardinality.
-
-    Every vertex has a neighbour in a total dominating set S, so the degrees
-    over S sum to at least n and |S| >= ceil(n/Delta); smaller sizes are not
-    tried. The first set found is the lexicographically first smallest one.
-    """
-    require_no_isolated(g, "total domination")
-    if g.n > SUBSET_LIMIT:
-        raise SizeLimitError(f"subset enumeration limited to {SUBSET_LIMIT} vertices, got {g.n}")
-    for k in range(-(-g.n // max(1, g.max_degree())), g.n + 1):
-        for comb in combinations(range(g.n), k):
-            mask = mask_of(comb)
-            if all(g.adj[v] & mask for v in range(g.n)):
-                return SolveResult("gamma_t", k,
-                                   VertexSet(g, mask, "total_dominating"), "brute_force")
-    raise ConsistencyError("no total dominating set despite no isolated vertices")
-
-
-def _packings(nbhd: tuple[int, ...], k: int):
-    """The k-sets whose nbhd masks are pairwise disjoint, as masks, in lexicographic order."""
-    for comb in combinations(range(len(nbhd)), k):
-        used = 0
-        for v in comb:
-            if used & nbhd[v]:
-                break
-            used |= nbhd[v]
-        else:
-            yield mask_of(comb)
-
-
-def _largest_packing(nbhd: tuple[int, ...]) -> tuple[int, int]:
-    """Size and lexicographically first mask of a largest packing under nbhd.
-
-    Sizes are tried from the largest down: k pairwise disjoint masks of at
-    least m vertices each fit in n vertices only when k*m <= n.
+def _first_sets(nbhd: tuple[int, ...], sizes, disjoint: bool, covering: bool):
+    """Vertex sets as masks, size by size in the order of sizes and in
+    lexicographic order within a size: those whose members' nbhd masks are
+    pairwise disjoint, when disjoint, and together cover every vertex, when
+    covering. Every factor set question, classify's EOD set included,
+    enumerates here, and this is the one check of SUBSET_LIMIT.
     """
     n = len(nbhd)
     if n > SUBSET_LIMIT:
         raise SizeLimitError(f"subset enumeration limited to {SUBSET_LIMIT} vertices, got {n}")
-    kmax = n // max(1, min((m.bit_count() for m in nbhd), default=1))
-    for k in range(kmax, 0, -1):
-        for mask in _packings(nbhd, k):
-            return k, mask
-    return 0, 0  # the empty graph; any other has a one-vertex packing
+    full = (1 << n) - 1
+    for k in sizes:
+        for comb in combinations(range(n), k):
+            used = 0
+            for v in comb:
+                if disjoint and used & nbhd[v]:
+                    break
+                used |= nbhd[v]
+            else:
+                if not covering or used == full:
+                    yield mask_of(comb)
+
+
+def gamma_t_exact(g: Graph) -> SolveResult:
+    """Smallest total dominating set by subset enumeration in increasing cardinality.
+
+    A set totally dominates when its members' open neighbourhoods cover
+    every vertex. Every vertex has a neighbour in a total dominating set S,
+    so the degrees over S sum to at least n and |S| >= ceil(n/Delta);
+    smaller sizes are not tried. The first set found is the
+    lexicographically first smallest one.
+    """
+    require_no_isolated(g, "total domination")
+    sizes = range(-(-g.n // max(1, g.max_degree())), g.n + 1)
+    mask = next(_first_sets(g.adj, sizes, False, True), None)
+    if mask is None:
+        raise ConsistencyError("no total dominating set despite no isolated vertices")
+    return SolveResult("gamma_t", mask.bit_count(),
+                       VertexSet(g, mask, "total_dominating"), "brute_force")
+
+
+def _largest_packing(nbhd: tuple[int, ...]) -> int:
+    """Lexicographically first mask of a largest packing under nbhd.
+
+    Sizes are tried from the largest down: k pairwise disjoint masks of at
+    least m vertices each fit in n vertices only when k*m <= n.
+    """
+    kmax = len(nbhd) // max(1, min((m.bit_count() for m in nbhd), default=1))
+    # the empty graph has only the empty packing; any other a one-vertex one
+    return next(_first_sets(nbhd, range(kmax, 0, -1), True, False), 0)
 
 
 def rho_exact(g: Graph) -> SolveResult:
     """Largest packing (pairwise disjoint closed neighborhoods)."""
-    k, mask = _largest_packing(tuple(g.adj[v] | 1 << v for v in range(g.n)))
-    return SolveResult("rho", k, VertexSet(g, mask, "packing"), "brute_force")
+    mask = _largest_packing(tuple(g.adj[v] | 1 << v for v in range(g.n)))
+    return SolveResult("rho", mask.bit_count(), VertexSet(g, mask, "packing"), "brute_force")
 
 
 def rho_o_exact(g: Graph) -> SolveResult:
     """Largest open packing (pairwise disjoint open neighborhoods)."""
-    k, mask = _largest_packing(g.adj)
-    return SolveResult("rho_o", k, VertexSet(g, mask, "open_packing"), "brute_force")
-
-
-def maximum_open_packings(g: Graph) -> list[VertexSet]:
-    """Every open packing of maximum size, in lexicographic order; small graphs only."""
-    k = rho_o_exact(g).value
-    return [VertexSet(g, mask, "open_packing") for mask in _packings(g.adj, k)]
+    mask = _largest_packing(g.adj)
+    return SolveResult("rho_o", mask.bit_count(), VertexSet(g, mask, "open_packing"),
+                       "brute_force")
 
 
 def rho_o_set_inducing_perfect_matching(g: Graph) -> VertexSet | None:
-    """A maximum open packing whose induced subgraph is a disjoint union of single edges.
+    """The lexicographically first maximum open packing whose induced
+    subgraph is a disjoint union of single edges, or None.
 
     The hypothesis is existential over maximum open packings, so all of them
     are searched.
     """
-    for s in maximum_open_packings(g):
-        if all((g.adj[v] & s.members).bit_count() == 1 for v in s.vertices()):
-            return s
+    for mask in _first_sets(g.adj, (rho_o_exact(g).value,), True, False):
+        if all((g.adj[v] & mask).bit_count() == 1 for v in bits_of(mask)):
+            return VertexSet(g, mask, "open_packing")
     return None
 
 

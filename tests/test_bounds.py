@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from trdprod import bounds, cli, solve
+from trdprod import _kernels, bounds, cli, solve
 from trdprod.bounds import (factor_profile, genlower_check, pair_bounds,
                             verify_theorems)
 from trdprod.catalog import enumerate_catalog
 from trdprod.classify import certify_regular_eod_product
-from trdprod.errors import ConsistencyError, PreconditionError, SolverTimeout
+from trdprod.errors import ConsistencyError, PreconditionError, SizeLimitError, SolverTimeout
 from trdprod.families import complete, cycle, path, prism, star
 from trdprod.graph import direct_product, from_edge_list
 from trdprod.labeling import LabelFunction
@@ -55,6 +55,22 @@ def test_factor_profile_refuses_a_frontier_that_does_not_end_at_twice_gamma_t(mo
     monkeypatch.setattr(bounds, "gamma_t_exact", one_too_many)
     with pytest.raises(ConsistencyError, match="not twice gamma_t"):
         factor_profile(path(4))
+
+
+def test_a_factor_past_the_subset_limit_fails_before_any_search(monkeypatch):
+    # gamma_t comes first, so C5 x C5 (25 vertices) visits no B&B node
+    nodes = []
+    for name in ("bnb_min_weight", "bnb_max_twos"):
+        def counting(*args, kernel=getattr(_kernels, name)):
+            before = args[11][4]
+            status = kernel(*args)
+            nodes.append(args[11][4] - before)
+            return status
+
+        monkeypatch.setattr(_kernels, name, counting)
+    with pytest.raises(SizeLimitError):
+        factor_profile(direct_product(cycle(5), cycle(5)).base)
+    assert sum(nodes) == 0
 
 
 def test_pair_bounds_p4_p4_pinch():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from trdprod import _kernels, solve
+from trdprod.bounds import factor_profile
 from trdprod.catalog import enumerate_catalog
 from trdprod.errors import ConsistencyError, SizeLimitError, SolverTimeout
 from trdprod.families import (complete, complete_bipartite, cycle, fan, path,
@@ -20,7 +21,7 @@ from trdprod.labeling import (LabelFunction, VertexSet, is_open_packing, is_pack
 from trdprod.solve import (_SearchGraph, _bound_refutes, _brute_scan, _fix, _forces_two,
                            _orbital_fix, _search, _strands,
                            gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact, gamma_tr_max_v2,
-                           greedy_total_dominating_set, maximum_open_packings, rho_exact,
+                           greedy_total_dominating_set, rho_exact,
                            rho_o_exact, rho_o_set_inducing_perfect_matching,
                            trdf_pareto_frontier, trivial_lower_bound)
 
@@ -313,8 +314,6 @@ def test_the_greedy_seed_picks_what_full_scans_pick():
 
 
 def test_maximum_open_packings_and_matching_flag():
-    packs = maximum_open_packings(cycle(4))
-    assert all(p.size == 2 for p in packs)
     s = rho_o_set_inducing_perfect_matching(path(4))
     assert s is not None
     assert all((path(4).adj[v] & s.members).bit_count() == 1 for v in s.vertices())
@@ -322,6 +321,39 @@ def test_maximum_open_packings_and_matching_flag():
     assert rho_o_set_inducing_perfect_matching(star(3)) is not None
     # 2K2: rho_o-set is everything, inducing two disjoint edges
     assert rho_o_set_inducing_perfect_matching(TWO_K2) is not None
+
+
+def _first_matching_packing_by_a_literal_scan(g):
+    """The first maximum open packing in lexicographic order whose members each
+    have exactly one neighbour in it, or None, from a scan of every subset."""
+    packings = [s for k in range(g.n, -1, -1) for c in itertools.combinations(range(g.n), k)
+                if is_open_packing(s := VertexSet.from_vertices(g, c))]
+    return next((s for s in packings if s.size == packings[0].size
+                 and all((g.adj[v] & s.members).bit_count() == 1 for v in s.vertices())), None)
+
+
+def test_the_matching_packing_is_the_first_a_literal_scan_accepts():
+    graphs = (list(enumerate_catalog(5).graphs) + [cycle(n) for n in range(3, 15)]
+              + [path(n) for n in range(2, 13)] + [prism(cycle(3)), prism(cycle(4))])
+    found = 0
+    for g in graphs:
+        expected = _first_matching_packing_by_a_literal_scan(g)
+        s = rho_o_set_inducing_perfect_matching(g)
+        if expected is None:
+            assert s is None, g.name
+        else:
+            assert s is not None and s.members == expected.members, g.name
+            found += 1
+    assert (len(graphs), found) == (58, 41)
+
+
+@pytest.mark.parametrize("solver", [gamma_t_exact, rho_exact, rho_o_exact,
+                                    rho_o_set_inducing_perfect_matching, factor_profile],
+                         ids=lambda f: f.__name__)
+def test_every_subset_question_past_the_limit_is_a_size_limit_error(solver):
+    g = cycle(solve.SUBSET_LIMIT + 1)
+    with pytest.raises(SizeLimitError):
+        solver(g)
 
 
 def test_timeout_carries_bounds():
@@ -903,6 +935,26 @@ def test_a_probe_the_bound_pre_check_rejects_has_no_completion():
     assert rejected >= 100
 
 
+def _literal_scan(g):
+    """gamma_tR, the lex-first optimum and the most 2s at each weight (-1 where
+    no labeling weighs that much), by is_total_roman_dominating on all 3^n labelings."""
+    best, witness, table = 2 * g.n + 1, None, [-1] * (2 * g.n + 1)
+    for labels in itertools.product((0, 1, 2), repeat=g.n):
+        if is_total_roman_dominating(LabelFunction(g, labels)):
+            weight = sum(labels)
+            table[weight] = max(table[weight], labels.count(2))
+            if weight < best:
+                best, witness = weight, labels
+    return best, witness, table
+
+
+@pytest.mark.parametrize("g", list(enumerate_catalog(4).graphs)
+                         + [g for g in _random_isolate_free_graphs(60, seed=2036)
+                            if g.n <= 8][:30], ids=lambda g: g.name)
+def test_the_scan_kernel_matches_a_literal_scan(g):
+    assert _brute_scan(g) == _literal_scan(g)
+
+
 def test_eod_product_certificate_case():
     # the 2K2 product of two single edges: optimum is all-1, never uses a 2
     best, labels, table = _brute_scan(TWO_K2)
@@ -915,10 +967,10 @@ def _run_pair(g):
                              False, solve._Deadline(0))
     assert found
     table = [-1] * (2 * g.n + 1)
-    bst = [2 * g.n + 1, 0, 0, 0, 0, 0]
+    bst = [2 * g.n + 1, 0, 0]
     bit = [1 << v for v in range(g.n)]
-    _kernels.brute_force_scan(g.adj, bit, [0] * g.n, [-1] * g.n, table, bst, 10 ** 9)
-    assert bst[3] == _kernels.DONE
+    _kernels.brute_force_scan(g.adj, bit, [0] * g.n, [-1] * g.n, table, bst)
+    assert bst[2] == 3 ** g.n
     return best, bst[0], table
 
 
