@@ -13,7 +13,14 @@ lex walk rather than search. Each solve is timed on its own, a round's
 figure is the median of its solves, and the row gives the least of these
 over the rounds, per solve, so that a slow spell of a shared host moves
 it little. Its value is the sum over the solves, and it gives the node
-total without a rate.
+total without a rate. The max-2s row (--full) times gamma_tr_max_v2, the
+proof, the max-2s pass and its lex rebuild, where the other search rows
+time gamma_tr_exact.
+
+The last line of the output is one JSON object: every row's label, kind,
+value, seconds (the figure the row prints) and B&B node total, with the
+Python version and the host it ran on. Save that line as BENCH_<n>.json
+to keep a run's figures.
 
 Usage:
     python benchmarks/bench_kernels.py            # quick set
@@ -23,6 +30,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import statistics
 import sys
 import time
@@ -51,6 +61,7 @@ def _workloads(full: bool):
             ("search 25v (C5 x C5)", "bnb", direct_product(cycle(5), cycle(5)).base),
             ("search 28v (K4 x C7)", "bnb", direct_product(complete(4), cycle(7)).base),
             ("search 30v (C5 x C6)", "bnb", direct_product(cycle(5), cycle(6)).base),
+            ("max-2s 24v (K4 x C6)", "max2", direct_product(complete(4), cycle(6)).base),
         ]
     return loads
 
@@ -72,7 +83,8 @@ def _round(loads, nodes):
             if kind == "brute":
                 value = gamma_tr_bruteforce(g).value
             else:
-                value = gamma_tr_exact(g, budget=600).value
+                solver = gamma_tr_max_v2 if kind == "max2" else gamma_tr_exact
+                value = solver(g, budget=600).value
             elapsed = time.perf_counter() - start
         results.append({"label": label, "kind": kind, "value": value, "seconds": elapsed,
                         "nodes": nodes[0]})
@@ -98,6 +110,7 @@ def main() -> int:
 
     print(f"median of {ROUNDS} rounds; the fixed-cost row: the least round median of a solve")
     print(f"{'workload':<28} {'time':>10}  B&B nodes")
+    rows = []
     for same in zip(*rounds):
         assert len({(r["value"], r["nodes"]) for r in same}) == 1, "rounds disagree"
         row = same[0]
@@ -109,12 +122,27 @@ def main() -> int:
         if row["kind"] == "small":
             seconds = min(r["seconds"] for r in same)
             print(f"{row['label']:<28} {seconds * 1e6:>7.1f} us  {rate}, per solve")
-            continue
-        seconds = statistics.median(r["seconds"] for r in same)
-        if row["kind"] == "bnb" and row["nodes"]:
-            rate += f", {row['nodes'] / seconds:,.0f}/s"
-        print(f"{row['label']:<28} {seconds:>8.3f} s  {rate}".rstrip())
+        else:
+            seconds = statistics.median(r["seconds"] for r in same)
+            if row["kind"] != "brute" and row["nodes"]:
+                rate += f", {row['nodes'] / seconds:,.0f}/s"
+            print(f"{row['label']:<28} {seconds:>8.3f} s  {rate}".rstrip())
+        rows.append(dict(row, seconds=seconds))
+    print(json.dumps({"python": platform.python_version(), "host": _host(), "rounds": ROUNDS,
+                      "rows": rows}))
     return 0
+
+
+def _host() -> dict:
+    """The machine a run measured: platform, CPU model and logical CPU count."""
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu = next(line.split(":", 1)[1].strip() for line in info
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"platform": platform.platform(), "cpu": cpu, "cpus": os.cpu_count()}
 
 
 if __name__ == "__main__":

@@ -24,13 +24,13 @@ Every search is one call of _search on a list of states, searched in turn
 from the incumbent so far, and every witness returned passes
 labeling.verified.
 
-The optimality proof searches for a labeling lighter than a seed of weight
-ub. On a vertex-transitive component of n vertices with ub <= n it
-searches only labelings with a 2 at r, the component's lowest vertex. A
-labeling lighter than n is not all-positive, and a vertex labeled 0 needs a
-2-neighbour, so the labeling has a 2 at some v; an automorphism sending r
-to v turns it into a valid labeling of the same weight with a 2 at r. That
-root goes through the orbital rule below before its first node.
+The root policy, _SearchGraph.parts(w), picks the states that every proof
+and max-2s search for labelings of weight at most w starts from. On a
+vertex-transitive component of n vertices with w < n, it is the state of a
+2 at r, the component's lowest vertex. A labeling lighter than n is not
+all-positive, and a vertex labeled 0 needs a 2-neighbour, so the labeling
+has a 2 at some v; an automorphism sending r to v turns it into a valid
+labeling of the same weight and 2-count with a 2 at r.
 
 Lighter labelings have a sharper form. Lemma: on a Delta-regular
 component of n vertices, a labeling of weight w < n with
@@ -47,11 +47,13 @@ positive neighbour to p, the lowest vertex of that neighbour's orbit under
 the automorphisms fixing r. So every labeling of weight in the window has
 an image of the same weight and 2-count in one of the star parts
 (_SearchGraph.star), two per orbit of N(r): r labeled 2, p labeled 1 or 2,
-and every other neighbour of r labeled 0. The proof first searches the
-star parts alone for a labeling of weight at most min(ub - 1, window),
-and searches from the root with a 2 at r (or from the plain root) only
-when they have none and ub - 1 lies above the window. The max-2s search
-of a weight in the window (_most_twos) searches the star parts alone.
+and every other neighbour of r labeled 0. So parts(w) is the star parts
+for w in the window, the 2 at r for w above it and below n, and the plain
+root for w >= n or on a component not shown to be vertex-transitive.
+The proof, which looks for a labeling lighter than a seed of weight ub,
+first searches parts(min(ub - 1, window)) and searches parts(ub - 1) only
+when that finds none and ub - 1 lies above the window. The max-2s search
+of weight w (_most_twos) searches parts(w).
 
 Fixed labels only ever take one form, a state: the masks of the kernels'
 slot 0 and the label list. _fix extends a state by a list of labels with
@@ -90,27 +92,27 @@ Each incumbent is at most the 2-count of a real labeling and the
 lexicographic witness is unique, so values, 2-counts and witnesses are
 those of searches that start from none.
 
-Every search (the proof, the max-2s pass and each lexicographic probe)
-also applies an orbital rule below that root. A search still running after
-its first chunk takes v, the fixed vertex that is not yet satisfied with
-the fewest undecided neighbours, and asks whether automorphisms that keep
-every fixed label carry all of v's undecided neighbours onto u0, the
-lowest-index one. If v is a 0 with no fixed 2-neighbour, u0 is fixed to 2
-and the rule repeats on the larger set; if v is positive with no positive
-neighbour, the search splits into u0 = 2 and u0 = 1. The reduced searches
-replace the running one, which is dropped; otherwise it resumes. This is
-sound: every completion f puts a 2 (or a positive label) on some undecided
-w in N(v), and an automorphism s with s(w) = u0 that keeps every fixed
-label makes f composed with the inverse of s a completion with the same
-weight and the same number of 2s, now with that label at u0. So
-feasibility answers, optimal weights and best 2-counts stay the same, and
-with them the lexicographically smallest witnesses, which the probes
-rebuild from feasibility answers alone. When v's undecided neighbours fall
-into several orbits the rule fixes nothing: fixing the earlier orbits to 0
-would lose completions that put a 1 there. graph.in_one_orbit answers True
-only with automorphisms in hand that it has checked edge by edge and
-colour by colour, and a search too short to pass its first chunk runs no
-automorphism search at all.
+Every search (the proof, the max-2s pass and each lexicographic probe) also
+applies an orbital rule below its roots, entered only from _search. A
+search still running after its first chunk takes v, the fixed vertex that
+is not yet satisfied with the fewest undecided neighbours, and asks whether
+automorphisms that keep every fixed label carry all of v's undecided
+neighbours onto u0, the lowest-index one. If v is a 0 with no fixed
+2-neighbour, u0 is fixed to 2 and the rule repeats on the larger set; if v
+is positive with no positive neighbour, the search splits into u0 = 2 and
+u0 = 1. The reduced searches replace the running one, which is dropped;
+otherwise it resumes. This is sound: every completion f puts a 2 (or a
+positive label) on some undecided w in N(v), and an automorphism s with
+s(w) = u0 that keeps every fixed label makes f composed with the inverse of
+s a completion with the same weight and the same number of 2s, now with
+that label at u0. So feasibility answers, optimal weights and best 2-counts
+stay the same, and with them the lexicographically smallest witnesses,
+which the probes rebuild from feasibility answers alone. When v's undecided
+neighbours fall into several orbits the rule fixes nothing: fixing the
+earlier orbits to 0 would lose completions that put a 1 there.
+graph.in_one_orbit answers True only with automorphisms in hand that it has
+checked edge by edge and colour by colour, and a search too short to pass
+its first chunk runs no automorphism search at all.
 """
 
 from __future__ import annotations
@@ -189,11 +191,12 @@ class _SearchGraph:
     every lex probe. verts lists free in increasing order, for every walk
     over the free vertices, floor is the free set's trivial floor, and window
     the largest weight the rich-2 lemma covers (module docstring). The
-    kernels read bit and max_degree, the largest degree in free. The
-    vertex-transitivity test (two_at_r), the star parts (star) and the
-    orbital rule read pair (graph.pair_table of g). All three are built
-    on first use, and two_at_r and star are None from the start on an
-    irregular free set.
+    kernels read bit and max_degree, the largest degree in free. parts(w)
+    is the root policy (module docstring): the star parts, the state of a
+    2 at r (two_at_r, which is also the vertex-transitivity test) or root.
+    two_at_r, star and the orbital rule read pair (graph.pair_table of g).
+    pair, two_at_r and star are built on first use, and two_at_r and star
+    are None from the start on an irregular free set.
     The search graphs of a solve's components share bit and pair through
     shared, the first of them, so a solve that runs neither the test nor
     the rule never builds pair and one that does builds it once. root is
@@ -225,17 +228,23 @@ class _SearchGraph:
         n = len(self.verts)
         return min(n - 1, (2 * n - 1) // max(self.max_degree - 1, 1))
 
+    def parts(self, weight: int) -> list:
+        """The states whose searches find, for every labeling of the free set
+        of this weight, one of the same weight and 2-count: the star parts
+        when weight <= window, [two_at_r] when weight < |free|, both on a
+        vertex-transitive free set, and [root] otherwise (module docstring)."""
+        if weight < len(self.verts) and self.two_at_r is not None:
+            return self.star if weight <= self.window else [self.two_at_r]
+        return [self.root]
+
     @cached_property
-    def two_at_r(self) -> list | None:
-        """The states of a 2 at r, the lowest free vertex, after the orbital
-        rule, when the free set is vertex-transitive; None when it is not or
-        is not shown to be."""
+    def two_at_r(self):
+        """The state of a 2 at r, the lowest free vertex, when the free set is
+        vertex-transitive; None when it is not or is not shown to be."""
         g = self.g
-        verts = self.verts
-        if not in_one_orbit(g, self.pair, [0] * g.n, verts):
+        if not in_one_orbit(g, self.pair, [0] * g.n, self.verts):
             return None
-        root = _fix(g.adj, self.root, [(verts[0], 2)])
-        return _orbital_fix(self, root) or [root]
+        return _fix(g.adj, self.root, [(self.verts[0], 2)])
 
     @cached_property
     def star(self) -> list | None:
@@ -246,19 +255,15 @@ class _SearchGraph:
         0 on every other neighbour of r. Every labeling of weight at most
         window maps onto one of them (module docstring).
         """
-        parts = self.two_at_r
-        if parts is None:
+        if self.two_at_r is None:
             return None
         g = self.g
         r = self.verts[0]
         nbrs = bits_of(g.adj[r])
-        if len(parts) == 2:
-            # the rule found N(r) one orbit and split the search on its lowest vertex
-            reps = nbrs[:1]
-        else:
-            colour = parts[0][7]
-            reps = []
-            for u in nbrs:
+        colour = self.two_at_r[7]
+        reps = nbrs[:1]
+        if not in_one_orbit(g, self.pair, colour, nbrs):
+            for u in nbrs[1:]:
                 if not any(in_one_orbit(g, self.pair, colour, [p, u]) for p in reps):
                     reps.append(u)
         return [_fix(g.adj, self.root, [(r, 2), (p, lab)] + [(u, 0) for u in nbrs if u != p])
@@ -677,21 +682,15 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, seed_labels: tuple[int, ...],
     floor of the free set reaches ub, it is the optimum and no search runs.
     Otherwise the proof searches for a labeling lighter than ub.
 
-    On a vertex-transitive component whose floor lies in the window, one
-    plain search of the star parts first looks for the lightest labeling
-    of weight at most min(ub - 1, window); every labeling of such a weight
-    has an image of that weight there (module docstring), so one found is
-    the optimum, and none found with ub - 1 in the window makes ub the
-    optimum. Only an optimum above the window needs the search below, and a
-    timeout in the star search, which starts from window + 1 when that is
-    below ub, carries ub as its upper bound. When ub <= |free| and the
-    component is vertex-transitive, that search covers only labelings with
-    a 2 at r, its lowest vertex, which loses nothing: a labeling lighter
-    than |free| has a 0 somewhere, so a 2 at some vertex v (the 0 needs a
-    2-neighbour), and composing it with an automorphism that sends r to v
-    gives a valid labeling of the same weight with a 2 at r. That root
-    goes through the orbital rule (module docstring) before any node is
-    searched.
+    The roots come from sg.parts (module docstring). On a vertex-transitive
+    component whose floor lies in the window, one search of
+    sg.parts(cap - 1), the star parts, first looks for the lightest
+    labeling of weight at most cap - 1 = min(ub - 1, window); every
+    labeling of such a weight has an image of that weight there, so one
+    found is the optimum, and none found with ub - 1 in the window makes ub
+    the optimum. Only an optimum above the window needs the search of
+    sg.parts(ub - 1) below, and a timeout in the star search, which starts
+    from window + 1 when that is below ub, carries ub as its upper bound.
     """
     ub = 2 * (seed & sg.free).bit_count()
     if sg.floor >= ub:
@@ -699,8 +698,8 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, seed_labels: tuple[int, ...],
     cap = min(ub, sg.window + 1)
     if sg.floor < cap and sg.star is not None:
         try:
-            found, value, labels = _search(sg, sg.star, _kernels.MIN_WEIGHT, cap, 0, False,
-                                           deadline)
+            found, value, labels = _search(sg, sg.parts(cap - 1), _kernels.MIN_WEIGHT, cap, 0,
+                                           False, deadline)
         except SolverTimeout as exc:
             if exc.upper_bound == cap:
                 # nothing found yet, and cap may be no labeling's weight
@@ -710,10 +709,8 @@ def _gamma_tr_value(sg: _SearchGraph, seed: int, seed_labels: tuple[int, ...],
             return value, labels
         if cap == ub:
             return ub, seed_labels
-    parts = [sg.root]
-    if ub <= len(sg.verts) and sg.two_at_r is not None:
-        parts = sg.two_at_r
-    found, value, labels = _search(sg, parts, _kernels.MIN_WEIGHT, ub, 0, False, deadline)
+    found, value, labels = _search(sg, sg.parts(ub - 1), _kernels.MIN_WEIGHT, ub, 0, False,
+                                   deadline)
     return (value, labels) if found else (ub, seed_labels)
 
 
@@ -723,15 +720,13 @@ def _most_twos(sg: _SearchGraph, weight: int, labels, deadline: _Deadline):
     labels is a valid labeling of that weight, in hand: the search starts
     from its 2-count and keeps it when nothing beats it, so it always ends
     with a labeling. No search runs when labels already has weight // 2
-    twos, the most a labeling of that weight can have. A weight in the
-    window of a vertex-transitive free set searches the star parts alone,
-    where every labeling of that weight has an image with as many 2s
-    (module docstring); any other searches from the root.
+    twos, the most a labeling of that weight can have. The search starts
+    from sg.parts(weight), where every labeling of that weight has an
+    image with as many 2s (module docstring).
     """
     twos = sum(labels[v] == 2 for v in sg.verts)
     if twos < weight // 2:
-        parts = sg.star if weight <= sg.window else None
-        found, twos, better = _search(sg, parts or [sg.root], _kernels.MAX_TWOS, twos, weight,
+        found, twos, better = _search(sg, sg.parts(weight), _kernels.MAX_TWOS, twos, weight,
                                       False, deadline)
         if found:
             labels = better

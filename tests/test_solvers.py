@@ -1161,12 +1161,12 @@ def test_a_colouring_that_breaks_the_symmetry_gives_no_fix():
 
 
 def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
-    # C5 x C5's star parts are built from the orbital rule's split of a 2 at
-    # vertex 0, made before any node, and the proof's search of them ends
-    # without a fix. The first lex probe to outlast its first chunk,
-    # vertices 0-4 all 0, is dropped for two reduced searches. The clock
-    # then reads far past the deadline, and the first reduced search times
-    # out.
+    # C5 x C5's star parts are built with no orbital rule call, and the
+    # rule is first asked only after a first chunk of nodes; the proof's
+    # search of the star parts ends without a fix. The first lex probe to
+    # outlast its first chunk, vertices 0-4 all 0, is dropped for two
+    # reduced searches. The clock then reads far past the deadline, and the
+    # first reduced search times out.
     nodes = [0]
     fixes = []
     orbital_fix = solve._orbital_fix
@@ -1192,7 +1192,7 @@ def test_a_timeout_counts_the_nodes_of_a_discarded_first_chunk(monkeypatch):
         monotonic=lambda: time.monotonic() + (1e6 if dropped() else 0)))
     with pytest.raises(SolverTimeout) as err:
         gamma_tr_exact(direct_product(cycle(5), cycle(5)).base, budget=60)
-    assert fixes[0] == (0, {0: 2}, [{0: 2, 6: 2}, {0: 2, 6: 1}])
+    assert fixes[0][0] >= solve._FIRST_CHUNK
     chunk, fixed, parts = fixes[-1]
     assert fixed == {v: 0 for v in range(5)} and len(parts) == 2
     assert chunk >= solve._FIRST_CHUNK
@@ -1334,6 +1334,27 @@ def test_the_star_parts_keep_values_and_witnesses(monkeypatch, g):
     if g.n <= 12:
         best, labels, table = _brute_scan(g)
         assert star[:3] == (best, labels, table[best])
+
+
+def test_the_root_policy_keeps_the_best_2_count_of_every_weight():
+    # a MAX_TWOS search from sg.parts(w) finds the scan's best 2-count at
+    # every weight w from gamma_tR up to |free| - 1: the star parts in the
+    # window, the 2 at r above it
+    above_window = 0
+    for g in _SMALL_VERTEX_TRANSITIVE + [g for g in _STAR_GRAPHS if g.n <= 12]:
+        sg = _SearchGraph(g)
+        assert sg.two_at_r is not None
+        best, _, table = _brute_scan(g)
+        for w in range(best, g.n):
+            parts = sg.parts(w)
+            assert parts == (sg.star if w <= sg.window else [sg.two_at_r])
+            found, twos, labels = _search(sg, parts, TWOS, -1, w, False, solve._Deadline(0))
+            assert twos == table[w], (g.name, w)
+            if found:
+                assert sum(labels) == w and labels.count(2) == twos
+                assert is_total_roman_dominating(LabelFunction(g, labels))
+            above_window += w > sg.window and table[w] >= 0
+    assert above_window
 
 
 def _catalog_products(max_n):
