@@ -71,7 +71,7 @@ forced 0 turns it into child 3, a 2 that leaves trial[d] at 4.
 
 State slots:
     0 depth      1 weight      2 count of 2-labels   3 incumbent objective
-    4 nodes done 5 status      6 branch count k      7 witness flag
+    4 nodes done 5 unused      6 branch count k      7 witness flag
     8 weight cap (MAX_TWOS only)                     9 early-exit flag
     10 objective (MIN_WEIGHT or MAX_TWOS)            11 largest degree
 """
@@ -325,7 +325,6 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
     st[2] = v2
     st[3] = best
     st[4] += nodes
-    st[5] = status
     return status
 
 

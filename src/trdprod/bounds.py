@@ -31,29 +31,51 @@ from .solve import (ORACLE_LIMIT, ParetoPoint, gamma_t_exact,
 class FactorProfile:
     """Everything the pair bounds need to know about one factor, all exact.
 
-    frontier runs from gamma_tR to 2*gamma_t, and its first point gives
-    gamma_tr, max_v2 and gamma_tr_function.
+    The fields hold what was solved or tested; each other value is a
+    property read from them. frontier runs from gamma_tR to 2*gamma_t, and
+    its first point gives gamma_tr, max_v2 and gamma_tr_function.
     """
 
     graph: Graph
-    order: int
-    max_degree: int
-    gamma_t: int
-    gamma_tr: int
     rho: int
     rho_o: int
-    max_v2: int
     frontier: tuple[ParetoPoint, ...]
     bipartite: bool
     triangle_free: bool
     regular: bool
     eod: VertexSet | None
-    total_roman: bool
     universal_count: int
     triangle_witness: tuple[int, int, int] | None
     rho_o_matching_set: VertexSet | None
     gamma_t_set: VertexSet
-    gamma_tr_function: LabelFunction
+
+    @property
+    def order(self) -> int:
+        return self.graph.n
+
+    @property
+    def max_degree(self) -> int:
+        return self.graph.max_degree()
+
+    @property
+    def gamma_t(self) -> int:
+        return self.gamma_t_set.size
+
+    @property
+    def gamma_tr(self) -> int:
+        return self.frontier[0].weight
+
+    @property
+    def max_v2(self) -> int:
+        return self.frontier[0].max_v2
+
+    @property
+    def gamma_tr_function(self) -> LabelFunction:
+        return self.frontier[0].witness
+
+    @property
+    def total_roman(self) -> bool:
+        return self.gamma_tr == 2 * self.gamma_t
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,7 +109,8 @@ def factor_profile(g: Graph, budget: float | None = None) -> FactorProfile:
     """Exact invariants and structural flags for one factor graph.
 
     The frontier's last weight must be twice gamma_t, so the branch-and-bound
-    and the subset enumeration check each other.
+    and the subset enumeration check each other. Only what a solve or a test
+    gives is stored; FactorProfile derives the rest.
     """
     require_no_isolated(g, "factor profiling")
     # first, so that a factor past the subset limit fails before any search
@@ -96,28 +119,19 @@ def factor_profile(g: Graph, budget: float | None = None) -> FactorProfile:
     if frontier[-1].weight != 2 * gt.value:
         raise ConsistencyError(f"frontier ends at weight {frontier[-1].weight},"
                                f" not twice gamma_t {gt.value}")
-    first = frontier[0]
-    eod = classify.is_eod_graph(g)
     return FactorProfile(
         graph=g,
-        order=g.n,
-        max_degree=g.max_degree(),
-        gamma_t=gt.value,
-        gamma_tr=first.weight,
         rho=rho_exact(g).value,
         rho_o=rho_o_exact(g).value,
-        max_v2=first.max_v2,
         frontier=frontier,
         bipartite=is_bipartite(g),
         triangle_free=is_triangle_free(g),
         regular=is_regular(g),
-        eod=eod,
-        total_roman=first.weight == 2 * gt.value,
+        eod=classify.is_eod_graph(g),
         universal_count=len(universal_vertex_list(g)),
         triangle_witness=central_triangle(g),
         rho_o_matching_set=rho_o_set_inducing_perfect_matching(g),
         gamma_t_set=gt.witness,
-        gamma_tr_function=first.witness,
     )
 
 
@@ -126,8 +140,12 @@ class BoundEntry:
     name: str
     kind: str  # "lower" | "upper" | "exact"
     value: int | None
-    applicable: bool
     note: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        # pair_bounds leaves the value None exactly when no gate opens
+        return self.value is not None
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "value": self.value,
@@ -258,7 +276,7 @@ def pair_bounds(pg: FactorProfile, ph: FactorProfile) -> PairReport:
     for name, kind, gate, value, note in _BOUNDS:
         vals = [value(a, b) for a, b in ((pg, ph), (ph, pg)) if gate(a, b)]
         best = (max if kind == "lower" else min)(vals) if vals else None
-        rep.bounds.append(BoundEntry(name, kind, best, bool(vals), note))
+        rep.bounds.append(BoundEntry(name, kind, best, note))
     return rep
 
 
@@ -298,12 +316,25 @@ def genlower_check(g: Graph, f: LabelFunction, claimed_value: int | None = None)
 
 @dataclass
 class VerificationReport:
-    """Merged output of the exhaustive pair verification."""
+    """Merged output of the exhaustive pair verification.
 
-    pairs: list[dict] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    eod_slack_min: int | None = None
+    pairs holds one record per pair, in report order; the violations, the
+    skipped pairs and the least open-packing slack are read from them.
+    """
+
+    pairs: list[dict]
+
+    @property
+    def violations(self) -> list[str]:
+        return [v for rec in self.pairs for v in rec["violations"]]
+
+    @property
+    def skipped(self) -> list[str]:
+        return [f"({rec['g_name']},{rec['h_name']})" for rec in self.pairs if rec["skipped"]]
+
+    @property
+    def eod_slack_min(self) -> int | None:
+        return min((rec["eod_slack"] for rec in self.pairs if "eod_slack" in rec), default=None)
 
     @property
     def ok(self) -> bool:
@@ -454,7 +485,8 @@ def verify_theorems(catalog: list[Graph], budget: float | None = None,
     unordered factor pair from the catalog (pairs with itself included).
 
     A budget of None means solve.DEFAULT_BUDGET_S. jobs must be at least
-    1; above 1, the pairs run in a pool of that many processes.
+    1; above 1, the pairs run in a pool of that many processes. The report
+    holds the pair records sorted by graph6 and reads its totals from them.
     """
     if jobs < 1:
         raise PreconditionError(f"jobs must be at least 1, got {jobs}")
@@ -463,7 +495,6 @@ def verify_theorems(catalog: list[Graph], budget: float | None = None,
     for i, pg in enumerate(profiles):
         for ph in profiles[i:]:
             tasks.append((pg, ph, budget))
-    report = VerificationReport()
     if jobs > 1:
         # Imported only here: the pool machinery adds 1-2 MB of memory to
         # every process that imports this module, and most never run a pool.
@@ -473,14 +504,4 @@ def verify_theorems(catalog: list[Graph], budget: float | None = None,
             records = list(pool.map(_verify_pair, tasks))
     else:
         records = [_verify_pair(t) for t in tasks]
-    records.sort(key=lambda r: (r["g"], r["h"]))
-    slacks = []
-    for rec in records:
-        report.pairs.append(rec)
-        report.violations.extend(rec["violations"])
-        if rec.get("skipped"):
-            report.skipped.append(f"({rec['g_name']},{rec['h_name']})")
-        if "eod_slack" in rec:
-            slacks.append(rec["eod_slack"])
-    report.eod_slack_min = min(slacks) if slacks else None
-    return report
+    return VerificationReport(sorted(records, key=lambda r: (r["g"], r["h"])))

@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def budget_opt(p):
         p.add_argument("--budget", type=float, default=None,
-                       help="solver budget in seconds (default: 60)")
+                       help=f"solver budget in seconds (default: {solve.DEFAULT_BUDGET_S:g})")
 
     p = sub.add_parser("invariants", help="exact invariant profile of one graph")
     p.add_argument("graph")

@@ -1,11 +1,13 @@
 """Certified labeling and set constructions on direct products.
 
 Each builder takes factor labelings, factor sets or factors and builds
-their direct product itself. Every function re-verifies its output before
-returning it, labelings through labeling.verified, so a returned object is
-always valid; a verification failure raises ConsistencyError and means a
-bug here, not bad input. Bad input raises PreconditionError naming the
-violated clause.
+their direct product itself. A labeling builder only picks its cells, the
+(G vertex, H vertex) pairs of positive label; one helper, _laid, lays them
+on the product and re-verifies the labeling through labeling.verified.
+Every function re-verifies its output before returning it, so a returned
+object is always valid; a verification failure raises ConsistencyError and
+means a bug here, not bad input. Bad input raises PreconditionError naming
+the violated clause.
 
 The factor labelings and sets come from the solvers. The small-value
 clauses are the exception: small_clause is the one definition of each,
@@ -26,32 +28,32 @@ from .labeling import (LabelFunction, VertexSet, is_efficient_open_dominating,
 SMALL_CASES = {"ii": 4, "iii_universal": 6, "iii_k2": 6, "iii_triangle": 6, "iv": 7}
 
 
+def _laid(g: Graph, h: Graph, cells: dict, weight: int, message: str) -> LabelFunction:
+    """The labeling of G x H with cells[(a, b)] at (a, b) and 0 elsewhere,
+    verified to weigh weight; ConsistencyError(message) otherwise."""
+    pg = direct_product(g, h)
+    labels = [0] * pg.base.n
+    for (a, b), label in cells.items():
+        labels[pg.vertex_id(a, b)] = label
+    return verified(pg.base, labels, weight, None, message)
+
+
 def product_trdf_from_factors(g_fn: LabelFunction, h_fn: LabelFunction) -> LabelFunction:
     """Combine factor labelings into a product labeling.
 
     Writes 2 on (twos(G) x positives(H)) union (ones(G) x twos(H)), 1 on
-    ones(G) x ones(H), 0 elsewhere. The weight is exactly
-    w(g)*w(h) - 2*|twos(G)|*|twos(H)|.
+    ones(G) x ones(H), 0 elsewhere: the larger of the two labels where both
+    are positive. The weight is exactly w(g)*w(h) - 2*|twos(G)|*|twos(H)|.
     """
     if not is_total_roman_dominating(g_fn):
         raise PreconditionError("first factor labeling is not total Roman dominating")
     if not is_total_roman_dominating(h_fn):
         raise PreconditionError("second factor labeling is not total Roman dominating")
-    pg = direct_product(g_fn.graph, h_fn.graph)
-    labels = [0] * pg.base.n
-    for a, la in enumerate(g_fn.labels):
-        if la == 0:
-            continue
-        for b, lb in enumerate(h_fn.labels):
-            if lb == 0:
-                continue
-            if la == 2 or lb == 2:
-                labels[pg.vertex_id(a, b)] = 2
-            else:
-                labels[pg.vertex_id(a, b)] = 1
-    return verified(pg.base, labels,
-                    g_fn.weight * h_fn.weight - 2 * len(g_fn.v2) * len(h_fn.v2), None,
-                    "factor-combination labeling failed verification")
+    cells = {(a, b): max(la, lb) for a, la in enumerate(g_fn.labels) if la
+             for b, lb in enumerate(h_fn.labels) if lb}
+    return _laid(g_fn.graph, h_fn.graph, cells,
+                 g_fn.weight * h_fn.weight - 2 * len(g_fn.v2) * len(h_fn.v2),
+                 "factor-combination labeling failed verification")
 
 
 def product_trdf_from_total_dom_sets(d_g: VertexSet, d_h: VertexSet) -> LabelFunction:
@@ -60,13 +62,9 @@ def product_trdf_from_total_dom_sets(d_g: VertexSet, d_h: VertexSet) -> LabelFun
         raise PreconditionError("first set is not total dominating")
     if not is_total_dominating(d_h):
         raise PreconditionError("second set is not total dominating")
-    pg = direct_product(d_g.graph, d_h.graph)
-    labels = [0] * pg.base.n
-    for a in d_g.vertices():
-        for b in d_h.vertices():
-            labels[pg.vertex_id(a, b)] = 2
-    return verified(pg.base, labels, 2 * d_g.size * d_h.size, None,
-                    "total-dominating-set product labeling failed verification")
+    cells = {(a, b): 2 for a in d_g.vertices() for b in d_h.vertices()}
+    return _laid(d_g.graph, d_h.graph, cells, 2 * d_g.size * d_h.size,
+                 "total-dominating-set product labeling failed verification")
 
 
 def product_eod_set(s_g: VertexSet, s_h: VertexSet) -> VertexSet:
@@ -163,9 +161,4 @@ def small_value_construction(case: str, g: Graph, h: Graph) -> LabelFunction:
         if case == "iii_universal" and is_k2(g) and is_k2(h):
             raise PreconditionError("case iii_universal needs one factor of order at least three")
         raise PreconditionError(_CLAUSE_FAILURE[case])
-    pg = direct_product(g, h)
-    labels = [0] * pg.base.n
-    for (a, b), label in found[1].items():
-        labels[pg.vertex_id(a, b)] = label
-    return verified(pg.base, labels, SMALL_CASES[case], None,
-                    f"case {case} labeling failed verification")
+    return _laid(g, h, found[1], SMALL_CASES[case], f"case {case} labeling failed verification")

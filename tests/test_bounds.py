@@ -44,6 +44,17 @@ def test_factor_profile_c4():
     assert p.max_v2 == 2
 
 
+def test_each_derived_profile_value_is_what_the_solvers_give(catalog4_profiles):
+    for p in catalog4_profiles:
+        g, best = p.graph, gamma_tr_max_v2(p.graph)
+        assert (p.order, p.max_degree) == (g.n, g.max_degree())
+        assert p.gamma_t == solve.gamma_t_exact(g).value
+        assert (p.gamma_tr, p.max_v2) == (best.value, best.max_v2)
+        f = p.gamma_tr_function
+        assert (f.weight, len(f.v2)) == (best.value, best.max_v2) and f.graph is g
+        assert p.total_roman == (best.value == 2 * p.gamma_t)
+
+
 def test_factor_profile_refuses_a_frontier_that_does_not_end_at_twice_gamma_t(monkeypatch):
     # the frontier and the subset enumeration check each other
     real = bounds.gamma_t_exact

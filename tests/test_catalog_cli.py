@@ -48,6 +48,16 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_cli_budget_help_reads_the_default_budget(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    for budget, shown in ((solve.DEFAULT_BUDGET_S, "60"), (7.5, "7.5")):
+        monkeypatch.setattr(solve, "DEFAULT_BUDGET_S", budget)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gammatr", "--help"])
+        assert exc.value.code == 0
+        assert f"solver budget in seconds (default: {shown})" in capsys.readouterr().out
+
+
 def test_cli_classify(capsys):
     code, out, _ = run_cli(capsys, "classify", "K3", "K3")
     assert code == 0

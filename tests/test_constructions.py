@@ -13,7 +13,8 @@ from trdprod.graph import direct_product
 from trdprod.labeling import (LabelFunction, VertexSet,
                               is_efficient_open_dominating,
                               is_total_roman_dominating)
-from trdprod.solve import gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact
+from trdprod.solve import (gamma_t_exact, gamma_tr_bruteforce, gamma_tr_exact,
+                          gamma_tr_max_v2)
 
 
 def test_factor_combination_examples():
@@ -180,6 +181,29 @@ def test_classify_and_construct_agree_on_the_catalog():
                 if verdict.rule == case:
                     assert found[0] == verdict.witnesses
                     assert weight == verdict.value
+
+
+def test_every_product_labeling_sits_where_its_rule_puts_it():
+    # product vertex v is read as divmod(v, h.n), independently of vertex_id
+    graphs = enumerate_catalog(4).graphs
+    fns = [gamma_tr_max_v2(g).witness for g in graphs]
+    sets = [gamma_t_exact(g).witness for g in graphs]
+    for g, fg, dg in zip(graphs, fns, sets):
+        for h, fh, dh in zip(graphs, fns, sets):
+            cells = [divmod(v, h.n) for v in range(g.n * h.n)]
+            out = product_trdf_from_factors(fg, fh)
+            for (a, b), label in zip(cells, out.labels):
+                la, lb = fg.labels[a], fh.labels[b]
+                assert label == (0 if 0 in (la, lb) else 2 if 2 in (la, lb) else 1)
+            out = product_trdf_from_total_dom_sets(dg, dh)
+            box = {(a, b) for a in dg.vertices() for b in dh.vertices()}
+            assert [label == 2 for label in out.labels] == [c in box for c in cells]
+            assert set(out.labels) <= {0, 2}
+            for case in SMALL_CASES:
+                found = small_clause(case, g, h)
+                if found is not None:
+                    out = small_value_construction(case, g, h)
+                    assert out.labels == tuple(found[1].get(c, 0) for c in cells)
 
 
 def test_construction_weights_never_beat_the_optimum():
