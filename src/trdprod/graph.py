@@ -143,9 +143,16 @@ class ProductGraph:
 
 
 def direct_product(g: Graph, h: Graph) -> ProductGraph:
-    """Direct (tensor) product: (a,b)~(a',b') iff aa' in E(G) and bb' in E(H)."""
+    """Direct (tensor) product: (a,b)~(a',b') iff aa' in E(G) and bb' in E(H).
+
+    An order above GRAPH6_MAX_ORDER, which no report could name, is refused
+    before any mask is built.
+    """
     if g.n == 0 or h.n == 0:
         raise GraphInputError("direct product requires nonempty factors")
+    if g.n * h.n > GRAPH6_MAX_ORDER:
+        raise GraphInputError(f"direct product of {g.n * h.n} vertices exceeds the largest"
+                              f" order graph6 encodes, {GRAPH6_MAX_ORDER}")
     hn = h.n
     adj = []
     for a in range(g.n):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from trdprod import _kernels, bounds, cli, solve
+from trdprod import _kernels, bounds, classify, cli, solve
 from trdprod.bounds import (factor_profile, genlower_check, pair_bounds,
                             verify_theorems)
 from trdprod.catalog import enumerate_catalog
@@ -293,13 +293,96 @@ def test_a_timeout_with_a_proven_value_keeps_the_value_checks(monkeypatch):
 
 
 def test_a_timeout_before_the_proof_records_no_value(monkeypatch):
+    # the claims are checked against the interval; only the checks that
+    # need the value or a witness are left out
+    expected = verify_theorems([complete(2), path(3)], budget=60)
     rep = _products_time_out(monkeypatch, 1)
     assert rep.ok and len(rep.skipped) == 3
-    for rec in rep.pairs:
+    for rec, full in zip(rep.pairs, expected.pairs):
         assert rec["skipped"] and rec["exact"] is None
-        lower, upper = rec["timeout_bounds"]
-        assert upper == lower + 1
-        assert "bounds" not in rec and "genlower" not in rec
+        assert rec["timeout_bounds"] == [full["exact"], full["exact"] + 1]
+        for key in ("bounds", "best_lower", "best_upper"):
+            assert rec[key] == full[key]
+        assert not {"oracle", "eod_slack", "genlower", "triangle"} & rec.keys()
+
+
+def _set_row(name, value):
+    def change(monkeypatch, pg, ph):
+        real = bounds.pair_bounds
+
+        def with_row(a, b):
+            rep = real(a, b)
+            rep.entry(name).value = value
+            return rep
+
+        monkeypatch.setattr(bounds, "pair_bounds", with_row)
+        return pg, ph
+    return change
+
+
+def _verdict_one_too_high(monkeypatch, pg, ph):
+    real = classify.classify_small_product
+
+    def raised(g, h):
+        verdict = real(g, h)
+        return dataclasses.replace(verdict, value=verdict.value + 1)
+
+    monkeypatch.setattr(classify, "classify_small_product", raised)
+    return pg, ph
+
+
+def _failing_genlower(monkeypatch, pg, ph):
+    real = bounds.genlower_check
+    monkeypatch.setattr(bounds, "genlower_check", lambda *args: {**real(*args), "ok": False})
+    return pg, ph
+
+
+def _timeout_at(low, high):
+    def change(monkeypatch, pg, ph):
+        def timing_out(g, budget):
+            raise SolverTimeout("search budget exhausted", low, high)
+
+        monkeypatch.setattr(bounds, "gamma_tr_max_v2", timing_out)
+        return pg, ph
+    return change
+
+
+@pytest.mark.parametrize("g, h, change, expected", [
+    (complete(2), complete(2), _set_row("LB_pack", 5),
+     ["lower claim LB_pack=5 fails against [4, 4]"]),
+    (complete(2), complete(2), _set_row("UB_2gt", 3),
+     ["upper claim UB_2gt=3 fails against [4, 4]",
+      "construction from_total_dom_sets weight 8 != UB_2gt 3"]),
+    (cycle(4), cycle(4), _set_row("EXACT_regEOD", 9),
+     ["exact claim EXACT_regEOD=9 fails against [8, 8]"]),
+    (complete(2), complete(2), _verdict_one_too_high,
+     ["exact claim verdict ii=5 fails against [4, 4]",
+      "construction small_ii weight 4 != verdict 5"]),
+    (complete(2), complete(2),
+     lambda monkeypatch, pg, ph: (dataclasses.replace(pg, rho_o=3), ph),
+     ["EOD factor with rho_o != gamma_t"]),
+    (complete(2), complete(2), _set_row("UB_remark", 5), ["UB_remark 5 > UB_maxA2 4"]),
+    (path(3), path(3), _set_row("UB_maxA2", 8), ["UB_maxA2 8 > UB_minus2 7"]),
+    (complete(2), complete(2), _failing_genlower,
+     ["order/degree lower bound inequalities failed"]),
+    (complete(3), complete(3),
+     lambda monkeypatch, pg, ph: (dataclasses.replace(pg, triangle_witness=None), ph),
+     ["triangle-centered equivalence broken: tc=False, six=True, support3=True"]),
+    (complete(2), complete(2), _timeout_at(7, 8),
+     ["upper claim UB_maxA2=4 fails against [7, 8]",
+      "upper claim UB_remark=4 fails against [7, 8]",
+      "upper claim construction from_factors=4 fails against [7, 8]",
+      "upper claim construction small_ii=4 fails against [7, 8]",
+      "exact claim verdict ii=4 fails against [7, 8]"]),
+], ids=["lower-row", "upper-row", "exact-row", "verdict", "eod-factor", "remark-chain",
+        "minus2-chain", "genlower", "triangle", "timeout-interval"])
+def test_every_audit_check_fires(monkeypatch, g, h, change, expected):
+    # each case changes one input of the audit of one pair
+    pg, ph = change(monkeypatch, factor_profile(g), factor_profile(h))
+    rec = bounds._verify_pair((pg, ph, 60))
+    prefix = f"({g.name},{h.name}): "
+    for message in expected:
+        assert any(v.startswith(prefix + message) for v in rec["violations"]), rec["violations"]
 
 
 def test_cli_verify_lists_the_pairs_a_timeout_skipped(monkeypatch, capsys):

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from trdprod import families
+from trdprod import families, graph
 from trdprod.errors import Graph6ParseError, GraphInputError
 from trdprod.families import (complete, complete_bipartite, complete_minus_matching,
                               cycle, fan, join, parse_graph_token, path, prism,
                               star, wheel)
-from trdprod.graph import (GRAPH6_MAX_ORDER, Graph, direct_product, from_edge_list,
-                           from_json_dict, has_isolated_vertex, is_bipartite, is_connected,
+from trdprod.graph import (GRAPH6_MAX_ORDER, Graph, _is_automorphism, direct_product,
+                           from_edge_list, from_json_dict, has_isolated_vertex, is_bipartite, is_connected,
                            is_regular, is_triangle_free, mask_of)
 from trdprod.graph6 import emit_graph6, parse_graph6
 
@@ -211,6 +211,28 @@ def test_family_orders_past_graph6_are_input_errors():
     for token in (f"C{cap + 1}", f"K{cap + 1}", "C100000000000"):
         with pytest.raises(GraphInputError, match="graph6"):
             parse_graph_token(token)
+
+
+def test_direct_product_refuses_an_order_past_graph6_before_building(monkeypatch):
+    # the cap is read at call time; a product past it used to be built in
+    # full, masks and all, before the graph6 writer refused it
+    def no_mask(mask):
+        raise AssertionError("a mask was built")
+
+    monkeypatch.setattr(graph, "GRAPH6_MAX_ORDER", 11)
+    monkeypatch.setattr(graph, "bits_of", no_mask)
+    with pytest.raises(GraphInputError, match="12 vertices .*graph6.* 11"):
+        direct_product(path(3), path(4))
+    monkeypatch.undo()
+    monkeypatch.setattr(graph, "GRAPH6_MAX_ORDER", 12)
+    assert direct_product(path(3), path(4)).base.n == 12
+
+
+def test_the_automorphism_check_rejects_a_non_bijection_and_a_broken_edge():
+    p3 = path(3)
+    assert not _is_automorphism(p3, [0, 0, 2])
+    assert not _is_automorphism(p3, [1, 0, 2])
+    assert _is_automorphism(p3, [2, 1, 0])
 
 
 def test_structural_predicates():
