@@ -1,15 +1,16 @@
 """Search kernels behind the exact solvers.
 
-Two loops live here: a plain base-3 odometer that scans every labeling in
-one call, and one resumable explicit-stack branch-and-bound search with two
-objectives, chosen by state slot 10: MIN_WEIGHT (a labeling lighter than
-the incumbent) and MAX_TWOS (the most 2-labels at a fixed weight). The
-solver's optimality proof is the one MIN_WEIGHT search. MAX_TWOS serves the
-max-2s pass, the weight-constrained and frontier searches, and every
-lexicographic witness probe, which asks with the early-exit flag for a
-completion of the optimal weight with at least a given number of 2s. Both
-loops run over Python lists of ints, and every vertex set is a Python-int
-mask, so a graph may have any number of vertices.
+Two loops live here: a scan of every labeling in one call, over
+itertools.product, and one resumable explicit-stack branch-and-bound
+search with two objectives, chosen by state slot 10: MIN_WEIGHT (a
+labeling lighter than the incumbent) and MAX_TWOS (the most 2-labels at a
+fixed weight). The solver's optimality proof is the one MIN_WEIGHT search.
+MAX_TWOS serves the max-2s pass, the weight-constrained and frontier
+searches, and every lexicographic witness probe, which asks with the
+early-exit flag for a completion of the optimal weight with at least a
+given number of 2s. The search runs over Python lists of ints, the scan
+over the tuples itertools.product yields, and every vertex set is a
+Python-int mask, so a graph may have any number of vertices.
 
 The search returns after a node budget with its scalar state packed into
 one list, st, and a second call resumes exactly where the first stopped.
@@ -79,6 +80,7 @@ State slots:
 from __future__ import annotations
 
 from heapq import heapreplace
+from itertools import product
 
 RUNNING = 0
 DONE = 1
@@ -331,7 +333,8 @@ def _bnb(adj_mask, labels, order, trial, cov, pos, un0, unp, bit, und,
 def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st):
     """Scan every labeling in lexicographic order (vertex 0 most significant).
 
-    Tracks the minimum valid weight with its first witness (which is the
+    itertools.product yields the labelings in that order; digits only gives
+    n. Tracks the minimum valid weight with its first witness (which is the
     lexicographically smallest optimum, since ties never replace), and per
     weight the maximum 2-count over valid labelings. One pass over a
     labeling builds its weight, its 2-count, its positive vertices and the
@@ -344,11 +347,10 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st):
     n = len(digits)
     full = (1 << n) - 1
     best = st[0]
-    steps = 0
-    while True:
+    for labels in product((0, 1, 2), repeat=n):
         w = v2 = pos = near_pos = near_two = 0
         for v in range(n):
-            d = digits[v]
+            d = labels[v]
             if d:
                 w += d
                 pos |= bit[v]
@@ -361,18 +363,9 @@ def _brute_force_scan(adj_mask, bit, digits, best_labels, maxv2_table, st):
                 maxv2_table[w] = v2
             if w < best:
                 best = w
-                for i in range(n):
-                    best_labels[i] = digits[i]
-        steps += 1
-        i = n - 1
-        while i >= 0 and digits[i] == 2:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        digits[i] += 1
+                best_labels[:] = labels
     st[0] = best
-    st[2] += steps
+    st[2] += 3 ** n
 
 
 # Both search names bind the one B&B kernel, which the objective in state

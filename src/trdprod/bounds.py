@@ -356,9 +356,14 @@ class VerificationReport:
         }
 
     def csv_rows(self) -> list[list]:
+        """One row per pair; a timed-out pair's exact cell holds its certified
+        interval, low..high."""
         rows = [["g", "h", "exact", "verdict", "best_lower", "best_upper", "violations"]]
         for p in self.pairs:
-            rows.append([p["g"], p["h"], p["exact"],
+            exact = p["exact"]
+            if exact is None:
+                exact = "{}..{}".format(*p["timeout_bounds"])
+            rows.append([p["g"], p["h"], exact,
                          p.get("verdict", {}).get("value", ""),
                          p.get("best_lower", ""), p.get("best_upper", ""),
                          ";".join(p.get("violations", []))])

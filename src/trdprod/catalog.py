@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import SizeLimitError
+from .errors import PreconditionError, SizeLimitError
 from .graph import Graph, from_edge_list
 from .graph6 import emit_graph6
 
@@ -34,8 +34,11 @@ def _canonical_key(n: int, pairs: frozenset[tuple[int, int]]) -> tuple:
 def enumerate_catalog(max_n: int) -> Catalog:
     """All isomorphism classes of graphs without isolated vertices on 2..max_n vertices.
 
-    These are the graphs the paper's bounds are stated for.
+    These are the graphs the paper's bounds are stated for. Below order 2
+    there are none, and a catalog of nothing is refused.
     """
+    if max_n < 2:
+        raise PreconditionError(f"the catalog starts at order 2, got max_n={max_n}")
     if max_n > ENUM_LIMIT:
         raise SizeLimitError(f"exhaustive enumeration limited to {ENUM_LIMIT} vertices;"
                              " load an external graph6 catalog instead")

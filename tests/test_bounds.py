@@ -304,6 +304,12 @@ def test_a_timeout_before_the_proof_records_no_value(monkeypatch):
         for key in ("bounds", "best_lower", "best_upper"):
             assert rec[key] == full[key]
         assert not {"oracle", "eod_slack", "genlower", "triangle"} & rec.keys()
+    # the CSV writes the interval in the exact cell, and every other cell
+    # as for the solved run
+    rows, solved = rep.csv_rows(), expected.csv_rows()
+    assert rows[0] == solved[0]
+    for row, full in zip(rows[1:], solved[1:], strict=True):
+        assert row == full[:2] + [f"{full[2]}..{full[2] + 1}"] + full[3:]
 
 
 def _set_row(name, value):

@@ -6,7 +6,7 @@ import pytest
 
 from trdprod import bounds, cli, families, solve
 from trdprod.catalog import enumerate_catalog
-from trdprod.errors import SizeLimitError, SolverTimeout
+from trdprod.errors import PreconditionError, SizeLimitError, SolverTimeout
 from trdprod.families import cycle
 from trdprod.graph import direct_product, is_connected
 from trdprod.graph6 import emit_graph6, parse_graph6
@@ -35,6 +35,15 @@ def test_enumerate_five_connected_count():
 def test_enumerate_rejects_large_order():
     with pytest.raises(SizeLimitError):
         enumerate_catalog(6)
+
+
+@pytest.mark.parametrize("max_n", [-3, 0, 1])
+def test_an_empty_catalog_is_a_precondition_error(capsys, max_n):
+    with pytest.raises(PreconditionError):
+        enumerate_catalog(max_n)
+    code, out, err = run_cli(capsys, "verify", "--max-n", str(max_n))
+    assert code == 1 and out == ""
+    assert json.loads(err)["type"] == "PreconditionError"
 
 
 def test_catalog_names_round_trip():

@@ -948,9 +948,15 @@ def _literal_scan(g):
     return best, witness, table
 
 
+# the audit's 9-vertex products and the 10-vertex scan of bench_kernels.py
+_SCAN_PRODUCTS = [direct_product(g, h).base for g, h in
+                  [(path(3), path(3)), (path(3), complete(3)), (complete(3), complete(3)),
+                   (complete(2), cycle(5))]]
+
+
 @pytest.mark.parametrize("g", list(enumerate_catalog(4).graphs)
                          + [g for g in _random_isolate_free_graphs(60, seed=2036)
-                            if g.n <= 8][:30], ids=lambda g: g.name)
+                            if g.n <= 8][:30] + _SCAN_PRODUCTS, ids=lambda g: g.name)
 def test_the_scan_kernel_matches_a_literal_scan(g):
     assert _brute_scan(g) == _literal_scan(g)
 
